@@ -6,13 +6,6 @@ from .hierarchy import (
     DriveMode,
     HierarchyState,
     RhsEvaluator,
-    coherent_term,
-    cooperative_decay_term,
-    drive_coupling,
-    hierarchy_rhs,
-    initial_state,
-    liouvillian,
-    pure_decay_term,
 )
 from .integrator import (
     Diagnostics,
@@ -25,7 +18,6 @@ from .integrator import (
 )
 from .observables import (
     PopulationRecord,
-    average_pairwise_concurrence,
     concurrence_pair,
     max_concurrence,
     pair_concurrences,
@@ -37,7 +29,7 @@ from .pulse import GaussianPulse
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, ExperimentConfig, apply_overrides, dump_config, load_config, parse_config  # noqa: E402
+from .config import ConfigError, ExperimentConfig, apply_overrides, load_config, parse_config  # noqa: E402
 from .presets import expand_preset, list_presets  # noqa: E402
 from .runner import RunSummary, emit_csv, emit_summary_csv, run, run_many, summarize  # noqa: E402
 
@@ -57,7 +49,6 @@ __all__ = [
     "RunSummary",
     "Trajectory",
     "apply_overrides",
-    "dump_config",
     "emit_csv",
     "emit_summary_csv",
     "expand_preset",
@@ -67,20 +58,12 @@ __all__ = [
     "run",
     "run_many",
     "summarize",
-    "average_pairwise_concurrence",
-    "coherent_term",
     "concurrence_pair",
-    "cooperative_decay_term",
     "diagnostics",
-    "drive_coupling",
-    "hierarchy_rhs",
-    "initial_state",
     "integrate",
-    "liouvillian",
     "max_concurrence",
     "pair_concurrences",
     "populations",
-    "pure_decay_term",
     "rk4_step",
     "spin_flip",
     "survival_time",

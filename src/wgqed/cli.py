@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .integrator import IntegrationError
 from .presets import expand_preset, list_presets
-from .runner import emit_summary_csv, run, run_many
+from .runner import RunSummary, emit_summary_csv, run, run_many
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -38,6 +39,15 @@ def _overridden(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
         pair_norm=args.pair_norm,
         normalization=args.pulse_norm,
         mode=args.drive,
+    )
+
+
+def _print_summary(summary: RunSummary) -> None:
+    print(
+        f"{summary.label}: C_max(all-pairs)={summary.c_max_all_pairs:.6g} "
+        f"at t={summary.t_at_c_max:.4g}, survival={summary.survival_all_pairs:.6g}, "
+        f"peak P_1={summary.peak_p_one:.6g}, peak P_e={summary.peak_p_excited:.6g}, "
+        f"trace_err={summary.max_trace_err:.3g}"
     )
 
 
@@ -80,35 +90,20 @@ def main(argv=None) -> int:
             cfg = _overridden(load_config(args.config), args)
             if args.out is not None:
                 cfg = apply_overrides(cfg, path=args.out)
-            _, summary = run(cfg)
-            print(
-                f"{summary.label}: C_max(all-pairs)={summary.c_max_all_pairs:.6g} "
-                f"at t={summary.t_at_c_max:.4g}, survival={summary.survival_all_pairs:.6g}, "
-                f"peak P_1={summary.peak_p_one:.6g}, trace_err={summary.max_trace_err:.3g}"
-            )
+            _print_summary(run(cfg)[1])
             return 0
 
         configs = [_overridden(cfg, args) for cfg in expand_preset(args.id)]
         if args.command == "preset":
             for cfg in configs:
-                _, summary = run(cfg, out_dir=args.out)
-                print(
-                    f"{summary.label}: C_max(all-pairs)={summary.c_max_all_pairs:.6g}, "
-                    f"survival={summary.survival_all_pairs:.6g}, "
-                    f"peak P_e={summary.peak_p_excited:.6g}"
-                )
+                _print_summary(run(cfg, out_dir=args.out)[1])
             return 0
 
         # sweep
         summaries = run_many(configs, out_dir=args.out, jobs=args.jobs)
         for summary in summaries:
-            print(
-                f"{summary.label}: C_max(all-pairs)={summary.c_max_all_pairs:.6g}, "
-                f"survival={summary.survival_all_pairs:.6g}"
-            )
+            _print_summary(summary)
         if args.out is not None:
-            import os
-
             path = os.path.join(args.out, f"{args.id}_summary.csv")
             emit_summary_csv(configs, summaries, path)
             print(f"summary written to {path}")

@@ -1,4 +1,4 @@
-"""Experiment configuration: INI-style parsing, validation and round-trip.
+"""Experiment configuration: INI-style parsing and validation.
 
 A config document has five sections (all optional; missing keys take the
 documented defaults, which follow the baseline two-qubit scenario):
@@ -10,19 +10,20 @@ documented defaults, which follow the baseline two-qubit scenario):
     [output]      path, label
 
 Rates, detunings and positions accept a scalar or a comma-separated
-per-qubit list.  Unknown sections or keys are rejected.
+per-qubit list.  Unknown sections or keys are rejected.  Every
+:class:`ExperimentConfig` is validated when it is constructed, whether it
+comes from a document, a preset or an override.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields, replace
 
 from .hierarchy import ChainParams, DriveMode
 from .integrator import IntegratorConfig
 from .observables import PAIR_NORMS
-from .pulse import NORMALIZATIONS, GaussianPulse
+from .pulse import GaussianPulse
 
 
 class ConfigError(ValueError):
@@ -53,6 +54,38 @@ class ExperimentConfig:
     label: str = "run"
     notes: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self) -> None:
+        """Coerce numbers to float and validate by building every component;
+        their errors surface as :class:`ConfigError`."""
+        try:
+            for name in _FLOAT_FIELDS:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            for name in _PER_QUBIT_FIELDS:
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: expected numbers, got {getattr(self, name)!r}") from exc
+        for where, build in (
+            ("[chain]", self.chain_params),
+            ("[pulse]", self.gaussian_pulse),
+            ("[pulse] mode:", self.drive_mode),
+            ("[integrator]", self.integrator_config),
+        ):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where} {exc}") from exc
+        for name in _PER_QUBIT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and len(value) != self.n:
+                raise ConfigError(f"[chain] {name}: expected {self.n} values, got {len(value)}")
+        if self.pair_norm not in PAIR_NORMS:
+            raise ConfigError(
+                f"[observables] pair_norm: expected one of {PAIR_NORMS}, got {self.pair_norm!r}"
+            )
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError("[observables] threshold: must lie strictly between 0 and 1")
+
     def chain_params(self) -> ChainParams:
         return ChainParams(
             n=self.n,
@@ -73,150 +106,72 @@ class ExperimentConfig:
         return DriveMode(self.mode)
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "chain": ("n", "gamma_r", "gamma_l", "delta", "spacing", "positions", "rho21_hc"),
-    "pulse": ("tbar", "width", "normalization", "mode"),
-    "integrator": ("dt", "t_end", "sample_every"),
-    "observables": ("pair_norm", "threshold"),
-    "output": ("path", "label"),
-}
+_FLOAT_FIELDS = ("spacing", "tbar", "width", "dt", "t_end", "threshold")
+_PER_QUBIT_FIELDS = ("gamma_r", "gamma_l", "delta", "positions")
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_list(section: str, key: str, raw: str, n: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    values = tuple(_parse_float(section, key, p) for p in parts)
-    if len(values) == 1:
-        return values * n
-    if len(values) != n:
-        raise ConfigError(
-            f"[{section}] {key}: expected 1 or {n} values, got {len(values)}"
-        )
-    return values
+def _parse_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(",") if p.strip())
+
+
+_SCHEMA = {
+    "chain": {
+        "n": int,
+        "gamma_r": _parse_list,
+        "gamma_l": _parse_list,
+        "delta": _parse_list,
+        "spacing": float,
+        "positions": _parse_list,
+        "rho21_hc": _parse_bool,
+    },
+    "pulse": {"tbar": float, "width": float, "normalization": str, "mode": str},
+    "integrator": {"dt": float, "t_end": float, "sample_every": int},
+    "observables": {"pair_norm": str, "threshold": float},
+    "output": {"path": str, "label": str},
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document, filling defaults."""
+    """Parse a config document; missing keys take the documented defaults.
+
+    A single value for a per-qubit key is broadcast to every qubit.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if not raw.strip():
+                continue
+            try:
+                values[key] = _SCHEMA[section][key](raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            value = parser[section][key].strip()
-            return value if value else None
-        return None
-
-    n = _parse_int("chain", "n", get("chain", "n") or "2")
-    if n < 1:
-        raise ConfigError("[chain] n: need at least one qubit")
-
-    def per_qubit(key: str, default: float) -> tuple[float, ...]:
-        raw = get("chain", key)
-        if raw is None:
-            return (default,) * n
-        return _parse_list("chain", key, raw, n)
-
-    gamma_r = per_qubit("gamma_r", 1.0)
-    gamma_l = per_qubit("gamma_l", 1.0)
-    delta = per_qubit("delta", 0.0)
-    if any(g < 0 for g in gamma_r + gamma_l):
-        raise ConfigError("[chain] gamma_r/gamma_l: decay rates must be non-negative")
-
-    spacing = _parse_float("chain", "spacing", get("chain", "spacing") or "0.0")
-    raw_pos = get("chain", "positions")
-    positions = None if raw_pos is None else _parse_list("chain", "positions", raw_pos, n)
-    if positions is not None and any(b < a for a, b in zip(positions, positions[1:])):
-        raise ConfigError("[chain] positions: must be non-decreasing")
-    rho21_hc = _parse_bool("chain", "rho21_hc", get("chain", "rho21_hc") or "true")
-
-    tbar = _parse_float("pulse", "tbar", get("pulse", "tbar") or "5.0")
-    width = _parse_float("pulse", "width", get("pulse", "width") or "1.5")
-    if width <= 0:
-        raise ConfigError("[pulse] width: must be positive")
-    normalization = get("pulse", "normalization") or "unit-l2"
-    if normalization not in NORMALIZATIONS:
-        raise ConfigError(
-            f"[pulse] normalization: expected one of {NORMALIZATIONS}, got {normalization!r}"
-        )
-    mode = get("pulse", "mode") or "two-photon"
-    if mode not in [m.value for m in DriveMode]:
-        raise ConfigError(f"[pulse] mode: unknown drive mode {mode!r}")
-
-    dt = _parse_float("integrator", "dt", get("integrator", "dt") or "1e-3")
-    t_end = _parse_float("integrator", "t_end", get("integrator", "t_end") or "15.0")
-    sample_every = _parse_int(
-        "integrator", "sample_every", get("integrator", "sample_every") or "10"
-    )
-    if dt <= 0:
-        raise ConfigError("[integrator] dt: must be positive")
-    if t_end < 0:
-        raise ConfigError("[integrator] t_end: must be non-negative")
-    if sample_every < 1:
-        raise ConfigError("[integrator] sample_every: must be at least 1")
-
-    pair_norm = get("observables", "pair_norm") or "all-pairs"
-    if pair_norm not in PAIR_NORMS:
-        raise ConfigError(
-            f"[observables] pair_norm: expected one of {PAIR_NORMS}, got {pair_norm!r}"
-        )
-    threshold = _parse_float(
-        "observables", "threshold", get("observables", "threshold") or "0.05"
-    )
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError("[observables] threshold: must lie strictly between 0 and 1")
-
-    return ExperimentConfig(
-        n=n,
-        gamma_r=gamma_r,
-        gamma_l=gamma_l,
-        delta=delta,
-        spacing=spacing,
-        positions=positions,
-        rho21_hc=rho21_hc,
-        tbar=tbar,
-        width=width,
-        normalization=normalization,
-        mode=mode,
-        dt=dt,
-        t_end=t_end,
-        sample_every=sample_every,
-        pair_norm=pair_norm,
-        threshold=threshold,
-        path=get("output", "path"),
-        label=get("output", "label") or "run",
-    )
+    n = values.get("n", ExperimentConfig.n)
+    for key, default in (("gamma_r", 1.0), ("gamma_l", 1.0), ("delta", 0.0)):
+        values.setdefault(key, (default,))
+    for key in _PER_QUBIT_FIELDS:
+        if len(values.get(key, ())) == 1:
+            values[key] = values[key] * n
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -224,55 +179,10 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(handle.read())
 
 
-def _join(values) -> str:
-    return ", ".join(repr(float(v)) for v in values)
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config in the normalized (fully expanded) form."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["chain"] = {
-        "n": str(cfg.n),
-        "gamma_r": _join(cfg.gamma_r),
-        "gamma_l": _join(cfg.gamma_l),
-        "delta": _join(cfg.delta),
-        "spacing": repr(float(cfg.spacing)),
-        "rho21_hc": str(cfg.rho21_hc).lower(),
-    }
-    if cfg.positions is not None:
-        parser["chain"]["positions"] = _join(cfg.positions)
-    parser["pulse"] = {
-        "tbar": repr(float(cfg.tbar)),
-        "width": repr(float(cfg.width)),
-        "normalization": cfg.normalization,
-        "mode": cfg.mode,
-    }
-    parser["integrator"] = {
-        "dt": repr(float(cfg.dt)),
-        "t_end": repr(float(cfg.t_end)),
-        "sample_every": str(cfg.sample_every),
-    }
-    parser["observables"] = {
-        "pair_norm": cfg.pair_norm,
-        "threshold": repr(float(cfg.threshold)),
-    }
-    parser["output"] = {"label": cfg.label}
-    if cfg.path is not None:
-        parser["output"]["path"] = cfg.path
-    buffer = io.StringIO()
-    parser.write(buffer)
-    return buffer.getvalue()
-
-
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Return a copy with non-None overrides applied and re-validated."""
+    """Return a copy with the non-None overrides applied (and so validated)."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(changes) - valid
+    unknown = set(changes) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown override field(s): {sorted(unknown)}")
-    merged = replace(cfg, **changes)
-    # round-trip re-validates cross-field constraints
-    return replace(parse_config(dump_config(merged)), notes=merged.notes)
+    return replace(cfg, **changes)

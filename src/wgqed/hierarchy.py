@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    commutator,
-    dagger,
+    MAX_QUBITS,
     ground_state_density,
     lowering_operator,
     number_operator,
@@ -91,13 +90,18 @@ class ChainParams:
     positions: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(
+                f"n = {self.n} is out of range: need at least one qubit, and the "
+                f"pair reduction traces out at most {MAX_QUBITS} qubits"
+            )
         self.gamma_r = self._per_qubit("gamma_r", self.gamma_r, 1.0)
         self.gamma_l = self._per_qubit("gamma_l", self.gamma_l, 1.0)
         self.delta = self._per_qubit("delta", self.delta, 0.0)
-        if np.any(self.gamma_r < 0) or np.any(self.gamma_l < 0):
-            raise ValueError("decay rates must be non-negative")
+        for name in ("gamma_r", "gamma_l", "delta", "spacing", "positions"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.positions is None:
             self.positions = self.spacing * np.arange(self.n, dtype=float)
         else:
@@ -106,6 +110,9 @@ class ChainParams:
                 raise ValueError(
                     f"positions must have length {self.n}, got {self.positions.shape}"
                 )
+        for name in ("gamma_r", "gamma_l"):
+            if np.any(getattr(self, name) < 0):
+                raise ValueError(f"{name}: decay rates must be non-negative")
         # Coincident positions are allowed: the idealized no-delay presets
         # place all qubits at phase distance zero.
         if np.any(np.diff(self.positions) < 0):
@@ -173,203 +180,9 @@ class HierarchyState:
     def n_qubits(self) -> int:
         return int(round(np.log2(self.blocks.shape[1])))
 
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[1]
-
     def block(self, name: str) -> np.ndarray:
         return self.blocks[BLOCK_NAMES.index(name)]
 
-    @property
-    def rho00(self) -> np.ndarray:
-        return self.blocks[0]
-
-    @property
-    def rho10(self) -> np.ndarray:
-        return self.blocks[1]
-
-    @property
-    def rho11(self) -> np.ndarray:
-        return self.blocks[2]
-
-    @property
-    def rho20(self) -> np.ndarray:
-        return self.blocks[3]
-
-    @property
-    def rho21(self) -> np.ndarray:
-        return self.blocks[4]
-
-    @property
-    def rho_s(self) -> np.ndarray:
-        return self.blocks[5]
-
-    def reported(self, mode: DriveMode) -> np.ndarray:
-        """The physical system state for the given drive mode."""
-        return self.block(mode.reported_block)
-
-    def copy(self) -> "HierarchyState":
-        return HierarchyState(self.blocks.copy())
-
-
-def initial_state(n: int) -> HierarchyState:
-    """Alias for :meth:`HierarchyState.ground`."""
-    return HierarchyState.ground(n)
-
-
-# ---------------------------------------------------------------------------
-# Liouvillian terms (reference implementations)
-# ---------------------------------------------------------------------------
-
-def coherent_term(rho: np.ndarray, params: ChainParams) -> np.ndarray:
-    """-i [H, rho] with H = sum_i delta_i |e_i><e_i|."""
-    rho = np.asarray(rho, dtype=complex)
-    h = sum(
-        params.delta[i - 1] * number_operator(i, params.n)
-        for i in range(1, params.n + 1)
-    )
-    return -1j * commutator(h, rho)
-
-
-def pure_decay_term(rho: np.ndarray, params: ChainParams) -> np.ndarray:
-    """Independent decay of each qubit into both continua.
-
-    Lindblad-form term with per-qubit rate (gamma_iR + gamma_iL) / 2.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for i in range(1, params.n + 1):
-        sm = lowering_operator(i, params.n)
-        sp = raising_operator(i, params.n)
-        num = sp @ sm
-        out -= params.gamma_rl[i - 1] * (num @ rho - 2.0 * sm @ rho @ sp + rho @ num)
-    return out
-
-
-def cooperative_decay_term(rho: np.ndarray, params: ChainParams) -> np.ndarray:
-    """Waveguide-mediated cross-decay between distinct qubits.
-
-    For each ordered pair (i, j) with directional weight w_ij (right-movers
-    for i > j, left-movers for i < j) and phase phi_ij the contribution is
-
-        -w_ij [ e^{-i phi_ij} (sp_i sm_j rho - sm_j rho sp_i)
-              + e^{+i phi_ij} (rho sp_j sm_i - sm_i rho sp_j) ]
-
-    i.e. the bracket plus its superoperator conjugate, which keeps the map
-    trace-annihilating (each product term cancels by trace cyclicity) and
-    hermiticity-preserving.  In the fully chiral limit (gamma_L = 0) only
-    i > j pairs survive and the term reduces to the standard cascaded form.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    if params.n == 1:
-        return out
-    sm = [lowering_operator(i, params.n) for i in range(1, params.n + 1)]
-    sp = [raising_operator(i, params.n) for i in range(1, params.n + 1)]
-    for i in range(1, params.n + 1):
-        for j in range(1, params.n + 1):
-            if i == j:
-                continue
-            w = params.pair_weight(i, j)
-            if w == 0.0:
-                continue
-            phase = np.exp(-1j * params.pair_phase(i, j))
-            si, sj = sm[i - 1], sm[j - 1]
-            pi_, pj = sp[i - 1], sp[j - 1]
-            forward = phase * (pi_ @ sj @ rho - sj @ rho @ pi_)
-            conjug = np.conj(phase) * (rho @ pj @ si - si @ rho @ pj)
-            out -= w * (forward + conjug)
-    return out
-
-
-def liouvillian(rho: np.ndarray, params: ChainParams) -> np.ndarray:
-    """Sum of coherent, pure-decay and cooperative-decay terms."""
-    return (
-        coherent_term(rho, params)
-        + pure_decay_term(rho, params)
-        + cooperative_decay_term(rho, params)
-    )
-
-
-def drive_coupling(
-    src: np.ndarray,
-    i: int,
-    t: float,
-    scale: float,
-    params: ChainParams,
-    pulse: GaussianPulse,
-    include_hc: bool,
-) -> np.ndarray:
-    """Single-qubit drive term scale * e^{i 2 pi d_i} g(t) [src, sp_i].
-
-    When ``include_hc`` is set the hermitian conjugate of the whole matrix is
-    added, as appears on the rows that evolve hermitian blocks.
-    """
-    src = np.asarray(src, dtype=complex)
-    sp = raising_operator(i, params.n)
-    phase = np.exp(1j * 2.0 * np.pi * params.positions[i - 1])
-    term = scale * phase * pulse.envelope(t) * commutator(src, sp)
-    if include_hc:
-        term = term + term.conj().T
-    return term
-
-
-def hierarchy_rhs(
-    state: HierarchyState,
-    t: float,
-    params: ChainParams,
-    pulse: GaussianPulse,
-    mode: DriveMode = DriveMode.TWO_PHOTON,
-    rho21_hc: bool = True,
-) -> HierarchyState:
-    """Time derivative of all blocks evolved in the given mode.
-
-    Reference implementation built directly from the term functions; the
-    integrator uses the algebraically identical precomputed fast path
-    (:class:`RhsEvaluator`), which is cross-checked against this one in the
-    test suite.
-
-    ``rho21_hc`` keeps the conjugate drive term on the rho21 row (the default);
-    setting it False drops that term for sensitivity analysis.
-    """
-    if state.n_qubits != params.n:
-        raise ValueError(
-            f"state is for {state.n_qubits} qubits, params for {params.n}"
-        )
-    out = np.zeros_like(state.blocks)
-    n_evolved = mode.n_blocks
-    for b in range(n_evolved):
-        out[b] = liouvillian(state.blocks[b], params)
-
-    if mode is DriveMode.NONE:
-        return HierarchyState(out)
-
-    strong = [np.sqrt(2.0 * g) for g in params.gamma_r]  # two-photon rows
-    weak = [np.sqrt(g) for g in params.gamma_r]  # one-photon rows
-
-    def drive(src: np.ndarray, scales, include_hc: bool) -> np.ndarray:
-        total = np.zeros_like(src)
-        for i in range(1, params.n + 1):
-            total += drive_coupling(src, i, t, scales[i - 1], params, pulse, False)
-        if include_hc:
-            total = total + total.conj().T
-        return total
-
-    i10, i11 = BLOCK_NAMES.index("rho10"), BLOCK_NAMES.index("rho11")
-    out[i10] += drive(state.rho00, weak, include_hc=False)
-    out[i11] += drive(dagger(state.rho10), weak, include_hc=True)
-
-    if mode is DriveMode.TWO_PHOTON:
-        i20, i21, i_s = (BLOCK_NAMES.index(k) for k in ("rho20", "rho21", "rho_s"))
-        out[i20] += drive(state.rho10, strong, include_hc=False)
-        out[i21] += drive(state.rho11, strong, include_hc=rho21_hc)
-        out[i_s] += drive(dagger(state.rho21), strong, include_hc=True)
-    return HierarchyState(out)
-
-
-# ---------------------------------------------------------------------------
-# Precomputed fast evaluator used by the integrator
-# ---------------------------------------------------------------------------
 
 class RhsEvaluator:
     """Precomputed right-hand side acting on the stacked block array.
@@ -378,9 +191,13 @@ class RhsEvaluator:
     with a drift matrix A collecting the coherent, pure-decay and directional
     cross-coupling parts, and collective emission operators
     J_dir = sum_i sqrt(gamma_i,dir) e^{i 2 pi d_i} sm_i.  This is algebraically
-    identical to summing the three term functions.  When every operator and
-    the initial blocks are real, arithmetic drops to float64, which roughly
-    quadruples throughput on the larger chains.
+    identical to summing the single-qubit terms one by one, which the test
+    suite's reference implementation (``tests/oracle.py``) does.
+
+    The operators are stored once, as float64 when all of them are real
+    (``is_real``) and as complex128 otherwise.  Real operators applied to real
+    blocks keep the arithmetic in float64, which roughly quadruples throughput
+    on the larger chains; complex blocks promote them to complex.
     """
 
     def __init__(
@@ -390,7 +207,6 @@ class RhsEvaluator:
         mode: DriveMode = DriveMode.TWO_PHOTON,
         rho21_hc: bool = True,
     ) -> None:
-        self.params = params
         self.pulse = pulse
         self.mode = mode
         self.rho21_hc = rho21_hc
@@ -408,50 +224,37 @@ class RhsEvaluator:
                     continue
                 phase = np.exp(-1j * params.pair_phase(i, j))
                 drift -= w * phase * (raising_operator(i, n) @ lowering_operator(j, n))
-        self._drift = drift
 
         phases = np.exp(1j * 2.0 * np.pi * params.positions)
-        self._jump_r = sum(
+        jump_r = sum(
             np.sqrt(params.gamma_r[i]) * phases[i] * lowering_operator(i + 1, n)
             for i in range(n)
         )
-        self._jump_l = sum(
+        jump_l = sum(
             np.sqrt(params.gamma_l[i]) * phases[i] * lowering_operator(i + 1, n)
             for i in range(n)
         )
         # Collective raising operators entering the drive commutators.
-        self._raise_strong = sum(
+        raise_strong = sum(
             np.sqrt(2.0 * params.gamma_r[i]) * phases[i] * raising_operator(i + 1, n)
             for i in range(n)
         )
-        self._raise_weak = sum(
+        raise_weak = sum(
             np.sqrt(params.gamma_r[i]) * phases[i] * raising_operator(i + 1, n)
             for i in range(n)
         )
 
-        mats = (self._drift, self._jump_r, self._jump_l, self._raise_strong, self._raise_weak)
+        mats = (drift, jump_r, jump_l, raise_strong, raise_weak)
         self.is_real = all(np.abs(m.imag).max() == 0.0 for m in mats)
-        self.cast(np.complex128)
-
-    def operator_dtype(self, blocks: np.ndarray) -> type:
-        """Best arithmetic dtype for the given initial blocks."""
-        if self.is_real and np.abs(blocks.imag).max() == 0.0:
-            return np.float64
-        return np.complex128
-
-    def cast(self, dtype) -> None:
-        """Re-materialize the precomputed operators in the given dtype."""
-        conv = (lambda m: np.ascontiguousarray(m.real)) if dtype is np.float64 else (
-            lambda m: np.ascontiguousarray(m)
-        )
-        self._a = conv(self._drift)
-        self._a_h = conv(self._drift.conj().T)
-        self._jr = conv(self._jump_r)
-        self._jr_h = conv(self._jump_r.conj().T)
-        self._jl = conv(self._jump_l)
-        self._jl_h = conv(self._jump_l.conj().T)
-        self._bs = conv(self._raise_strong)
-        self._bw = conv(self._raise_weak)
+        conv = (lambda m: np.ascontiguousarray(m.real)) if self.is_real else np.ascontiguousarray
+        self._a = conv(drift)
+        self._a_h = conv(drift.conj().T)
+        self._jr = conv(jump_r)
+        self._jr_h = conv(jump_r.conj().T)
+        self._jl = conv(jump_l)
+        self._jl_h = conv(jump_l.conj().T)
+        self._bs = conv(raise_strong)
+        self._bw = conv(raise_weak)
 
     def __call__(self, t: float, blocks: np.ndarray) -> np.ndarray:
         """Derivative of the stacked (n_blocks, d, d) array."""

@@ -11,18 +11,19 @@ motion.  A trace error beyond 1e-6 aborts the run with the offending time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from . import observables as obs
 from .hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
+from .observables import average_concurrence, pair_concurrences, populations
 from .operators import all_pairs
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
 POSITIVITY_WARN = -1e-7
+UNIT_TRACE_BLOCKS = ("rho00", "rho11", "rho_s")
 
 
 class IntegrationError(RuntimeError):
@@ -38,10 +39,10 @@ class IntegratorConfig:
     sample_every: int = 10
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
 
@@ -81,7 +82,6 @@ class Trajectory:
     herm_err: np.ndarray
     zero_block_trace: np.ndarray
     min_eigenvalue: np.ndarray
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
     states: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -111,20 +111,21 @@ def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarra
     return out
 
 
-def diagnostics(state: HierarchyState, mode: DriveMode = DriveMode.TWO_PHOTON) -> Diagnostics:
-    """Trace/hermiticity deviations of the unit-trace blocks, worst residual
+def diagnostics(blocks: np.ndarray, mode: DriveMode = DriveMode.TWO_PHOTON) -> Diagnostics:
+    """Conservation checks on the evolved (mode.n_blocks, d, d) block stack.
+
+    Trace/hermiticity deviations of the unit-trace blocks, worst residual
     trace of the zero-trace blocks, and the smallest eigenvalue of the
-    reported system state."""
-    trace_err = 0.0
-    herm_err = 0.0
-    for name in ("rho00", "rho11", "rho_s"):
-        m = state.block(name)
-        trace_err = max(trace_err, abs(np.trace(m) - 1.0))
-        herm_err = max(herm_err, float(np.abs(m - m.conj().T).max()))
-    zero_trace = max(
-        abs(np.trace(state.block(name))) for name in ("rho10", "rho20", "rho21")
-    )
-    reported = state.reported(mode)
+    reported system state.
+    """
+    trace_err = herm_err = zero_trace = 0.0
+    for name, m in zip(BLOCK_NAMES, blocks):
+        if name in UNIT_TRACE_BLOCKS:
+            trace_err = max(trace_err, abs(np.trace(m) - 1.0))
+            herm_err = max(herm_err, float(np.abs(m - m.conj().T).max()))
+        else:
+            zero_trace = max(zero_trace, abs(np.trace(m)))
+    reported = blocks[BLOCK_NAMES.index(mode.reported_block)]
     eigs = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))
     return Diagnostics(
         trace_err=float(trace_err),
@@ -140,17 +141,15 @@ def integrate(
     pulse: GaussianPulse,
     mode: DriveMode,
     config: IntegratorConfig,
-    observers: Sequence[Callable[[float, HierarchyState], Mapping[str, float]]] | None = None,
     rho21_hc: bool = True,
-    intensity_gamma: float | None = None,
     keep_states: bool = False,
 ) -> Trajectory:
     """Propagate from t = 0 to t_end and sample the observable bundle.
 
-    Samples land at t = k * dt * sample_every (the initial state is always
-    the first sample).  Optional ``observers`` receive (t, state) at every
-    sample and contribute extra named scalar series.  ``keep_states`` stores
-    a copy of the reported block at each sample (small chains only).
+    Only the blocks the mode evolves are propagated.  Samples land at
+    t = k * dt * sample_every (the initial state is always the first sample).
+    ``keep_states`` stores a copy of the reported block at each sample (small
+    chains only).
     """
     if state0.n_qubits != params.n:
         raise ValueError("state and parameters disagree on the chain length")
@@ -159,100 +158,63 @@ def integrate(
         n_steps = int(np.ceil(config.t_end / config.dt))
 
     rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
-    n_blocks = mode.n_blocks
-    work = state0.blocks[:n_blocks].copy()
-    dtype = rhs.operator_dtype(work)
-    if dtype is np.float64:
+    work = state0.blocks[: mode.n_blocks].copy()
+    if rhs.is_real and np.abs(work.imag).max() == 0.0:
         work = np.ascontiguousarray(work.real)
-    rhs.cast(dtype)
 
-    frozen = state0.blocks[n_blocks:].copy()  # blocks the mode leaves untouched
-
+    n, n_samples = params.n, 1 + n_steps // config.sample_every
+    pairs = all_pairs(n)
+    shapes = {"p_excited": (n_samples, n), "pair_concurrence": (n_samples, len(pairs))}
+    traj = Trajectory(
+        n_qubits=n,
+        pair_labels=pairs,
+        states=[] if keep_states else None,
+        **{
+            f.name: np.zeros(shapes.get(f.name, n_samples))
+            for f in fields(Trajectory)
+            if f.name not in ("n_qubits", "pair_labels", "states")
+        },
+    )
     # the published pulse curves use the first qubit's right-going rate
-    gamma_ref = float(params.gamma_r[0]) if intensity_gamma is None else intensity_gamma
+    gamma_ref = float(params.gamma_r[0])
 
-    times: list[float] = []
-    rows: list[dict] = []
-    extra_rows: list[dict[str, float]] = []
-    states: list[np.ndarray] = []
-
-    def full_state() -> HierarchyState:
-        blocks = np.zeros((len(BLOCK_NAMES),) + work.shape[1:], dtype=complex)
-        blocks[:n_blocks] = work
-        blocks[n_blocks:] = frozen
-        return HierarchyState(blocks)
-
-    def sample(t: float) -> None:
-        state = full_state()
-        rho = state.reported(mode)
-        pops = obs.populations(rho, params.n)
-        pair_c = obs.pair_concurrences(rho, params.n)
-        diag = diagnostics(state, mode)
+    def sample(k: int, t: float) -> None:
+        # observables see complex blocks whatever the arithmetic dtype
+        blocks = work.astype(complex, copy=False)
+        rho = blocks[BLOCK_NAMES.index(mode.reported_block)]
+        pops = populations(rho, n)
+        pair_c = pair_concurrences(rho, n)
+        diag = diagnostics(blocks, mode)
         if diag.trace_err > TRACE_ABORT:
             raise IntegrationError(
                 f"trace deviation {diag.trace_err:.3e} exceeds {TRACE_ABORT:.0e} "
                 f"at t={t:.6g}"
             )
-        intensity = 0.0 if mode is DriveMode.NONE else float(
-            pulse.drive_intensity(gamma_ref, t)
-        )
-        times.append(t)
-        rows.append(
-            dict(
-                p_ground=pops.p_ground,
-                p_one=pops.p_one,
-                p_two=pops.p_two,
-                p_total=pops.p_total,
-                p_excited=np.array(pops.p_excited),
-                pair_c=pair_c,
-                c_all=obs.average_concurrence(pair_c, params.n, "all-pairs"),
-                c_half=obs.average_concurrence(pair_c, params.n, "half-n"),
-                intensity=intensity,
-                trace_err=diag.trace_err,
-                herm_err=diag.herm_err,
-                zero_tr=diag.zero_block_trace,
-                min_eig=diag.min_eigenvalue,
-            )
-        )
-        if observers:
-            merged: dict[str, float] = {}
-            for fn in observers:
-                merged.update(fn(t, state))
-            extra_rows.append(merged)
+        traj.times[k] = t
+        traj.p_ground[k] = pops.p_ground
+        traj.p_one[k] = pops.p_one
+        traj.p_two[k] = pops.p_two
+        traj.p_total[k] = pops.p_total
+        traj.p_excited[k] = pops.p_excited
+        traj.pair_concurrence[k] = pair_c
+        traj.c_avg_all_pairs[k] = average_concurrence(pair_c, n, "all-pairs")
+        traj.c_avg_half_n[k] = average_concurrence(pair_c, n, "half-n")
+        if mode is not DriveMode.NONE:
+            traj.pulse_intensity[k] = pulse.drive_intensity(gamma_ref, t)
+        traj.trace_err[k] = diag.trace_err
+        traj.herm_err[k] = diag.herm_err
+        traj.zero_block_trace[k] = diag.zero_block_trace
+        traj.min_eigenvalue[k] = diag.min_eigenvalue
         if keep_states:
-            states.append(rho.copy())
+            traj.states.append(rho.copy())
 
-    sample(0.0)
+    sample(0, 0.0)
     for step in range(n_steps):
         t = step * config.dt
         work = rk4_step(work, t, config.dt, rhs)
         if (step + 1) % config.sample_every == 0:
-            sample((step + 1) * config.dt)
+            sample((step + 1) // config.sample_every, (step + 1) * config.dt)
 
-    traj = Trajectory(
-        times=np.array(times),
-        n_qubits=params.n,
-        pair_labels=all_pairs(params.n),
-        p_ground=np.array([r["p_ground"] for r in rows]),
-        p_one=np.array([r["p_one"] for r in rows]),
-        p_two=np.array([r["p_two"] for r in rows]),
-        p_total=np.array([r["p_total"] for r in rows]),
-        p_excited=np.array([r["p_excited"] for r in rows]),
-        pair_concurrence=np.array([r["pair_c"] for r in rows]).reshape(len(rows), -1),
-        c_avg_all_pairs=np.array([r["c_all"] for r in rows]),
-        c_avg_half_n=np.array([r["c_half"] for r in rows]),
-        pulse_intensity=np.array([r["intensity"] for r in rows]),
-        trace_err=np.array([r["trace_err"] for r in rows]),
-        herm_err=np.array([r["herm_err"] for r in rows]),
-        zero_block_trace=np.array([r["zero_tr"] for r in rows]),
-        min_eigenvalue=np.array([r["min_eig"] for r in rows]),
-        states=states if keep_states else None,
-    )
-    if extra_rows:
-        keys = {k for row in extra_rows for k in row}
-        traj.extras = {
-            k: np.array([row.get(k, np.nan) for row in extra_rows]) for k in keys
-        }
     worst_min_eig = traj.min_eigenvalue.min()
     if worst_min_eig < POSITIVITY_WARN:
         warnings.warn(

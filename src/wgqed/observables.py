@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    SIGMA_Y,
-    all_pairs,
-    excitation_projector,
-    number_operator,
-    partial_trace_to_pair,
-)
+from .operators import SIGMA_Y, all_pairs, partial_trace_to_pair
 
 PAIR_NORMS = ("all-pairs", "half-n")
 
@@ -53,17 +47,20 @@ class PopulationRecord:
 def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     """Sector populations P_G, P_1, P_2 and per-qubit excited populations.
 
-    ``p_total`` is the full trace (the conserved total population).  For a
-    single qubit P_2 is identically zero.
+    Each is a sum of diagonal entries masked by the excitation bits of the
+    basis index (qubit 1 is the most significant bit).  ``p_total`` is the
+    full trace (the conserved total population).  For a single qubit P_2 is
+    identically zero.
     """
     rho = np.asarray(rho)
-    p_k = [float(np.real(np.trace(excitation_projector(k, n) @ rho))) for k in range(n + 1)]
-    p_exc = tuple(
-        float(np.real(np.trace(number_operator(i, n) @ rho))) for i in range(1, n + 1)
-    )
+    diag = rho.diagonal()
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    count = bits.sum(axis=1)
+    p_k = [float((diag * (count == k)).sum().real) for k in range(3)]
+    p_exc = tuple(float((diag * bits[:, i]).sum().real) for i in range(n))
     return PopulationRecord(
         p_ground=p_k[0],
-        p_one=p_k[1] if n >= 1 else 0.0,
+        p_one=p_k[1],
         p_two=p_k[2] if n >= 2 else 0.0,
         p_excited=p_exc,
         p_total=float(np.real(np.trace(rho))),
@@ -123,13 +120,6 @@ def average_concurrence(pair_values: np.ndarray, n: int, norm: str = "all-pairs"
     total = float(np.sum(pair_values))
     divisor = n * (n - 1) / 2.0 if norm == "all-pairs" else n / 2.0
     return total / divisor
-
-
-def average_pairwise_concurrence(rho: np.ndarray, n: int, norm: str = "all-pairs") -> float:
-    """Average concurrence over every unordered qubit pair of the chain."""
-    if n < 2:
-        raise ValueError("pairwise concurrence needs at least two qubits")
-    return average_concurrence(pair_concurrences(rho, n), n, norm)
 
 
 def max_concurrence(traj, norm: str = "all-pairs") -> tuple[float, float]:

@@ -15,7 +15,11 @@ import numpy as np
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
+
+# One einsum subscript letter per traced qubit in partial_trace_to_pair; the
+# chain length is capped by this alphabet.
+_TRACE_LETTERS = "abcdefghij"
+MAX_QUBITS = len(_TRACE_LETTERS)
 
 
 def _check_qubit_index(i: int, n: int) -> None:
@@ -57,29 +61,12 @@ def number_operator(i: int, n: int) -> np.ndarray:
     return np.kron(np.kron(left, np.diag([0.0, 1.0]).astype(complex)), right)
 
 
-def sigma_z_operator(i: int, n: int) -> np.ndarray:
-    """Return |e><e| - |g><g| on qubit i."""
-    _check_qubit_index(i, n)
-    left = np.eye(2 ** (i - 1), dtype=complex)
-    right = np.eye(2 ** (n - i), dtype=complex)
-    return np.kron(np.kron(left, np.diag([-1.0, 1.0]).astype(complex)), right)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m.conj().T.copy()
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def ground_state_density(n: int) -> np.ndarray:
@@ -89,18 +76,6 @@ def ground_state_density(n: int) -> np.ndarray:
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     return rho
-
-
-def excitation_projector(k: int, n: int) -> np.ndarray:
-    """Projector onto the span of basis states with exactly k excited qubits.
-
-    The projectors for k = 0..n are mutually orthogonal, idempotent and sum
-    to the identity.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"excitation count {k} out of range 0..{n}")
-    diag = np.array([bin(idx).count("1") == k for idx in range(2**n)], dtype=float)
-    return np.diag(diag).astype(complex)
 
 
 def partial_trace_to_pair(rho: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -129,9 +104,8 @@ def partial_trace_to_pair(rho: np.ndarray, i: int, j: int, n: int) -> np.ndarray
     tensor = rho.reshape((2,) * (2 * n))
     # Axes 0..n-1 index the ket factors, n..2n-1 the bra factors.
     keep = (i - 1, j - 1)
-    letters = "abcdefghij"
-    ket = list(letters[:n])
-    bra = list(letters[:n])  # traced qubits share the same letter on both sides
+    ket = list(_TRACE_LETTERS[:n])
+    bra = list(_TRACE_LETTERS[:n])  # traced qubits share the same letter on both sides
     ket[keep[0]], ket[keep[1]] = "w", "x"
     bra[keep[0]], bra[keep[1]] = "y", "z"
     subscripts = "".join(ket) + "".join(bra) + "->wxyz"

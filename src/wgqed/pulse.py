@@ -36,8 +36,10 @@ class GaussianPulse:
     normalization: str = "unit-l2"
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"pulse width must be positive, got {self.width}")
+        if not np.isfinite(self.tbar):
+            raise ValueError(f"pulse tbar must be finite, got {self.tbar}")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"pulse width must be positive and finite, got {self.width}")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(
                 f"unknown normalization {self.normalization!r}; "
@@ -61,13 +63,3 @@ class GaussianPulse:
             raise ValueError("decay rate must be non-negative")
         g = self.envelope(t)
         return 2.0 * gamma_r * np.square(g) if np.ndim(g) else 2.0 * gamma_r * g * g
-
-
-def envelope(p: GaussianPulse, t):
-    """Functional alias for :meth:`GaussianPulse.envelope`."""
-    return p.envelope(t)
-
-
-def drive_intensity(p: GaussianPulse, gamma_r: float, t):
-    """Functional alias for :meth:`GaussianPulse.drive_intensity`."""
-    return p.drive_intensity(gamma_r, t)

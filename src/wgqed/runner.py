@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .config import ExperimentConfig
@@ -157,20 +157,7 @@ SUMMARY_CONFIG_COLUMNS = (
 
 def emit_summary_csv(configs, summaries, path) -> None:
     """One row per config: the echoed inputs followed by the summary metrics."""
-    metric_cols = [
-        "c_max_all_pairs",
-        "t_at_c_max",
-        "c_max_half_n",
-        "survival_all_pairs",
-        "survival_half_n",
-        "peak_p_one",
-        "peak_p_two",
-        "peak_p_excited",
-        "min_p_ground",
-        "max_trace_err",
-        "max_herm_err",
-        "min_eigenvalue",
-    ]
+    metric_cols = [f.name for f in fields(RunSummary)[2:]]  # all but label and n
     lines = [",".join(SUMMARY_CONFIG_COLUMNS + tuple(metric_cols))]
     for cfg, summary in zip(configs, summaries):
         row = []

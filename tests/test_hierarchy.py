@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
-from wgqed.hierarchy import (
-    BLOCK_NAMES,
-    ChainParams,
-    DriveMode,
-    HierarchyState,
-    RhsEvaluator,
+from oracle import (
     coherent_term,
     cooperative_decay_term,
     drive_coupling,
     hierarchy_rhs,
-    initial_state,
     liouvillian,
     pure_decay_term,
 )
+from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
 from wgqed.operators import dagger, ground_state_density, lowering_operator, raising_operator
 from wgqed.pulse import GaussianPulse
 
@@ -54,6 +49,11 @@ class TestChainParams:
             ChainParams(n=2, gamma_r=-0.1)
         with pytest.raises(ValueError):
             ChainParams(n=2, positions=[1.0, 0.5])
+        with pytest.raises(ValueError, match="n = 11"):
+            ChainParams(n=11)  # beyond the pair reduction's qubit count
+        for name, value in (("gamma_l", np.inf), ("delta", np.nan), ("spacing", np.inf)):
+            with pytest.raises(ValueError, match=name):
+                ChainParams(n=2, **{name: value})
 
     def test_directional_weights(self):
         p = ChainParams(n=2, gamma_r=4.0, gamma_l=0.25)
@@ -185,11 +185,11 @@ class TestDriveCoupling:
 
 class TestInitialState:
     def test_single_qubit(self):
-        s = initial_state(1)
-        assert np.allclose(s.rho_s, np.diag([1.0, 0.0]))
+        s = HierarchyState.ground(1)
+        assert np.allclose(s.block("rho_s"), np.diag([1.0, 0.0]))
 
     def test_three_qubits_single_entry(self):
-        s = initial_state(3)
+        s = HierarchyState.ground(3)
         for name in ("rho00", "rho11", "rho_s"):
             block = s.block(name)
             assert block[0, 0] == 1.0
@@ -198,7 +198,7 @@ class TestInitialState:
             assert np.count_nonzero(s.block(name)) == 0
 
     def test_invariants_exact(self):
-        s = initial_state(2)
+        s = HierarchyState.ground(2)
         for name in ("rho00", "rho11", "rho_s"):
             block = s.block(name)
             assert np.trace(block) == 1.0
@@ -211,7 +211,7 @@ class TestHierarchyRhs:
         p = ChainParams(n=2, gamma_r=0.7, gamma_l=1.2, delta=0.3)
         s = random_state(rng, 2)
         out = hierarchy_rhs(s, 0.5, p, PULSE, DriveMode.NONE)
-        assert np.allclose(out.rho00, liouvillian(s.rho00, p))
+        assert np.allclose(out.block("rho00"), liouvillian(s.block("rho00"), p))
         for name in BLOCK_NAMES[1:]:
             assert np.allclose(out.block(name), 0.0)
 
@@ -239,16 +239,17 @@ class TestHierarchyRhs:
         b_weak = sum(
             np.sqrt(p.gamma_r[i]) * phases[i] * raising_operator(i + 1, 2) for i in range(2)
         )
-        x10 = g * (s.rho00 @ b_weak - b_weak @ s.rho00)
-        assert np.allclose(out.rho10, liouvillian(s.rho10, p) + x10)
-        x20 = g * (s.rho10 @ b_strong - b_strong @ s.rho10)
-        assert np.allclose(out.rho20, liouvillian(s.rho20, p) + x20)
-        x11 = g * (dagger(s.rho10) @ b_weak - b_weak @ dagger(s.rho10))
-        assert np.allclose(out.rho11, liouvillian(s.rho11, p) + x11 + x11.conj().T)
-        x21 = g * (s.rho11 @ b_strong - b_strong @ s.rho11)
-        assert np.allclose(out.rho21, liouvillian(s.rho21, p) + x21 + x21.conj().T)
-        xs = g * (dagger(s.rho21) @ b_strong - b_strong @ dagger(s.rho21))
-        assert np.allclose(out.rho_s, liouvillian(s.rho_s, p) + xs + xs.conj().T)
+        rho00, rho10, rho11, rho20, rho21, rho_s = s.blocks
+        x10 = g * (rho00 @ b_weak - b_weak @ rho00)
+        assert np.allclose(out.block("rho10"), liouvillian(rho10, p) + x10)
+        x20 = g * (rho10 @ b_strong - b_strong @ rho10)
+        assert np.allclose(out.block("rho20"), liouvillian(rho20, p) + x20)
+        x11 = g * (dagger(rho10) @ b_weak - b_weak @ dagger(rho10))
+        assert np.allclose(out.block("rho11"), liouvillian(rho11, p) + x11 + x11.conj().T)
+        x21 = g * (rho11 @ b_strong - b_strong @ rho11)
+        assert np.allclose(out.block("rho21"), liouvillian(rho21, p) + x21 + x21.conj().T)
+        xs = g * (dagger(rho21) @ b_strong - b_strong @ dagger(rho21))
+        assert np.allclose(out.block("rho_s"), liouvillian(rho_s, p) + xs + xs.conj().T)
 
     def test_rho21_hc_flag_drops_conjugate_term(self):
         rng = np.random.default_rng(11)
@@ -261,9 +262,10 @@ class TestHierarchyRhs:
         b_strong = sum(
             np.sqrt(2.0) * raising_operator(i, 2) for i in (1, 2)
         )
-        x21 = g * (s.rho11 @ b_strong - b_strong @ s.rho11)
-        assert np.allclose(with_hc.rho21 - without.rho21, x21.conj().T)
-        assert np.allclose(with_hc.rho_s, without.rho_s)
+        rho11 = s.block("rho11")
+        x21 = g * (rho11 @ b_strong - b_strong @ rho11)
+        assert np.allclose(with_hc.block("rho21") - without.block("rho21"), x21.conj().T)
+        assert np.allclose(with_hc.block("rho_s"), without.block("rho_s"))
 
     def test_one_photon_mode_freezes_upper_blocks(self):
         rng = np.random.default_rng(12)
@@ -298,21 +300,25 @@ class TestFastEvaluator:
                 assert np.abs(want.blocks[: mode.n_blocks] - got).max() < 1e-12
 
     def test_real_dtype_path_matches_complex(self):
+        # the operator dtype is fixed at construction: real operators keep
+        # real blocks in float64 and are promoted by complex blocks
         p = ChainParams(n=2)
         pulse = GaussianPulse(tbar=1.0, width=0.5)
         rng = np.random.default_rng(21)
         blocks = rng.standard_normal((6, 4, 4))
         fast = RhsEvaluator(p, pulse, DriveMode.TWO_PHOTON)
         assert fast.is_real
-        assert fast.operator_dtype(blocks.astype(complex)) is np.float64
-        complex_out = fast(0.8, blocks.astype(complex))
-        fast.cast(np.float64)
         real_out = fast(0.8, blocks.copy())
+        complex_out = fast(0.8, blocks.astype(complex))
         assert real_out.dtype == np.float64
+        assert complex_out.dtype == np.complex128
         assert np.abs(complex_out - real_out).max() < 1e-13
+        want = hierarchy_rhs(HierarchyState(blocks), 0.8, p, pulse, DriveMode.TWO_PHOTON)
+        assert np.abs(want.blocks - real_out).max() < 1e-12
 
     def test_complex_required_for_detuning_and_phases(self):
         for kwargs in (dict(delta=0.5), dict(spacing=1 / 8)):
             p = ChainParams(n=2, **kwargs)
             fast = RhsEvaluator(p, PULSE, DriveMode.TWO_PHOTON)
             assert not fast.is_real
+            assert fast(0.9, HierarchyState.ground(2).blocks.real).dtype == np.complex128

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracle import excitation_projector
 from wgqed.observables import (
     average_concurrence,
-    average_pairwise_concurrence,
     concurrence_pair,
     max_concurrence,
     pair_concurrences,
@@ -11,7 +11,7 @@ from wgqed.observables import (
     spin_flip,
     survival_time,
 )
-from wgqed.operators import ground_state_density
+from wgqed.operators import ground_state_density, number_operator
 
 
 def bell_phi_plus(sign=1.0):
@@ -73,6 +73,19 @@ class TestPopulations:
             np.diag([bin(i).count("1") == 3 for i in range(8)]).astype(complex) @ rho
         ))
         assert rec.p_ground + rec.p_one + rec.p_two + p3 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_masked_sums_match_projector_oracle(self, n):
+        # same products and summation order as trace(P @ rho): equal bits
+        rng = np.random.default_rng(n)
+        for rho in (random_density(rng, 2**n), ground_state_density(n)):
+            rec = populations(rho, n)
+            sectors = [np.trace(excitation_projector(k, n) @ rho).real for k in range(n + 1)]
+            assert rec.p_ground == sectors[0] and rec.p_one == sectors[1]
+            assert rec.p_two == (sectors[2] if n >= 2 else 0.0)
+            assert rec.p_excited == tuple(
+                np.trace(number_operator(i, n) @ rho).real for i in range(1, n + 1)
+            )
 
     def test_single_qubit_has_no_two_sector(self):
         rec = populations(np.diag([0.4, 0.6]).astype(complex), 1)
@@ -137,24 +150,21 @@ class TestAveragePairwise:
     def test_two_qubits_equals_pair_value(self):
         rho = werner(0.9)
         c = concurrence_pair(rho)
-        assert average_pairwise_concurrence(rho, 2, "all-pairs") == pytest.approx(c)
-        assert average_pairwise_concurrence(rho, 2, "half-n") == pytest.approx(c)
+        values = pair_concurrences(rho, 2)
+        assert average_concurrence(values, 2, "all-pairs") == pytest.approx(c)
+        assert average_concurrence(values, 2, "half-n") == pytest.approx(c)
 
     def test_ground_state_zero(self):
         for n in (2, 3, 4):
-            assert average_pairwise_concurrence(ground_state_density(n), n) == 0.0
+            assert average_concurrence(pair_concurrences(ground_state_density(n), n), n) == 0.0
 
     def test_one_entangled_pair_of_four_qubits(self):
         rho = np.kron(bell_phi_plus(), ground_state_density(2))
         values = pair_concurrences(rho, 4)
         assert values[0] == pytest.approx(1.0, abs=1e-10)  # pair (1,2)
         assert np.allclose(values[1:], 0.0, atol=1e-10)
-        assert average_pairwise_concurrence(rho, 4, "all-pairs") == pytest.approx(1 / 6, abs=1e-10)
-        assert average_pairwise_concurrence(rho, 4, "half-n") == pytest.approx(1 / 2, abs=1e-10)
-
-    def test_rejects_single_qubit(self):
-        with pytest.raises(ValueError):
-            average_pairwise_concurrence(np.eye(2) / 2, 1)
+        assert average_concurrence(values, 4, "all-pairs") == pytest.approx(1 / 6, abs=1e-10)
+        assert average_concurrence(values, 4, "half-n") == pytest.approx(1 / 2, abs=1e-10)
 
     def test_norm_validation(self):
         with pytest.raises(ValueError):

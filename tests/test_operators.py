@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from oracle import commutator, excitation_projector
 from wgqed.operators import (
     all_pairs,
-    commutator,
     dagger,
-    excitation_projector,
     ground_state_density,
     lowering_operator,
     number_operator,
     partial_trace_to_pair,
     raising_operator,
-    sigma_z_operator,
 )
 
 
@@ -23,6 +21,11 @@ def random_density(rng, d):
     a = random_matrix(rng, d)
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def sigma_z(i, n):
+    """|e><e| - |g><g| on qubit i."""
+    return 2.0 * number_operator(i, n) - np.eye(2**n)
 
 
 class TestLowering:
@@ -54,7 +57,7 @@ class TestLowering:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 lhs = commutator(dagger(lowering_operator(i, n)), lowering_operator(j, n))
-                expected = sigma_z_operator(i, n) if i == j else np.zeros((2**n, 2**n))
+                expected = sigma_z(i, n) if i == j else np.zeros((2**n, 2**n))
                 assert np.allclose(lhs, expected, atol=1e-14)
 
 
@@ -88,7 +91,7 @@ class TestCommutator:
     def test_single_qubit_z(self):
         sp = raising_operator(1, 1)
         sm = lowering_operator(1, 1)
-        assert np.allclose(commutator(sp, sm), sigma_z_operator(1, 1))
+        assert np.allclose(commutator(sp, sm), sigma_z(1, 1))
 
     def test_traceless(self):
         rng = np.random.default_rng(11)

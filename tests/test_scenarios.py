@@ -215,3 +215,8 @@ class TestCli:
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["preset", "fig99"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--t-end", "inf")])
+    def test_non_finite_override_exits_two(self, flag, value, capsys):
+        assert main(["preset", "fig2", flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
