@@ -1,4 +1,4 @@
-"""Command-line interface: run configs, execute presets and sweeps."""
+"""Command-line interface: run a config file or sweep a preset family."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-end", type=float, dest="t_end", help="final time")
     parser.add_argument("--theta", type=float, help="survival-time threshold")
     parser.add_argument(
-        "--pair-norm", choices=("all-pairs", "half-n"), dest="pair_norm",
-        help="average-concurrence normalization",
-    )
-    parser.add_argument(
         "--pulse-norm", choices=("verbatim", "unit-l2"), dest="pulse_norm",
         help="pulse envelope normalization",
     )
@@ -36,7 +32,6 @@ def _overridden(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
         dt=args.dt,
         t_end=args.t_end,
         threshold=args.theta,
-        pair_norm=args.pair_norm,
         normalization=args.pulse_norm,
         mode=args.drive,
     )
@@ -63,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output CSV path (overrides the config)")
     _add_override_flags(p_run)
 
-    p_preset = sub.add_parser("preset", help="run every member of a preset")
-    p_preset.add_argument("id", help="preset identifier (see list-presets)")
-    p_preset.add_argument("--out", help="directory for CSV/metadata files")
-    _add_override_flags(p_preset)
-
     p_sweep = sub.add_parser("sweep", help="run a preset family and aggregate a summary")
     p_sweep.add_argument("id", help="preset identifier (see list-presets)")
     p_sweep.add_argument("--out", help="directory for CSV/metadata/summary files")
@@ -93,13 +83,10 @@ def main(argv=None) -> int:
             _print_summary(run(cfg)[1])
             return 0
 
-        configs = [_overridden(cfg, args) for cfg in expand_preset(args.id)]
-        if args.command == "preset":
-            for cfg in configs:
-                _print_summary(run(cfg, out_dir=args.out)[1])
-            return 0
-
         # sweep
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        configs = [_overridden(cfg, args) for cfg in expand_preset(args.id)]
         summaries = run_many(configs, out_dir=args.out, jobs=args.jobs)
         for summary in summaries:
             _print_summary(summary)

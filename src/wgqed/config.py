@@ -6,13 +6,14 @@ documented defaults, which follow the baseline two-qubit scenario):
     [chain]       n, gamma_r, gamma_l, delta, spacing, positions, rho21_hc
     [pulse]       tbar, width, normalization, mode
     [integrator]  dt, t_end, sample_every
-    [observables] pair_norm, threshold
+    [observables] threshold
     [output]      path, label
 
-Rates, detunings and positions accept a scalar or a comma-separated
-per-qubit list.  Unknown sections or keys are rejected.  Every
-:class:`ExperimentConfig` is validated when it is constructed, whether it
-comes from a document, a preset or an override.
+Rates, detunings and positions accept a single value, broadcast to every
+qubit, or a comma-separated per-qubit list; :class:`ExperimentConfig` and
+:func:`apply_overrides` take the same two forms.  Unknown sections or keys
+are rejected.  Every :class:`ExperimentConfig` is validated when it is
+constructed, whether it comes from a document, a preset or an override.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from .hierarchy import ChainParams, DriveMode
 from .integrator import IntegratorConfig
-from .observables import PAIR_NORMS
 from .pulse import GaussianPulse
 
 
@@ -35,9 +35,9 @@ class ExperimentConfig:
     """Fully resolved parameters of one simulation run."""
 
     n: int = 2
-    gamma_r: tuple[float, ...] = (1.0, 1.0)
-    gamma_l: tuple[float, ...] = (1.0, 1.0)
-    delta: tuple[float, ...] = (0.0, 0.0)
+    gamma_r: tuple[float, ...] = (1.0,)
+    gamma_l: tuple[float, ...] = (1.0,)
+    delta: tuple[float, ...] = (0.0,)
     spacing: float = 0.0
     positions: tuple[float, ...] | None = None
     rho21_hc: bool = True
@@ -48,7 +48,6 @@ class ExperimentConfig:
     dt: float = 1e-3
     t_end: float = 15.0
     sample_every: int = 10
-    pair_norm: str = "all-pairs"
     threshold: float = 0.05
     path: str | None = None
     label: str = "run"
@@ -56,44 +55,27 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Coerce numbers to float and validate by building every component;
-        their errors surface as :class:`ConfigError`."""
+        their errors surface as :class:`ConfigError`.  Per-qubit values are
+        stored as :class:`ChainParams` broadcast them (unset positions stay
+        None)."""
         try:
             for name in _FLOAT_FIELDS:
                 object.__setattr__(self, name, float(getattr(self, name)))
-            for name in _PER_QUBIT_FIELDS:
-                if getattr(self, name) is not None:
-                    object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: expected numbers, got {getattr(self, name)!r}") from exc
-        for where, build in (
-            ("[chain]", self.chain_params),
-            ("[pulse]", self.gaussian_pulse),
-            ("[pulse] mode:", self.drive_mode),
-            ("[integrator]", self.integrator_config),
-        ):
-            try:
-                build()
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where} {exc}") from exc
-        for name in _PER_QUBIT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and len(value) != self.n:
-                raise ConfigError(f"[chain] {name}: expected {self.n} values, got {len(value)}")
-        if self.pair_norm not in PAIR_NORMS:
-            raise ConfigError(
-                f"[observables] pair_norm: expected one of {PAIR_NORMS}, got {self.pair_norm!r}"
-            )
+            raise ConfigError(f"{name}: expected a number, got {getattr(self, name)!r}") from exc
+        params = _checked("[chain]", self.chain_params)
+        for name in ("gamma_r", "gamma_l", "delta", "positions"):
+            if name != "positions" or self.positions is not None:
+                object.__setattr__(self, name, tuple(getattr(params, name).tolist()))
+        _checked("[pulse]", self.gaussian_pulse)
+        _checked("[pulse] mode:", self.drive_mode)
+        _checked("[integrator]", self.integrator_config)
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("[observables] threshold: must lie strictly between 0 and 1")
 
     def chain_params(self) -> ChainParams:
         return ChainParams(
-            n=self.n,
-            gamma_r=list(self.gamma_r),
-            gamma_l=list(self.gamma_l),
-            delta=list(self.delta),
-            spacing=self.spacing,
-            positions=None if self.positions is None else list(self.positions),
+            self.n, self.gamma_r, self.gamma_l, self.delta, self.spacing, self.positions
         )
 
     def gaussian_pulse(self) -> GaussianPulse:
@@ -107,7 +89,14 @@ class ExperimentConfig:
 
 
 _FLOAT_FIELDS = ("spacing", "tbar", "width", "dt", "t_end", "threshold")
-_PER_QUBIT_FIELDS = ("gamma_r", "gamma_l", "delta", "positions")
+
+
+def _checked(where: str, build):
+    """``build()``, with its ValueError or TypeError raised as ConfigError."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {exc}") from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -135,16 +124,13 @@ _SCHEMA = {
     },
     "pulse": {"tbar": float, "width": float, "normalization": str, "mode": str},
     "integrator": {"dt": float, "t_end": float, "sample_every": int},
-    "observables": {"pair_norm": str, "threshold": float},
+    "observables": {"threshold": float},
     "output": {"path": str, "label": str},
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a config document; missing keys take the documented defaults.
-
-    A single value for a per-qubit key is broadcast to every qubit.
-    """
+    """Parse a config document; missing keys take the documented defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -164,13 +150,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = _SCHEMA[section][key](raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-    n = values.get("n", ExperimentConfig.n)
-    for key, default in (("gamma_r", 1.0), ("gamma_l", 1.0), ("delta", 0.0)):
-        values.setdefault(key, (default,))
-    for key in _PER_QUBIT_FIELDS:
-        if len(values.get(key, ())) == 1:
-            values[key] = values[key] * n
     return ExperimentConfig(**values)
 
 

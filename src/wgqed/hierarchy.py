@@ -77,9 +77,10 @@ class DriveMode(enum.Enum):
 class ChainParams:
     """Physical parameters of the chain.
 
-    Scalar rate/detuning values are broadcast to all qubits.  ``spacing`` is
-    the inter-qubit separation in units of the emission wavelength; explicit
-    ``positions`` (same units) override the uniform grid (i - 1) * spacing.
+    A scalar or single value of any per-qubit field is broadcast to all
+    qubits.  ``spacing`` is the inter-qubit separation in units of the
+    emission wavelength; explicit ``positions`` (same units) override the
+    uniform grid (i - 1) * spacing.
     """
 
     n: int
@@ -95,21 +96,14 @@ class ChainParams:
                 f"n = {self.n} is out of range: need at least one qubit, and the "
                 f"pair reduction traces out at most {MAX_QUBITS} qubits"
             )
+        if not np.isfinite(self.spacing):
+            raise ValueError(f"spacing must be finite, got {self.spacing}")
         self.gamma_r = self._per_qubit("gamma_r", self.gamma_r, 1.0)
         self.gamma_l = self._per_qubit("gamma_l", self.gamma_l, 1.0)
         self.delta = self._per_qubit("delta", self.delta, 0.0)
-        for name in ("gamma_r", "gamma_l", "delta", "spacing", "positions"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.positions is None:
-            self.positions = self.spacing * np.arange(self.n, dtype=float)
-        else:
-            self.positions = np.asarray(self.positions, dtype=float).copy()
-            if self.positions.shape != (self.n,):
-                raise ValueError(
-                    f"positions must have length {self.n}, got {self.positions.shape}"
-                )
+        self.positions = self._per_qubit(
+            "positions", self.positions, self.spacing * np.arange(self.n, dtype=float)
+        )
         for name in ("gamma_r", "gamma_l"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name}: decay rates must be non-negative")
@@ -118,15 +112,20 @@ class ChainParams:
         if np.any(np.diff(self.positions) < 0):
             raise ValueError("positions must be non-decreasing along the chain")
 
-    def _per_qubit(self, name: str, value, default: float) -> np.ndarray:
-        if value is None:
-            value = default
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    def _per_qubit(self, name: str, value, default) -> np.ndarray:
+        """``value`` (``default`` when None) as n finite floats, a single value
+        broadcast to every qubit: the package's one per-qubit rule."""
+        try:
+            arr = np.array(default if value is None else value, dtype=float, ndmin=1)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}: expected numbers, got {value!r}") from None
         if arr.size == 1:
-            arr = np.full(self.n, float(arr[0]))
+            arr = np.full(self.n, arr[0])
         if arr.shape != (self.n,):
-            raise ValueError(f"{name} must be a scalar or length-{self.n} list")
-        return arr.copy()
+            raise ValueError(f"{name} must be a scalar or length-{self.n} list, got {value!r}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        return arr
 
     @property
     def gamma_rl(self) -> np.ndarray:

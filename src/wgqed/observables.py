@@ -27,9 +27,8 @@ PAIR_NORMS = ("all-pairs", "half-n")
 
 _SY_SY = np.kron(SIGMA_Y, SIGMA_Y)
 
-# Eigenvalues of the spin-flip product below this are treated as numerical
-# noise and clamped; anything more negative flags an invalid input state.
-EIG_CLAMP = -1e-10
+# A spin-flip eigenvalue below this flags an invalid input state; every
+# negative eigenvalue above it is clamped to zero.
 EIG_INVALID = -1e-8
 
 
@@ -101,13 +100,11 @@ def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID
     return float(min(max(c, 0.0), 1.0))
 
 
-def pair_concurrences(rho: np.ndarray, n: int, invalid_below: float | None = None) -> np.ndarray:
-    """Concurrence of every unordered qubit pair, in ``all_pairs(n)`` order."""
+def pair_concurrences(rho: np.ndarray, n: int) -> np.ndarray:
+    """Concurrence of every unordered qubit pair, in ``all_pairs(n)`` order,
+    clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`)."""
     return np.array(
-        [
-            concurrence_pair(partial_trace_to_pair(rho, i, j, n), invalid_below)
-            for i, j in all_pairs(n)
-        ]
+        [concurrence_pair(partial_trace_to_pair(rho, i, j, n), None) for i, j in all_pairs(n)]
     )
 
 

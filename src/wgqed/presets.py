@@ -7,11 +7,7 @@ off the published plot ranges and are estimates, flagged in run metadata.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .config import ExperimentConfig
-
-_BASE = ExperimentConfig()
 
 _T_END_NOTE = "t_end is an estimate read off the published axis range"
 _SEPARATION_NOTE = (
@@ -21,37 +17,24 @@ _SEPARATION_NOTE = (
 
 
 def _cfg(label: str, notes: tuple[str, ...] = (), **kwargs) -> ExperimentConfig:
-    return replace(_BASE, label=label, notes=(_T_END_NOTE,) + notes, **kwargs)
-
-
-def _per_qubit(n: int, value: float) -> tuple[float, ...]:
-    return (value,) * n
-
-
-def _chain(n: int, gamma_r: float = 1.0, gamma_l: float = 1.0, delta: float = 0.0) -> dict:
-    return dict(
-        n=n,
-        gamma_r=_per_qubit(n, gamma_r),
-        gamma_l=_per_qubit(n, gamma_l),
-        delta=_per_qubit(n, delta),
-    )
+    return ExperimentConfig(label=label, notes=(_T_END_NOTE,) + notes, **kwargs)
 
 
 def _fig2() -> list[ExperimentConfig]:
-    return [_cfg("fig2", **_chain(1))]
+    return [_cfg("fig2", n=1)]
 
 
 def _fig3() -> list[ExperimentConfig]:
-    return [_cfg("fig3", **_chain(2))]
+    return [_cfg("fig3", n=2)]
 
 
 def _fig4() -> list[ExperimentConfig]:
-    return [_cfg(f"fig4_n{n}", **_chain(n)) for n in (3, 4, 5)]
+    return [_cfg(f"fig4_n{n}", n=n) for n in (3, 4, 5)]
 
 
 def _fig5() -> list[ExperimentConfig]:
     return [
-        _cfg(f"fig5_n{n}", t_end=40.0, **_chain(n, gamma_r=0.1, gamma_l=0.1))
+        _cfg(f"fig5_n{n}", t_end=40.0, n=n, gamma_r=0.1, gamma_l=0.1)
         for n in (2, 3, 4, 5)
     ]
 
@@ -64,31 +47,33 @@ def _fig5c() -> list[ExperimentConfig]:
             configs.append(
                 _cfg(
                     f"fig5c_{tag}_w{width:g}".replace(".", "p"),
+                    n=3,
+                    gamma_r=rate,
+                    gamma_l=rate,
                     width=width,
                     t_end=t_end,
-                    **_chain(3, gamma_r=rate, gamma_l=rate),
                 )
             )
     return configs
 
 
 def _fig6() -> list[ExperimentConfig]:
-    return [_cfg(f"fig6_n{n}", **_chain(n, gamma_r=5.0, gamma_l=1.0)) for n in (2, 3, 4, 5)]
+    return [_cfg(f"fig6_n{n}", n=n, gamma_r=5.0, gamma_l=1.0) for n in (2, 3, 4, 5)]
 
 
 def _fig6c() -> list[ExperimentConfig]:
     configs = []
     for n in (2, 3, 4, 5):
-        configs.append(_cfg(f"fig6c_chiral_n{n}", **_chain(n, gamma_r=5.0, gamma_l=1.0)))
-        configs.append(_cfg(f"fig6c_symmetric_n{n}", **_chain(n)))
+        configs.append(_cfg(f"fig6c_chiral_n{n}", n=n, gamma_r=5.0, gamma_l=1.0))
+        configs.append(_cfg(f"fig6c_symmetric_n{n}", n=n))
     return configs
 
 
 def _fig7a() -> list[ExperimentConfig]:
     configs = []
     for n in (2, 3, 4, 5):
-        configs.append(_cfg(f"fig7a_detuned_n{n}", **_chain(n, delta=0.5)))
-        configs.append(_cfg(f"fig7a_resonant_n{n}", **_chain(n)))
+        configs.append(_cfg(f"fig7a_detuned_n{n}", n=n, delta=0.5))
+        configs.append(_cfg(f"fig7a_resonant_n{n}", n=n))
     return configs
 
 
@@ -100,8 +85,8 @@ def _fig7b() -> list[ExperimentConfig]:
                 _cfg(
                     f"fig7b_n{n}_{tag}",
                     notes=(_SEPARATION_NOTE,),
+                    n=n,
                     spacing=spacing,
-                    **_chain(n),
                 )
             )
     return configs

@@ -65,36 +65,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def csv_header(traj: Trajectory) -> list[str]:
-    cols = ["t", "P_G", "P_1", "P_2"]
-    cols += [f"P_e_{i}" for i in range(1, traj.n_qubits + 1)]
-    cols += [f"C_pair_{i}_{j}" for i, j in traj.pair_labels]
-    cols += ["C_avg_allpairs", "C_avg_halfN", "pulse_intensity", "trace_err", "herm_err"]
-    return cols
-
-
 def emit_csv(traj: Trajectory, path) -> None:
-    """One row per sample, full double precision, comma separated, LF endings."""
-    lines = [",".join(csv_header(traj))]
-    for k in range(len(traj)):
-        row = [
-            _fmt(traj.times[k]),
-            _fmt(traj.p_ground[k]),
-            _fmt(traj.p_one[k]),
-            _fmt(traj.p_two[k]),
-        ]
-        row += [_fmt(v) for v in traj.p_excited[k]]
-        row += [_fmt(v) for v in traj.pair_concurrence[k]]
-        row += [
-            _fmt(traj.c_avg_all_pairs[k]),
-            _fmt(traj.c_avg_half_n[k]),
-            _fmt(traj.pulse_intensity[k]),
-            _fmt(traj.trace_err[k]),
-            _fmt(traj.herm_err[k]),
-        ]
-        lines.append(",".join(row))
+    """One row per sample, full double precision, comma separated, LF endings.
+
+    ``columns`` declares the layout once, as (header, per-sample values) pairs.
+    """
+    columns = [("t", traj.times), ("P_G", traj.p_ground), ("P_1", traj.p_one), ("P_2", traj.p_two)]
+    columns += [(f"P_e_{i + 1}", traj.p_excited[:, i]) for i in range(traj.n_qubits)]
+    columns += [
+        (f"C_pair_{i}_{j}", traj.pair_concurrence[:, k])
+        for k, (i, j) in enumerate(traj.pair_labels)
+    ]
+    columns += [
+        ("C_avg_allpairs", traj.c_avg_all_pairs),
+        ("C_avg_halfN", traj.c_avg_half_n),
+        ("pulse_intensity", traj.pulse_intensity),
+        ("trace_err", traj.trace_err),
+        ("herm_err", traj.herm_err),
+    ]
+    rows = zip(*(values.tolist() for _, values in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(name for name, _ in columns) + "\n")
+        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_metadata(cfg: ExperimentConfig, summary: RunSummary, path) -> None:
@@ -150,7 +142,6 @@ SUMMARY_CONFIG_COLUMNS = (
     "dt",
     "t_end",
     "sample_every",
-    "pair_norm",
     "threshold",
 )
 
@@ -178,6 +169,6 @@ def emit_summary_csv(configs, summaries, path) -> None:
 def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary]:
     """Run a family of configs, optionally in parallel worker processes."""
     if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             return list(pool.map(_run_summary_only, configs, [out_dir] * len(configs)))
     return [_run_summary_only(cfg, out_dir) for cfg in configs]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from wgqed.config import ConfigError, ExperimentConfig, apply_overrides, parse_config
@@ -17,7 +19,6 @@ def test_empty_document_gives_documented_defaults():
     assert cfg.dt == 1e-3
     assert cfg.t_end == 15.0
     assert cfg.normalization == "unit-l2"
-    assert cfg.pair_norm == "all-pairs"
     assert cfg.threshold == 0.05
     assert cfg.rho21_hc is True
 
@@ -39,6 +40,19 @@ def test_scalar_broadcast_and_lists():
     assert cfg.delta == (-0.5, -0.5, -0.5)
     assert cfg.positions == (0.0, 0.25, 0.25)
     assert cfg.rho21_hc is False
+    assert parse_config("[chain]\nn = 3\npositions = 0.5\n").positions == (0.5, 0.5, 0.5)
+    # the same rule holds for configs built in code and for overrides
+    assert ExperimentConfig(n=3).gamma_r == (1.0, 1.0, 1.0)
+    assert ExperimentConfig(n=3).positions is None
+    assert ExperimentConfig(n=3, gamma_r=2.0).gamma_r == (2.0, 2.0, 2.0)
+    assert apply_overrides(ExperimentConfig(), gamma_r=(2.0,)).gamma_r == (2.0, 2.0)
+
+
+def test_readme_ini_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.n == 3 and cfg.gamma_r == (1.0, 1.0, 1.0)
 
 
 def test_wrong_list_length_names_field():
@@ -49,6 +63,9 @@ def test_wrong_list_length_names_field():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[chain]\nn = 2\nbogus = 1\n")
+    # both pair normalizations are always written, so there is nothing to select
+    with pytest.raises(ConfigError, match="unknown key 'pair_norm'"):
+        parse_config("[observables]\npair_norm = everything\n")
 
 
 def test_unknown_section_rejected():
@@ -70,8 +87,8 @@ def test_unknown_section_rejected():
         ("[integrator]\nt_end = inf\n", "t_end"),
         ("[integrator]\nsample_every = 0\n", "sample_every"),
         ("[observables]\nthreshold = 1.5\n", "threshold"),
-        ("[observables]\npair_norm = everything\n", "pair_norm"),
         ("[chain]\nn = 2\npositions = 1.0, 0.5\n", "positions"),
+        ("[chain]\nn = 3\npositions = 0.0, 0.5\n", "positions"),
     ],
 )
 def test_validation_errors_name_the_field(snippet, field):
@@ -99,6 +116,10 @@ def test_apply_overrides_validates():
         apply_overrides(cfg, nonsense=3)
     with pytest.raises(ConfigError):
         apply_overrides(cfg, threshold=2.0)
+    with pytest.raises(ConfigError, match=r"\[chain\] gamma_r: expected numbers"):
+        apply_overrides(cfg, gamma_r=("a", "b"))
+    with pytest.raises(ConfigError, match="gamma_l"):
+        apply_overrides(cfg, gamma_l=(1.0, 1.0, 1.0))
     # numbers are coerced as a config document would read them
     coerced = apply_overrides(cfg, t_end=10, gamma_r=(2, 1))
     assert coerced == parse_config("[chain]\ngamma_r = 2, 1\n[integrator]\nt_end = 10\n")

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wgqed import runner
 from wgqed.cli import main
 from wgqed.config import ExperimentConfig
 from wgqed.integrator import Trajectory
@@ -153,6 +154,28 @@ class TestRunner:
         assert summary.c_max_all_pairs == 0.0
         assert traj.pair_concurrence.shape[1] == 0
 
+    def test_run_many_starts_no_more_workers_than_members(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        configs = [replace(TINY, label=label, t_end=0.1) for label in "abc"]
+        summaries = run_many(configs, jobs=1000)
+        assert started == [3]
+        assert [s.label for s in summaries] == ["a", "b", "c"]
+
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
         summaries = run_many(configs)
@@ -198,10 +221,11 @@ class TestCli:
         assert main(["run", "--config", "/nonexistent/x.ini"]) == 2
 
     def test_preset_with_overrides(self, tmp_path, capsys):
-        code = main(["preset", "fig3", "--out", str(tmp_path), "--t-end", "1.0", "--dt", "0.002"])
+        code = main(["sweep", "fig3", "--out", str(tmp_path), "--t-end", "1.0", "--dt", "0.002"])
         assert code == 0
         assert (tmp_path / "fig3.csv").exists()
         assert (tmp_path / "fig3.meta.json").exists()
+        assert capsys.readouterr().out.startswith("fig3: C_max(all-pairs)=")
 
     def test_sweep_writes_summary(self, tmp_path, capsys):
         code = main([
@@ -214,9 +238,9 @@ class TestCli:
         assert (tmp_path / "fig6c_chiral_n2.csv").exists()
 
     def test_unknown_preset_exit_code(self, capsys):
-        assert main(["preset", "fig99"]) == 2
+        assert main(["sweep", "fig99"]) == 2
 
-    @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--t-end", "inf")])
+    @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--t-end", "inf"), ("--jobs", "0")])
     def test_non_finite_override_exits_two(self, flag, value, capsys):
-        assert main(["preset", "fig2", flag, value]) == 2
+        assert main(["sweep", "fig2", flag, value]) == 2
         assert "error:" in capsys.readouterr().err
