@@ -87,6 +87,7 @@ def test_unknown_section_rejected():
         ("[integrator]\nt_end = inf\n", "t_end"),
         ("[integrator]\nsample_every = 0\n", "sample_every"),
         ("[observables]\nthreshold = 1.5\n", "threshold"),
+        ("[observables]\npair_norm = everything\n", "pair_norm"),
         ("[chain]\nn = 2\npositions = 1.0, 0.5\n", "positions"),
         ("[chain]\nn = 3\npositions = 0.0, 0.5\n", "positions"),
     ],
