@@ -159,9 +159,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Return a copy with the non-None overrides applied (and so validated)."""
+    """Return a copy with the non-None overrides applied (and so validated).
+
+    When ``n`` changes, a per-qubit field that is not overridden and holds one
+    value for every qubit is broadcast to the new length; a non-uniform one
+    must be restated.
+    """
     changes = {k: v for k, v in overrides.items() if v is not None}
     unknown = set(changes) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown override field(s): {sorted(unknown)}")
+    if changes.get("n", cfg.n) != cfg.n:
+        for name in ("gamma_r", "gamma_l", "delta", "positions"):
+            values = getattr(cfg, name)
+            if name not in changes and values is not None and len(set(values)) == 1:
+                changes[name] = values[:1]
     return replace(cfg, **changes)

@@ -27,6 +27,10 @@ scaled by sqrt(2 gamma_iR) g(t) on the two-photon rows and sqrt(gamma_iR) g(t)
 on the one-photon rows.  Retardation between qubits is neglected; positions
 enter only through the phases above.
 
+No block ever holds an entry with more than three excited qubits, so the
+blocks are evolved on the sector basis of :mod:`wgqed.operators` (the whole
+space for n <= 3).  The initial ``HierarchyState`` stays dense.
+
 All rates, times and detunings are measured in units of a reference decay
 rate (set to 1).
 """
@@ -38,13 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    MAX_QUBITS,
-    ground_state_density,
-    lowering_operator,
-    number_operator,
-    raising_operator,
-)
+from .operators import MAX_QUBITS, excitation_bits, ground_state_density, sector_basis
 from .pulse import GaussianPulse
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
@@ -93,8 +91,8 @@ class ChainParams:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(
-                f"n = {self.n} is out of range: need at least one qubit, and the "
-                f"pair reduction traces out at most {MAX_QUBITS} qubits"
+                f"n = {self.n} is out of range: need at least one qubit, and at most "
+                f"{MAX_QUBITS}, because the initial state is dense (6 * 4^n entries)"
             )
         if not np.isfinite(self.spacing):
             raise ValueError(f"spacing must be finite, got {self.spacing}")
@@ -131,10 +129,6 @@ class ChainParams:
     def gamma_rl(self) -> np.ndarray:
         """Per-qubit pure-decay prefactor (gamma_iR + gamma_iL) / 2."""
         return 0.5 * (self.gamma_r + self.gamma_l)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
     def pair_weight(self, i: int, j: int) -> float:
         """Directional cooperative weight for the ordered pair (i, j), 1-based."""
@@ -184,7 +178,8 @@ class HierarchyState:
 
 
 class RhsEvaluator:
-    """Precomputed right-hand side acting on the stacked block array.
+    """Precomputed right-hand side acting on the stacked block array, with
+    every block on the sector basis (:func:`~wgqed.operators.sector_basis`).
 
     The Liouvillian is applied as  A M + M A^dag + J_R M J_R^dag + J_L M J_L^dag
     with a drift matrix A collecting the coherent, pure-decay and directional
@@ -209,11 +204,23 @@ class RhsEvaluator:
         self.pulse = pulse
         self.mode = mode
         self.rho21_hc = rho21_hc
-        n, d = params.n, params.dim
+        n = params.n
+        # Everything is built on the sector basis by bit arithmetic on the kept
+        # indices; no 2^n x 2^n matrix is allocated.
+        basis = sector_basis(n)
+        d = len(basis)
+        bits = excitation_bits(basis, n)
+        masks = 1 << np.arange(n - 1, -1, -1)
+        pos = np.full(2**n, -1)
+        pos[basis] = np.arange(d)
+        # excited[i]: kept states with qubit i + 1 excited; lowered[i]: their
+        # images under sigma^-_{i+1}, which are kept too.
+        excited = [np.flatnonzero(bits[:, i]) for i in range(n)]
+        lowered = [pos[basis[e] ^ masks[i]] for i, e in enumerate(excited)]
 
         drift = np.zeros((d, d), dtype=complex)
-        for i in range(1, n + 1):
-            drift -= (1j * params.delta[i - 1] + params.gamma_rl[i - 1]) * number_operator(i, n)
+        for i in range(n):
+            drift[excited[i], excited[i]] -= 1j * params.delta[i] + params.gamma_rl[i]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
@@ -222,26 +229,23 @@ class RhsEvaluator:
                 if w == 0.0:
                     continue
                 phase = np.exp(-1j * params.pair_phase(i, j))
-                drift -= w * phase * (raising_operator(i, n) @ lowering_operator(j, n))
+                # sigma^+_i sigma^-_j moves the excitation of qubit j to qubit i
+                src = excited[j - 1][bits[excited[j - 1], i - 1] == 0]
+                drift[pos[basis[src] ^ masks[j - 1] ^ masks[i - 1]], src] -= w * phase
+
+        def collective(coeffs: np.ndarray) -> np.ndarray:
+            """sum_i coeffs[i] sigma^-_{i+1} on the sector basis."""
+            m = np.zeros((d, d), dtype=complex)
+            for i in range(n):
+                m[lowered[i], excited[i]] = coeffs[i]
+            return m
 
         phases = np.exp(1j * 2.0 * np.pi * params.positions)
-        jump_r = sum(
-            np.sqrt(params.gamma_r[i]) * phases[i] * lowering_operator(i + 1, n)
-            for i in range(n)
-        )
-        jump_l = sum(
-            np.sqrt(params.gamma_l[i]) * phases[i] * lowering_operator(i + 1, n)
-            for i in range(n)
-        )
+        jump_r = collective(np.sqrt(params.gamma_r) * phases)
+        jump_l = collective(np.sqrt(params.gamma_l) * phases)
         # Collective raising operators entering the drive commutators.
-        raise_strong = sum(
-            np.sqrt(2.0 * params.gamma_r[i]) * phases[i] * raising_operator(i + 1, n)
-            for i in range(n)
-        )
-        raise_weak = sum(
-            np.sqrt(params.gamma_r[i]) * phases[i] * raising_operator(i + 1, n)
-            for i in range(n)
-        )
+        raise_strong = collective(np.sqrt(2.0 * params.gamma_r) * phases).T
+        raise_weak = collective(np.sqrt(params.gamma_r) * phases).T
 
         mats = (drift, jump_r, jump_l, raise_strong, raise_weak)
         self.is_real = all(np.abs(m.imag).max() == 0.0 for m in mats)

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
-from .observables import average_concurrence, pair_concurrences, populations
-from .operators import all_pairs
+from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
+from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
@@ -111,27 +111,38 @@ def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarra
     return out
 
 
-def diagnostics(blocks: np.ndarray, mode: DriveMode = DriveMode.TWO_PHOTON) -> Diagnostics:
+def diagnostics(
+    blocks: np.ndarray, mode: DriveMode = DriveMode.TWO_PHOTON, n: int | None = None
+) -> Diagnostics:
     """Conservation checks on the evolved (mode.n_blocks, d, d) block stack.
 
     Trace/hermiticity deviations of the unit-trace blocks, worst residual
     trace of the zero-trace blocks, and the smallest eigenvalue of the
-    reported system state.
+    reported system state.  ``n`` is the chain length, needed when the
+    blocks are on the sector basis; without it they span the full space.
+    Every value is that of the zero-padded full blocks: the 2^n - d dropped
+    states count as exact zero eigenvalues.
     """
+    d = blocks.shape[-1]
+    if n is None:
+        n = d.bit_length() - 1
     trace_err = herm_err = zero_trace = 0.0
     for name, m in zip(BLOCK_NAMES, blocks):
+        trace = full_diagonal(m, n).sum()
         if name in UNIT_TRACE_BLOCKS:
-            trace_err = max(trace_err, abs(np.trace(m) - 1.0))
+            trace_err = max(trace_err, abs(trace - 1.0))
             herm_err = max(herm_err, float(np.abs(m - m.conj().T).max()))
         else:
-            zero_trace = max(zero_trace, abs(np.trace(m)))
+            zero_trace = max(zero_trace, abs(trace))
     reported = blocks[BLOCK_NAMES.index(mode.reported_block)]
-    eigs = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))
+    min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))[0]
+    if d < 2**n:
+        min_eig = min(min_eig, 0.0)
     return Diagnostics(
         trace_err=float(trace_err),
         herm_err=herm_err,
         zero_block_trace=float(zero_trace),
-        min_eigenvalue=float(eigs[0]),
+        min_eigenvalue=float(min_eig),
     )
 
 
@@ -146,19 +157,30 @@ def integrate(
 ) -> Trajectory:
     """Propagate from t = 0 to t_end and sample the observable bundle.
 
-    Only the blocks the mode evolves are propagated.  Samples land at
-    t = k * dt * sample_every (the initial state is always the first sample).
-    ``keep_states`` stores a copy of the reported block at each sample (small
-    chains only).
+    Only the blocks the mode evolves are propagated, restricted once to the
+    sector basis (:func:`~wgqed.operators.sector_basis`); ``state0`` must have
+    no weight outside it.  Samples land at t = k * dt * sample_every (the
+    initial state is always the first sample).  ``keep_states`` stores a copy
+    of the reported block at each sample, on the sector basis (the full space
+    for n <= 3).
     """
     if state0.n_qubits != params.n:
         raise ValueError("state and parameters disagree on the chain length")
+    basis = sector_basis(params.n)
+    dense = state0.blocks[: mode.n_blocks]
+    outside = np.ones(dense.shape[1], dtype=bool)
+    outside[basis] = False
+    if np.any(dense[:, outside, :]) or np.any(dense[:, :, outside]):
+        raise ValueError(
+            f"state0 has weight on basis states with more than {MAX_EXCITATIONS} "
+            "excitations, which the evolution drops"
+        )
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         n_steps = int(np.ceil(config.t_end / config.dt))
 
     rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
-    work = state0.blocks[: mode.n_blocks].copy()
+    work = np.ascontiguousarray(dense[:, basis[:, None], basis])
     if rhs.is_real and np.abs(work.imag).max() == 0.0:
         work = np.ascontiguousarray(work.real)
 
@@ -184,7 +206,7 @@ def integrate(
         rho = blocks[BLOCK_NAMES.index(mode.reported_block)]
         pops = populations(rho, n)
         pair_c = pair_concurrences(rho, n)
-        diag = diagnostics(blocks, mode)
+        diag = diagnostics(blocks, mode, n)
         if diag.trace_err > TRACE_ABORT:
             raise IntegrationError(
                 f"trace deviation {diag.trace_err:.3e} exceeds {TRACE_ABORT:.0e} "

@@ -13,15 +13,20 @@ normalizations are supported:
     divide by N / 2, the verbatim convention of some published curves.
 
 For N = 2 both coincide with the plain two-qubit concurrence.
+
+Every function taking an N-qubit state accepts it on the full 2^N space or on
+the sector basis of :mod:`wgqed.operators`, told apart by its dimension; the
+values equal those of the zero-padded full state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SIGMA_Y, all_pairs, partial_trace_to_pair
+from .operators import SIGMA_Y, all_pairs, excitation_bits, state_basis
 
 PAIR_NORMS = ("all-pairs", "half-n")
 
@@ -43,6 +48,62 @@ class PopulationRecord:
     p_total: float
 
 
+@dataclass(frozen=True)
+class _BasisTables:
+    """Index tables of one (n, basis) combination."""
+
+    basis: np.ndarray  # computational index of each basis state
+    bits: np.ndarray  # (2^n, n) excitation bits of the full index
+    sectors: tuple[np.ndarray, ...]  # full-index masks of 0, 1 and 2 excitations
+    pair_src: np.ndarray  # flat float64-view indices into the state
+    pair_dst: np.ndarray  # flat float64-view indices into the (n_pairs, 4, 4) stack
+    n_pairs: int
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int, d: int) -> _BasisTables:
+    basis = state_basis(n, d)
+    bits = excitation_bits(np.arange(2**n), n)
+    count = bits.sum(axis=1)
+    pos = np.full(2**n, -1)
+    pos[basis] = np.arange(d)
+    masks = 1 << np.arange(n - 1, -1, -1)
+    # Entry (a, b) of the reduced state of pair p sums rho[r, c] over kept
+    # (r, c) that agree on every other qubit, with a and b the pair bits of r
+    # and c.  Every such c is r with its two pair bits replaced.
+    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for p, (i, j) in enumerate(all_pairs(n)):
+        mi, mj = masks[i - 1], masks[j - 1]
+        rest = basis & ~(mi | mj)
+        a = 2 * bits[basis, i - 1] + bits[basis, j - 1]
+        for b in range(4):
+            c = pos[rest | (mi if b & 2 else 0) | (mj if b & 1 else 0)]
+            kept = c >= 0
+            src.append(np.flatnonzero(kept) * d + c[kept])
+            dst.append(16 * p + 4 * a[kept] + b)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # real and imaginary parts are scattered in one pass over the float64 view
+    pair_src = np.stack([2 * src, 2 * src + 1], axis=1).ravel()
+    pair_dst = np.stack([2 * dst, 2 * dst + 1], axis=1).ravel()
+    sectors = tuple(count == k for k in range(3))
+    for arr in (basis, bits, pair_src, pair_dst, *sectors):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return _BasisTables(basis, bits, sectors, pair_src, pair_dst, n * (n - 1) // 2)
+
+
+def full_diagonal(m: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal of an n-qubit state or block on the full 2^n index, zero on
+    the states the sector basis drops.
+
+    Sums over it round exactly as sums over the zero-padded full state's
+    diagonal, so traces and populations do not depend on the basis.
+    """
+    m = np.asarray(m)
+    diag = np.zeros(2**n, dtype=m.dtype)
+    diag[_tables(n, m.shape[0]).basis] = m.diagonal()
+    return diag
+
+
 def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     """Sector populations P_G, P_1, P_2 and per-qubit excited populations.
 
@@ -51,31 +112,57 @@ def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     full trace (the conserved total population).  For a single qubit P_2 is
     identically zero.
     """
-    rho = np.asarray(rho)
-    diag = rho.diagonal()
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    count = bits.sum(axis=1)
-    p_k = [float((diag * (count == k)).sum().real) for k in range(3)]
-    p_exc = tuple(float((diag * bits[:, i]).sum().real) for i in range(n))
+    diag = full_diagonal(rho, n)
+    tables = _tables(n, 2**n)
+    p_k = [float((diag * mask).sum().real) for mask in tables.sectors]
+    p_exc = tuple(float((diag * tables.bits[:, i]).sum().real) for i in range(n))
     return PopulationRecord(
         p_ground=p_k[0],
         p_one=p_k[1],
         p_two=p_k[2] if n >= 2 else 0.0,
         p_excited=p_exc,
-        p_total=float(np.real(np.trace(rho))),
+        p_total=float(diag.sum().real),
     )
 
 
+def pair_states(rho: np.ndarray, n: int) -> np.ndarray:
+    """Reduced density matrices of every pair, stacked in ``all_pairs(n)``
+    order as (n_pairs, 4, 4).
+
+    Each uses the pair basis ordering {|g_i g_j>, |g_i e_j>, |e_i g_j>,
+    |e_i e_j>} (qubit i is the most-significant factor); traces are kept.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    tables = _tables(n, rho.shape[0])
+    flat = rho.reshape(-1).view(np.float64)
+    out = np.bincount(
+        tables.pair_dst, weights=flat[tables.pair_src], minlength=32 * tables.n_pairs
+    )
+    return out.view(complex).reshape(tables.n_pairs, 4, 4)
+
+
 def spin_flip(rho4: np.ndarray) -> np.ndarray:
-    """The product rho (sy x sy) rho* (sy x sy) for a two-qubit state.
+    """The product rho (sy x sy) rho* (sy x sy) for a two-qubit state, or for
+    each of a stack of them (shape (..., 4, 4)).
 
     Not itself a density matrix, but its eigenvalues are real and
     non-negative up to numerical noise.
     """
     rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
+    if rho4.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got {rho4.shape}")
     return rho4 @ _SY_SY @ rho4.conj() @ _SY_SY
+
+
+def _wootters(eigs: np.ndarray) -> np.ndarray:
+    """Concurrence from the spin-flip eigenvalues along the last axis,
+    negative eigenvalues clamped to zero and the result to [0, 1]."""
+    eigs = np.sort(np.clip(np.real(eigs), 0.0, None), axis=-1)[..., ::-1]
+    roots = np.sqrt(eigs)
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    # the comparisons of max(c, 0.0) and min(c, 1.0), signed zeros included
+    c = np.where(c < 0.0, 0.0, c)
+    return np.where(c > 1.0, 1.0, c)
 
 
 def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID) -> float:
@@ -87,25 +174,23 @@ def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID
     completely positive map and small negative excursions are inherent to
     the model (positivity is monitored separately by the integrator).
     """
-    eigs = np.linalg.eigvals(spin_flip(rho4))
-    eigs = np.real(eigs)
+    eigs = np.real(np.linalg.eigvals(spin_flip(rho4)))
     if invalid_below is not None and eigs.min() < invalid_below:
         raise ValueError(
             f"spin-flip eigenvalue {eigs.min():.3e} below {invalid_below:.0e}; "
             "input is not a valid two-qubit density matrix"
         )
-    eigs = np.sort(np.clip(eigs, 0.0, None))[::-1]
-    roots = np.sqrt(eigs)
-    c = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(max(c, 0.0), 1.0))
+    return float(_wootters(eigs))
 
 
 def pair_concurrences(rho: np.ndarray, n: int) -> np.ndarray:
     """Concurrence of every unordered qubit pair, in ``all_pairs(n)`` order,
-    clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`)."""
-    return np.array(
-        [concurrence_pair(partial_trace_to_pair(rho, i, j, n), None) for i, j in all_pairs(n)]
-    )
+    clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`).
+
+    All pairs are reduced in one scatter-add and their spin-flip spectra
+    computed in one batched eigenvalue call.
+    """
+    return _wootters(np.linalg.eigvals(spin_flip(pair_states(rho, n))))
 
 
 def average_concurrence(pair_values: np.ndarray, n: int, norm: str = "all-pairs") -> float:

@@ -6,17 +6,125 @@ production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) regroups the
 same algebra into a few collective operators; the test suite checks the two
 against each other, so this module must stay independent of that regrouping.
 
-The excitation-sector projectors are the reference for the masked diagonal
-sums that :func:`wgqed.observables.populations` uses.
+The single-qubit operators are Kronecker products on the full 2^N space,
+independent of the production code's bit arithmetic on the sector basis.
+:func:`dense_operators` builds the evaluator's collective operators from them,
+:func:`partial_trace_to_pair` is the reference for the batched pair
+reduction, and the excitation-sector projectors are the reference for the
+masked diagonal sums that :func:`wgqed.observables.populations` uses.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState
-from wgqed.operators import dagger, lowering_operator, number_operator, raising_operator
 from wgqed.pulse import GaussianPulse
+
+SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
+
+# One einsum subscript letter per qubit in partial_trace_to_pair.
+_TRACE_LETTERS = "abcdefghij"
+
+
+def _check_qubit_index(i: int, n: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"qubit index {i} out of range for a {n}-qubit chain")
+
+
+def _frozen(build):
+    """Cache ``build(i, n)``; its results are read-only, as every caller shares them."""
+
+    @functools.lru_cache(maxsize=None)
+    def cached(i: int, n: int) -> np.ndarray:
+        _check_qubit_index(i, n)
+        out = build(i, n)
+        out.setflags(write=False)
+        return out
+
+    return functools.wraps(build)(cached)
+
+
+@_frozen
+def lowering_operator(i: int, n: int) -> np.ndarray:
+    """Dense (2^n, 2^n) |g><e| on qubit i (1-based): I x ... x sigma_minus x ... x I."""
+    left = np.eye(2 ** (i - 1), dtype=complex)
+    right = np.eye(2 ** (n - i), dtype=complex)
+    return np.kron(np.kron(left, SIGMA_MINUS), right)
+
+
+@_frozen
+def raising_operator(i: int, n: int) -> np.ndarray:
+    """Return |e><g| acting on qubit i (adjoint of the lowering operator)."""
+    return dagger(lowering_operator(i, n))
+
+
+@_frozen
+def number_operator(i: int, n: int) -> np.ndarray:
+    """Return the excited-state projector |e><e| on qubit i."""
+    left = np.eye(2 ** (i - 1), dtype=complex)
+    right = np.eye(2 ** (n - i), dtype=complex)
+    return np.kron(np.kron(left, np.diag([0.0, 1.0]).astype(complex)), right)
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m.conj().T.copy()
+
+
+def partial_trace_to_pair(rho: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
+    """Reduced density matrix of qubits (i, j), i < j, of a full-space state,
+    in the pair basis {|g_i g_j>, |g_i e_j>, |e_i g_j>, |e_i e_j>}."""
+    _check_qubit_index(i, n)
+    _check_qubit_index(j, n)
+    if not i < j:
+        raise ValueError(f"pair indices must satisfy i < j, got ({i}, {j})")
+    rho = np.asarray(rho)
+    if rho.shape != (2**n, 2**n):
+        raise ValueError(f"expected shape {(2**n, 2**n)}, got {rho.shape}")
+    tensor = rho.reshape((2,) * (2 * n))
+    # Axes 0..n-1 index the ket factors, n..2n-1 the bra factors.
+    ket = list(_TRACE_LETTERS[:n])
+    bra = list(_TRACE_LETTERS[:n])  # traced qubits share the same letter on both sides
+    ket[i - 1], ket[j - 1] = "w", "x"
+    bra[i - 1], bra[j - 1] = "y", "z"
+    subscripts = "".join(ket) + "".join(bra) + "->wxyz"
+    return np.einsum(subscripts, tensor).reshape(4, 4).copy()
+
+
+def dense_operators(params: ChainParams) -> tuple[np.ndarray, ...]:
+    """The evaluator's drift, J_R, J_L and strong and weak collective raising
+    operators on the full space, summed from the Kronecker-built operators."""
+    n, d = params.n, 2**params.n
+    drift = np.zeros((d, d), dtype=complex)
+    for i in range(1, n + 1):
+        drift -= (1j * params.delta[i - 1] + params.gamma_rl[i - 1]) * number_operator(i, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            w = params.pair_weight(i, j)
+            if w == 0.0:
+                continue
+            phase = np.exp(-1j * params.pair_phase(i, j))
+            drift -= w * phase * (raising_operator(i, n) @ lowering_operator(j, n))
+    phases = np.exp(1j * 2.0 * np.pi * params.positions)
+
+    def collective(rates, build):
+        return sum(np.sqrt(rates[i]) * phases[i] * build(i + 1, n) for i in range(n))
+
+    return (
+        drift,
+        collective(params.gamma_r, lowering_operator),
+        collective(params.gamma_l, lowering_operator),
+        collective(2.0 * params.gamma_r, raising_operator),
+        collective(params.gamma_r, raising_operator),
+    )
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -125,3 +125,20 @@ def test_apply_overrides_validates():
     coerced = apply_overrides(cfg, t_end=10, gamma_r=(2, 1))
     assert coerced == parse_config("[chain]\ngamma_r = 2, 1\n[integrator]\nt_end = 10\n")
     assert type(coerced.t_end) is float and type(coerced.gamma_r[0]) is float
+
+
+def test_apply_overrides_changing_n_broadcasts_uniform_fields():
+    out = apply_overrides(ExperimentConfig(), n=3)
+    assert (out.gamma_r, out.gamma_l, out.delta) == ((1.0,) * 3, (1.0,) * 3, (0.0,) * 3)
+    assert out.positions is None
+    cfg = ExperimentConfig(gamma_r=(0.5, 0.5), delta=(0.2, 0.2), positions=(0.25, 0.25))
+    out = apply_overrides(cfg, n=4, gamma_l=(1.0, 2.0, 3.0, 4.0))
+    assert out.gamma_r == (0.5,) * 4 and out.delta == (0.2,) * 4
+    assert out.positions == (0.25,) * 4 and out.gamma_l == (1.0, 2.0, 3.0, 4.0)
+    # a non-uniform field must be restated, and the error names it
+    uneven = ExperimentConfig(gamma_r=(1.0, 2.0))
+    with pytest.raises(ConfigError, match=r"\[chain\] gamma_r"):
+        apply_overrides(uneven, n=3)
+    assert apply_overrides(uneven, n=3, gamma_r=(1.0, 2.0, 3.0)).gamma_r == (1.0, 2.0, 3.0)
+    with pytest.raises(ConfigError, match=r"\[chain\] positions"):
+        apply_overrides(ExperimentConfig(positions=(0.0, 0.5)), n=3)

@@ -4,13 +4,16 @@ import pytest
 from oracle import (
     coherent_term,
     cooperative_decay_term,
+    dagger,
     drive_coupling,
     hierarchy_rhs,
     liouvillian,
+    lowering_operator,
     pure_decay_term,
+    raising_operator,
 )
 from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
-from wgqed.operators import dagger, ground_state_density, lowering_operator, raising_operator
+from wgqed.operators import ground_state_density
 from wgqed.pulse import GaussianPulse
 
 

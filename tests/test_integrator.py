@@ -233,6 +233,16 @@ class TestDiagnostics:
         d = diagnostics(s.blocks)
         assert d.herm_err == pytest.approx(0.1)
 
+    def test_sector_basis_counts_dropped_zero_eigenvalues(self):
+        # a full-rank state on the 15-state basis of 4 qubits is rank 15 of 16
+        blocks = np.zeros((6, 15, 15), dtype=complex)
+        blocks[[0, 2, 5]] = np.eye(15) / 15
+        assert diagnostics(blocks, n=4).min_eigenvalue == 0.0
+        assert diagnostics(blocks, n=4).trace_err < 1e-15
+        full = HierarchyState.ground(3).blocks
+        full[[0, 2, 5]] = np.eye(8) / 8
+        assert diagnostics(full, n=3).min_eigenvalue == pytest.approx(1 / 8)
+
     def test_reports_zero_block_trace(self):
         s = HierarchyState.ground(2)
         s.blocks[1][0, 0] = 1e-5

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from oracle import excitation_projector
+from oracle import excitation_projector, number_operator, partial_trace_to_pair
 from wgqed.observables import (
     average_concurrence,
     concurrence_pair,
     max_concurrence,
     pair_concurrences,
+    pair_states,
     populations,
     spin_flip,
     survival_time,
 )
-from wgqed.operators import ground_state_density, number_operator
+from wgqed.operators import all_pairs, ground_state_density, sector_basis
 
 
 def bell_phi_plus(sign=1.0):
@@ -169,6 +170,55 @@ class TestAveragePairwise:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             average_concurrence(np.array([0.5]), 2, "bogus")
+
+
+def padded(rho, n):
+    """A sector-basis state zero-padded to the full 2^n space."""
+    basis = sector_basis(n)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    full[np.ix_(basis, basis)] = rho
+    return full
+
+
+class TestSectorBasisInput:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pair_states_match_partial_trace_oracle(self, n):
+        rng = np.random.default_rng(30 + n)
+        rho = random_density(rng, 2**n)
+        want = [partial_trace_to_pair(rho, i, j, n) for i, j in all_pairs(n)]
+        assert np.abs(pair_states(rho, n) - np.array(want)).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_equals_zero_padded_full_state(self, n):
+        rng = np.random.default_rng(40 + n)
+        rho = random_density(rng, len(sector_basis(n)))
+        full = padded(rho, n)
+        want = [partial_trace_to_pair(full, i, j, n) for i, j in all_pairs(n)]
+        assert np.abs(pair_states(rho, n) - np.array(want)).max() < 1e-15
+        assert np.abs(pair_concurrences(rho, n) - pair_concurrences(full, n)).max() < 1e-12
+        assert np.allclose(
+            pair_concurrences(rho, n), [concurrence_pair(m, None) for m in want], atol=1e-12
+        )
+        got, ref = populations(rho, n), populations(full, n)
+        for name in ("p_ground", "p_one", "p_two", "p_total"):
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), abs=1e-15)
+        assert np.allclose(got.p_excited, ref.p_excited, atol=1e-15)
+
+    def test_entangled_pair_in_a_seven_qubit_chain(self):
+        # (|e_2 g_5> + |g_2 e_5>)/sqrt(2) with the other qubits in |g>
+        n, basis = 7, sector_basis(7)
+        v = np.zeros(len(basis), dtype=complex)
+        v[np.searchsorted(basis, [1 << 5, 1 << 2])] = 1 / np.sqrt(2)
+        values = pair_concurrences(np.outer(v, v.conj()), n)
+        assert values[all_pairs(n).index((2, 5))] == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(values) == pytest.approx(1.0, abs=1e-10)
+
+    def test_rejects_other_dimensions(self):
+        for d in (16, 27):
+            with pytest.raises(ValueError, match="26"):
+                populations(np.eye(d), 5)
+            with pytest.raises(ValueError, match="32"):
+                pair_concurrences(np.eye(d), 5)
 
 
 class TestTrajectoryReductions:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from oracle import commutator, excitation_projector
-from wgqed.operators import (
-    all_pairs,
+from oracle import (
+    commutator,
     dagger,
-    ground_state_density,
+    excitation_projector,
     lowering_operator,
     number_operator,
     partial_trace_to_pair,
     raising_operator,
 )
+from wgqed.operators import all_pairs, ground_state_density, sector_basis, state_basis
 
 
 def random_matrix(rng, d):
@@ -209,3 +209,22 @@ def test_number_operator_counts_excitation():
     state = np.zeros(8, dtype=complex)
     state[0b010] = 1.0  # qubit 2 excited
     assert abs(np.real(state.conj() @ n_op @ state) - 1.0) < 1e-14
+
+
+class TestSectorBasis:
+    def test_dimensions(self):
+        dims = [len(sector_basis(n)) for n in range(1, 11)]
+        assert dims == [2, 4, 8, 15, 26, 42, 64, 93, 130, 176]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7])
+    def test_ascending_indices_with_at_most_three_excitations(self, n):
+        basis = sector_basis(n)
+        want = [b for b in range(2**n) if bin(b).count("1") <= 3]
+        assert basis.tolist() == want
+
+    def test_state_basis_by_dimension(self):
+        assert np.array_equal(state_basis(3, 8), np.arange(8))
+        assert np.array_equal(state_basis(4, 16), np.arange(16))
+        assert np.array_equal(state_basis(4, 15), sector_basis(4))
+        with pytest.raises(ValueError):
+            state_basis(4, 14)
