@@ -64,7 +64,7 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: expected a number, got {getattr(self, name)!r}") from exc
         params = _checked("[chain]", self.chain_params)
-        for name in ("gamma_r", "gamma_l", "delta", "positions"):
+        for name in _PER_QUBIT_FIELDS:
             if name != "positions" or self.positions is not None:
                 object.__setattr__(self, name, tuple(getattr(params, name).tolist()))
         _checked("[pulse]", self.gaussian_pulse)
@@ -89,6 +89,8 @@ class ExperimentConfig:
 
 
 _FLOAT_FIELDS = ("spacing", "tbar", "width", "dt", "t_end", "threshold")
+# fields holding one value per qubit, broadcast by ChainParams
+_PER_QUBIT_FIELDS = ("gamma_r", "gamma_l", "delta", "positions")
 
 
 def _checked(where: str, build):
@@ -170,7 +172,7 @@ def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown override field(s): {sorted(unknown)}")
     if changes.get("n", cfg.n) != cfg.n:
-        for name in ("gamma_r", "gamma_l", "delta", "positions"):
+        for name in _PER_QUBIT_FIELDS:
             values = getattr(cfg, name)
             if name not in changes and values is not None and len(set(values)) == 1:
                 changes[name] = values[:1]

@@ -27,9 +27,10 @@ scaled by sqrt(2 gamma_iR) g(t) on the two-photon rows and sqrt(gamma_iR) g(t)
 on the one-photon rows.  Retardation between qubits is neglected; positions
 enter only through the phases above.
 
-No block ever holds an entry with more than three excited qubits, so the
-blocks are evolved on the sector basis of :mod:`wgqed.operators` (the whole
-space for n <= 3).  The initial ``HierarchyState`` stays dense.
+From the ground state no block ever holds an entry with more than three
+excited qubits, so the blocks are evolved on the sector basis of
+:mod:`wgqed.operators` (the whole space for n <= 3).  The initial
+``HierarchyState`` stays dense.
 
 All rates, times and detunings are measured in units of a reference decay
 rate (set to 1).
@@ -258,6 +259,16 @@ class RhsEvaluator:
         self._jl_h = conv(jump_l.conj().T)
         self._bs = conv(raise_strong)
         self._bw = conv(raise_weak)
+
+    @property
+    def drive_depth(self) -> int:
+        """How many excitations the drive can add to the rows or columns of a
+        block beyond the most the initial blocks hold: 0 undriven, 1 for one
+        photon, 2 for two, and 3 when rho21 carries its conjugate term, which
+        raises the columns of rho21 that feed the rows of rho_s."""
+        if self.mode is DriveMode.TWO_PHOTON:
+            return 2 + self.rho21_hc
+        return 0 if self.mode is DriveMode.NONE else 1
 
     def __call__(self, t: float, blocks: np.ndarray) -> np.ndarray:
         """Derivative of the stacked (n_blocks, d, d) array."""

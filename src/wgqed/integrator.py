@@ -18,7 +18,7 @@ import numpy as np
 
 from .hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
 from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
-from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
+from .operators import MAX_EXCITATIONS, all_pairs, excitation_bits, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
@@ -112,20 +112,17 @@ def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarra
 
 
 def diagnostics(
-    blocks: np.ndarray, mode: DriveMode = DriveMode.TWO_PHOTON, n: int | None = None
+    blocks: np.ndarray, n: int, mode: DriveMode = DriveMode.TWO_PHOTON
 ) -> Diagnostics:
-    """Conservation checks on the evolved (mode.n_blocks, d, d) block stack.
+    """Conservation checks on the evolved (mode.n_blocks, d, d) block stack of
+    an n-qubit chain, on the full space or the sector basis.
 
     Trace/hermiticity deviations of the unit-trace blocks, worst residual
     trace of the zero-trace blocks, and the smallest eigenvalue of the
-    reported system state.  ``n`` is the chain length, needed when the
-    blocks are on the sector basis; without it they span the full space.
-    Every value is that of the zero-padded full blocks: the 2^n - d dropped
-    states count as exact zero eigenvalues.
+    reported system state.  Every value is that of the zero-padded full
+    blocks: the 2^n - d dropped states count as exact zero eigenvalues.
     """
     d = blocks.shape[-1]
-    if n is None:
-        n = d.bit_length() - 1
     trace_err = herm_err = zero_trace = 0.0
     for name, m in zip(BLOCK_NAMES, blocks):
         trace = full_diagonal(m, n).sum()
@@ -158,33 +155,37 @@ def integrate(
     """Propagate from t = 0 to t_end and sample the observable bundle.
 
     Only the blocks the mode evolves are propagated, restricted once to the
-    sector basis (:func:`~wgqed.operators.sector_basis`); ``state0`` must have
-    no weight outside it.  Samples land at t = k * dt * sample_every (the
+    sector basis (:func:`~wgqed.operators.sector_basis`).  ``state0`` is
+    refused when the excitations its blocks hold plus those the drive adds
+    (``RhsEvaluator.drive_depth``) could leave the basis; from the ground
+    state they never do.  Samples land at t = k * dt * sample_every (the
     initial state is always the first sample).  ``keep_states`` stores a copy
     of the reported block at each sample, on the sector basis (the full space
     for n <= 3).
     """
     if state0.n_qubits != params.n:
         raise ValueError("state and parameters disagree on the chain length")
-    basis = sector_basis(params.n)
+    rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
+    n, basis = params.n, sector_basis(params.n)
     dense = state0.blocks[: mode.n_blocks]
-    outside = np.ones(dense.shape[1], dtype=bool)
-    outside[basis] = False
-    if np.any(dense[:, outside, :]) or np.any(dense[:, :, outside]):
+    held = excitation_bits(np.arange(2**n), n).sum(axis=1)[
+        np.any(dense, axis=(0, 1)) | np.any(dense, axis=(0, 2))
+    ].max(initial=0)
+    if min(n, held + rhs.drive_depth) > MAX_EXCITATIONS:
         raise ValueError(
-            f"state0 has weight on basis states with more than {MAX_EXCITATIONS} "
-            "excitations, which the evolution drops"
+            f"state0 holds up to {held} excitations and the drive adds up to "
+            f"{rhs.drive_depth}: the evolution would populate states with more than "
+            f"{MAX_EXCITATIONS} excitations, which the sector basis drops"
         )
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         n_steps = int(np.ceil(config.t_end / config.dt))
 
-    rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
     work = np.ascontiguousarray(dense[:, basis[:, None], basis])
     if rhs.is_real and np.abs(work.imag).max() == 0.0:
         work = np.ascontiguousarray(work.real)
 
-    n, n_samples = params.n, 1 + n_steps // config.sample_every
+    n_samples = 1 + n_steps // config.sample_every
     pairs = all_pairs(n)
     shapes = {"p_excited": (n_samples, n), "pair_concurrence": (n_samples, len(pairs))}
     traj = Trajectory(
@@ -206,7 +207,7 @@ def integrate(
         rho = blocks[BLOCK_NAMES.index(mode.reported_block)]
         pops = populations(rho, n)
         pair_c = pair_concurrences(rho, n)
-        diag = diagnostics(blocks, mode, n)
+        diag = diagnostics(blocks, n, mode)
         if diag.trace_err > TRACE_ABORT:
             raise IntegrationError(
                 f"trace deviation {diag.trace_err:.3e} exceeds {TRACE_ABORT:.0e} "

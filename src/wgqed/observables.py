@@ -48,13 +48,22 @@ class PopulationRecord:
     p_total: float
 
 
+@functools.lru_cache(maxsize=None)
+def _full_index_masks(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Excitation bits of every full index, (2^n, n), and the full-index
+    masks of 0, 1 and 2 excitations."""
+    bits = excitation_bits(np.arange(2**n), n)
+    sectors = tuple(bits.sum(axis=1) == k for k in range(3))
+    for arr in (bits, *sectors):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return bits, sectors
+
+
 @dataclass(frozen=True)
 class _BasisTables:
     """Index tables of one (n, basis) combination."""
 
     basis: np.ndarray  # computational index of each basis state
-    bits: np.ndarray  # (2^n, n) excitation bits of the full index
-    sectors: tuple[np.ndarray, ...]  # full-index masks of 0, 1 and 2 excitations
     pair_src: np.ndarray  # flat float64-view indices into the state
     pair_dst: np.ndarray  # flat float64-view indices into the (n_pairs, 4, 4) stack
     n_pairs: int
@@ -63,8 +72,7 @@ class _BasisTables:
 @functools.lru_cache(maxsize=None)
 def _tables(n: int, d: int) -> _BasisTables:
     basis = state_basis(n, d)
-    bits = excitation_bits(np.arange(2**n), n)
-    count = bits.sum(axis=1)
+    bits = excitation_bits(basis, n)
     pos = np.full(2**n, -1)
     pos[basis] = np.arange(d)
     masks = 1 << np.arange(n - 1, -1, -1)
@@ -75,7 +83,7 @@ def _tables(n: int, d: int) -> _BasisTables:
     for p, (i, j) in enumerate(all_pairs(n)):
         mi, mj = masks[i - 1], masks[j - 1]
         rest = basis & ~(mi | mj)
-        a = 2 * bits[basis, i - 1] + bits[basis, j - 1]
+        a = 2 * bits[:, i - 1] + bits[:, j - 1]
         for b in range(4):
             c = pos[rest | (mi if b & 2 else 0) | (mj if b & 1 else 0)]
             kept = c >= 0
@@ -85,10 +93,9 @@ def _tables(n: int, d: int) -> _BasisTables:
     # real and imaginary parts are scattered in one pass over the float64 view
     pair_src = np.stack([2 * src, 2 * src + 1], axis=1).ravel()
     pair_dst = np.stack([2 * dst, 2 * dst + 1], axis=1).ravel()
-    sectors = tuple(count == k for k in range(3))
-    for arr in (basis, bits, pair_src, pair_dst, *sectors):
+    for arr in (basis, pair_src, pair_dst):
         arr.setflags(write=False)  # shared by every caller through the cache
-    return _BasisTables(basis, bits, sectors, pair_src, pair_dst, n * (n - 1) // 2)
+    return _BasisTables(basis, pair_src, pair_dst, n * (n - 1) // 2)
 
 
 def full_diagonal(m: np.ndarray, n: int) -> np.ndarray:
@@ -113,9 +120,9 @@ def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     identically zero.
     """
     diag = full_diagonal(rho, n)
-    tables = _tables(n, 2**n)
-    p_k = [float((diag * mask).sum().real) for mask in tables.sectors]
-    p_exc = tuple(float((diag * tables.bits[:, i]).sum().real) for i in range(n))
+    bits, sectors = _full_index_masks(n)
+    p_k = [float((diag * mask).sum().real) for mask in sectors]
+    p_exc = tuple(float((diag * bits[:, i]).sum().real) for i in range(n))
     return PopulationRecord(
         p_ground=p_k[0],
         p_one=p_k[1],

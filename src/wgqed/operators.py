@@ -17,13 +17,16 @@ import numpy as np
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
-# The two-photon drive never populates more than 3 excitations.  The drift
-# conserves excitation number, the collective jumps lower it, and the drive
-# raises the row sector of its source by one.  Every drive source (rho00,
-# rho10, rho01, rho11, rho12) has rows with at most 2 excitations, so only
-# rho_s reaches 3, and rho_s is never a drive source.  Entries with more
-# excitations start at zero and stay exactly zero, so dropping those basis
-# states is exact for every drive mode and rho21 variant.
+# From the ground state the two-photon drive never populates more than 3
+# excitations.  The drift conserves excitation number, the collective jumps
+# lower it, and the drive raises the row sector of its source by one.  Every
+# drive source (rho00, rho10, rho01, rho11, rho12) then has rows with at most
+# 2 excitations, so only rho_s reaches 3, and rho_s is never a drive source.
+# Entries with more excitations start at zero and stay exactly zero, so
+# dropping those basis states is exact for every drive mode and rho21
+# variant.  A prepared state whose blocks already hold r excitations reaches
+# r + RhsEvaluator.drive_depth, so integrate refuses one for which that sum
+# exceeds the bound (and n does too).
 MAX_EXCITATIONS = 3
 
 # The initial HierarchyState is dense: six 2^N x 2^N complex blocks, 6 * 4^N

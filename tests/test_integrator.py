@@ -221,7 +221,7 @@ class TestIntegrate:
 
 class TestDiagnostics:
     def test_initial_state_clean(self):
-        d = diagnostics(HierarchyState.ground(3).blocks)
+        d = diagnostics(HierarchyState.ground(3).blocks, 3)
         assert d.trace_err == 0.0
         assert d.herm_err == 0.0
         assert d.zero_block_trace == 0.0
@@ -230,25 +230,30 @@ class TestDiagnostics:
     def test_detects_corruption(self):
         s = HierarchyState.ground(2)
         s.blocks[5][0, 1] = 0.1  # non-hermitian entry
-        d = diagnostics(s.blocks)
+        d = diagnostics(s.blocks, 2)
         assert d.herm_err == pytest.approx(0.1)
 
     def test_sector_basis_counts_dropped_zero_eigenvalues(self):
         # a full-rank state on the 15-state basis of 4 qubits is rank 15 of 16
         blocks = np.zeros((6, 15, 15), dtype=complex)
         blocks[[0, 2, 5]] = np.eye(15) / 15
-        assert diagnostics(blocks, n=4).min_eigenvalue == 0.0
-        assert diagnostics(blocks, n=4).trace_err < 1e-15
+        assert diagnostics(blocks, 4).min_eigenvalue == 0.0
+        assert diagnostics(blocks, 4).trace_err < 1e-15
+        # 64 states are the sector basis of 7 qubits, not the full space of 6
+        blocks = np.zeros((6, 64, 64), dtype=complex)
+        blocks[[0, 2, 5]] = np.eye(64) / 64
+        assert diagnostics(blocks, 7).min_eigenvalue == 0.0
+        assert diagnostics(blocks, 6).min_eigenvalue == pytest.approx(1 / 64)
         full = HierarchyState.ground(3).blocks
         full[[0, 2, 5]] = np.eye(8) / 8
-        assert diagnostics(full, n=3).min_eigenvalue == pytest.approx(1 / 8)
+        assert diagnostics(full, 3).min_eigenvalue == pytest.approx(1 / 8)
 
     def test_reports_zero_block_trace(self):
         s = HierarchyState.ground(2)
         s.blocks[1][0, 0] = 1e-5
-        assert diagnostics(s.blocks).zero_block_trace == pytest.approx(1e-5)
+        assert diagnostics(s.blocks, 2).zero_block_trace == pytest.approx(1e-5)
         # a mode that evolves fewer blocks checks only those
-        assert diagnostics(s.blocks[:1], DriveMode.NONE).zero_block_trace == 0.0
+        assert diagnostics(s.blocks[:1], 2, DriveMode.NONE).zero_block_trace == 0.0
 
 
 def test_trajectory_norm_selector():

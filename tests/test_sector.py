@@ -40,21 +40,24 @@ def excitations(n):
     return excitation_bits(np.arange(2**n), n).sum(axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def dense_run(n, rho21_hc=True):
+def oracle_rk4(params, blocks, mode=DriveMode.TWO_PHOTON, rho21_hc=True):
     """RK4 over the oracle RHS on the full space: the state after every step."""
-    params = ChainParams(n=n, **CHAINS[n])
 
     def rhs(t, blocks):
         state = HierarchyState(blocks)
-        return hierarchy_rhs(state, t, params, PULSE, DriveMode.TWO_PHOTON, rho21_hc).blocks
+        return hierarchy_rhs(state, t, params, PULSE, mode, rho21_hc).blocks
 
-    blocks = HierarchyState.ground(n).blocks
     states = [blocks]
     for step in range(int(round(CONFIG.t_end / CONFIG.dt))):
         blocks = rk4_step(blocks, step * CONFIG.dt, CONFIG.dt, rhs)
         states.append(blocks)
-    return params, states
+    return states
+
+
+@functools.lru_cache(maxsize=None)
+def dense_run(n, rho21_hc=True):
+    params = ChainParams(n=n, **CHAINS[n])
+    return params, oracle_rk4(params, HierarchyState.ground(n).blocks, rho21_hc=rho21_hc)
 
 
 @pytest.mark.parametrize("rho21_hc", [True, False])
@@ -111,7 +114,7 @@ def test_integrate_matches_dense_oracle(n):
         sector = [np.trace(excitation_projector(m, n) @ rho).real for m in range(3)]
         pair_c = [concurrence_pair(partial_trace_to_pair(rho, i, j, n), None)
                   for i, j in all_pairs(n)]
-        diag = diagnostics(blocks)
+        diag = diagnostics(blocks, n)
         for name, value in (
             ("p_ground", sector[0]), ("p_one", sector[1]), ("p_two", sector[2]),
             ("p_total", np.trace(rho).real),
@@ -138,3 +141,32 @@ def test_state_outside_the_sector_basis_is_refused():
     state.blocks[RHO_S][15, 15] = 1e-3  # |1111><1111|
     with pytest.raises(ValueError, match="more than 3 excitations"):
         integrate(state, ChainParams(n=4), PULSE, DriveMode.TWO_PHOTON, CONFIG)
+
+
+@pytest.mark.parametrize(
+    "mode, rho21_hc, reach",
+    [(DriveMode.ONE_PHOTON, True, 2), (DriveMode.TWO_PHOTON, False, 3),
+     (DriveMode.TWO_PHOTON, True, 4)],
+)
+def test_prepared_state_is_evolved_exactly_or_refused(mode, rho21_hc, reach):
+    # qubit 1 starts excited: the oracle reaches 1 + drive_depth excitations,
+    # and integrate evolves the state exactly when that stays within 3 and
+    # refuses it otherwise
+    n, count = 4, excitations(4)
+    params = ChainParams(n=n)
+    state = HierarchyState.ground(n)
+    for name in ("rho00", "rho11", "rho_s"):
+        block = state.block(name)
+        block[0, 0], block[8, 8] = 0.0, 1.0  # |eggg><eggg|
+    states = [b[: mode.n_blocks] for b in oracle_rk4(params, state.blocks, mode, rho21_hc)]
+    assert max(count[np.any(b, axis=(0, 1)) | np.any(b, axis=(0, 2))].max() for b in states) == reach
+    assert RhsEvaluator(params, PULSE, mode, rho21_hc).drive_depth == reach - 1
+    if reach > 3:
+        with pytest.raises(ValueError, match="more than 3 excitations"):
+            integrate(state, params, PULSE, mode, CONFIG, rho21_hc)
+        return
+    traj = integrate(state, params, PULSE, mode, CONFIG, rho21_hc, keep_states=True)
+    basis, reported = sector_basis(n), BLOCK_NAMES.index(mode.reported_block)
+    for k, blocks in enumerate(states[:: CONFIG.sample_every]):
+        assert np.abs(traj.states[k] - blocks[reported][np.ix_(basis, basis)]).max() < 1e-10
+    assert traj.p_two.max() > 1e-3  # the drive added to the prepared excitation
