@@ -95,7 +95,7 @@ def main(argv=None) -> int:
             emit_summary_csv(configs, summaries, path)
             print(f"summary written to {path}")
         return 0
-    except (ConfigError, KeyError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

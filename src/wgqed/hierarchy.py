@@ -28,9 +28,8 @@ on the one-photon rows.  Retardation between qubits is neglected; positions
 enter only through the phases above.
 
 From the ground state no block ever holds an entry with more than three
-excited qubits, so the blocks are evolved on the sector basis of
-:mod:`wgqed.operators` (the whole space for n <= 3).  The initial
-``HierarchyState`` stays dense.
+excited qubits, so every block lives on the sector basis of
+:mod:`wgqed.operators` (the whole space for n <= 3).
 
 All rates, times and detunings are measured in units of a reference decay
 rate (set to 1).
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import MAX_QUBITS, excitation_bits, ground_state_density, sector_basis
+from .operators import MAX_QUBITS, excitation_bits, sector_basis
 from .pulse import GaussianPulse
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
@@ -93,7 +92,7 @@ class ChainParams:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(
                 f"n = {self.n} is out of range: need at least one qubit, and at most "
-                f"{MAX_QUBITS}, because the initial state is dense (6 * 4^n entries)"
+                f"{MAX_QUBITS}, the checked range of the sector basis"
             )
         if not np.isfinite(self.spacing):
             raise ValueError(f"spacing must be finite, got {self.spacing}")
@@ -146,33 +145,31 @@ class ChainParams:
 
 @dataclass
 class HierarchyState:
-    """The six jointly evolved blocks, stacked as one (6, 2^n, 2^n) array."""
+    """The six jointly evolved blocks of an n-qubit chain, stacked as one
+    (6, d, d) array on the sector basis (d = len(sector_basis(n)))."""
 
+    n: int
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
+        d = len(sector_basis(self.n))
         b = np.asarray(self.blocks, dtype=complex)
-        if b.ndim != 3 or b.shape[0] != len(BLOCK_NAMES) or b.shape[1] != b.shape[2]:
-            raise ValueError(f"expected shape (6, d, d), got {b.shape}")
-        n = int(round(np.log2(b.shape[1])))
-        if 2**n != b.shape[1]:
-            raise ValueError(f"block dimension {b.shape[1]} is not a power of two")
+        if b.shape != (len(BLOCK_NAMES), d, d):
+            raise ValueError(
+                f"a {self.n}-qubit state has {d} sector-basis states: expected shape "
+                f"(6, {d}, {d}), got {b.shape}"
+            )
         self.blocks = b
 
     @classmethod
     def ground(cls, n: int) -> "HierarchyState":
         """Initial condition: system, one- and zero-photon diagonal blocks in
-        the collective ground state, cross blocks zero."""
-        d = 2**n
+        the collective ground state (basis index 0), cross blocks zero."""
+        d = len(sector_basis(n))
         blocks = np.zeros((len(BLOCK_NAMES), d, d), dtype=complex)
-        g = ground_state_density(n)
         for name in ("rho00", "rho11", "rho_s"):
-            blocks[BLOCK_NAMES.index(name)] = g
-        return cls(blocks)
-
-    @property
-    def n_qubits(self) -> int:
-        return int(round(np.log2(self.blocks.shape[1])))
+            blocks[BLOCK_NAMES.index(name), 0, 0] = 1.0
+        return cls(n, blocks)
 
     def block(self, name: str) -> np.ndarray:
         return self.blocks[BLOCK_NAMES.index(name)]

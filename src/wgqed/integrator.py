@@ -115,14 +115,14 @@ def diagnostics(
     blocks: np.ndarray, n: int, mode: DriveMode = DriveMode.TWO_PHOTON
 ) -> Diagnostics:
     """Conservation checks on the evolved (mode.n_blocks, d, d) block stack of
-    an n-qubit chain, on the full space or the sector basis.
+    an n-qubit chain on the sector basis.
 
     Trace/hermiticity deviations of the unit-trace blocks, worst residual
     trace of the zero-trace blocks, and the smallest eigenvalue of the
     reported system state.  Every value is that of the zero-padded full
-    blocks: the 2^n - d dropped states count as exact zero eigenvalues.
+    blocks: for n > MAX_EXCITATIONS the dropped states count as exact zero
+    eigenvalues.
     """
-    d = blocks.shape[-1]
     trace_err = herm_err = zero_trace = 0.0
     for name, m in zip(BLOCK_NAMES, blocks):
         trace = full_diagonal(m, n).sum()
@@ -133,7 +133,7 @@ def diagnostics(
             zero_trace = max(zero_trace, abs(trace))
     reported = blocks[BLOCK_NAMES.index(mode.reported_block)]
     min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))[0]
-    if d < 2**n:
+    if n > MAX_EXCITATIONS:
         min_eig = min(min_eig, 0.0)
     return Diagnostics(
         trace_err=float(trace_err),
@@ -154,22 +154,21 @@ def integrate(
 ) -> Trajectory:
     """Propagate from t = 0 to t_end and sample the observable bundle.
 
-    Only the blocks the mode evolves are propagated, restricted once to the
-    sector basis (:func:`~wgqed.operators.sector_basis`).  ``state0`` is
-    refused when the excitations its blocks hold plus those the drive adds
-    (``RhsEvaluator.drive_depth``) could leave the basis; from the ground
-    state they never do.  Samples land at t = k * dt * sample_every (the
-    initial state is always the first sample).  ``keep_states`` stores a copy
-    of the reported block at each sample, on the sector basis (the full space
-    for n <= 3).
+    Only the blocks the mode evolves are propagated; ``state0`` is read, never
+    written.  It is refused when the excitations its blocks hold plus those
+    the drive adds (``RhsEvaluator.drive_depth``) could leave the sector basis
+    (:func:`~wgqed.operators.sector_basis`); from the ground state they never
+    do.  Samples land at t = k * dt * sample_every (the initial state is
+    always the first sample).  ``keep_states`` stores a copy of the reported
+    block at each sample, on the sector basis.
     """
-    if state0.n_qubits != params.n:
+    if state0.n != params.n:
         raise ValueError("state and parameters disagree on the chain length")
     rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
-    n, basis = params.n, sector_basis(params.n)
-    dense = state0.blocks[: mode.n_blocks]
-    held = excitation_bits(np.arange(2**n), n).sum(axis=1)[
-        np.any(dense, axis=(0, 1)) | np.any(dense, axis=(0, 2))
+    n = params.n
+    work = np.ascontiguousarray(state0.blocks[: mode.n_blocks])
+    held = excitation_bits(sector_basis(n), n).sum(axis=1)[
+        np.any(work, axis=(0, 1)) | np.any(work, axis=(0, 2))
     ].max(initial=0)
     if min(n, held + rhs.drive_depth) > MAX_EXCITATIONS:
         raise ValueError(
@@ -181,7 +180,6 @@ def integrate(
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         n_steps = int(np.ceil(config.t_end / config.dt))
 
-    work = np.ascontiguousarray(dense[:, basis[:, None], basis])
     if rhs.is_real and np.abs(work.imag).max() == 0.0:
         work = np.ascontiguousarray(work.real)
 
@@ -238,11 +236,11 @@ def integrate(
         if (step + 1) % config.sample_every == 0:
             sample((step + 1) // config.sample_every, (step + 1) * config.dt)
 
-    worst_min_eig = traj.min_eigenvalue.min()
-    if worst_min_eig < POSITIVITY_WARN:
+    worst = int(np.argmin(traj.min_eigenvalue))
+    if traj.min_eigenvalue[worst] < POSITIVITY_WARN:
         warnings.warn(
             f"reported state dipped below positivity tolerance "
-            f"(min eigenvalue {worst_min_eig:.3e})",
+            f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g})",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -14,9 +14,9 @@ normalizations are supported:
 
 For N = 2 both coincide with the plain two-qubit concurrence.
 
-Every function taking an N-qubit state accepts it on the full 2^N space or on
-the sector basis of :mod:`wgqed.operators`, told apart by its dimension; the
-values equal those of the zero-padded full state.
+Every function taking an N-qubit state takes it on the sector basis of
+:mod:`wgqed.operators` (the whole space for N <= 3); the values equal those
+of the zero-padded full state.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SIGMA_Y, all_pairs, excitation_bits, state_basis
+from .operators import SIGMA_Y, all_pairs, excitation_bits, sector_basis
 
 PAIR_NORMS = ("all-pairs", "half-n")
 
@@ -61,7 +61,7 @@ def _full_index_masks(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 @dataclass(frozen=True)
 class _BasisTables:
-    """Index tables of one (n, basis) combination."""
+    """Index tables of the n-qubit sector basis."""
 
     basis: np.ndarray  # computational index of each basis state
     pair_src: np.ndarray  # flat float64-view indices into the state
@@ -70,8 +70,9 @@ class _BasisTables:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(n: int, d: int) -> _BasisTables:
-    basis = state_basis(n, d)
+def _tables(n: int) -> _BasisTables:
+    basis = sector_basis(n)
+    d = len(basis)
     bits = excitation_bits(basis, n)
     pos = np.full(2**n, -1)
     pos[basis] = np.arange(d)
@@ -98,6 +99,17 @@ def _tables(n: int, d: int) -> _BasisTables:
     return _BasisTables(basis, pair_src, pair_dst, n * (n - 1) // 2)
 
 
+def _checked_tables(m: np.ndarray, n: int) -> _BasisTables:
+    """The tables of an n-qubit state ``m``, which must be d x d on the basis."""
+    tables = _tables(n)
+    d = len(tables.basis)
+    if m.shape != (d, d):
+        raise ValueError(
+            f"a {n}-qubit state on the sector basis is {d} x {d}, got shape {m.shape}"
+        )
+    return tables
+
+
 def full_diagonal(m: np.ndarray, n: int) -> np.ndarray:
     """Diagonal of an n-qubit state or block on the full 2^n index, zero on
     the states the sector basis drops.
@@ -107,7 +119,7 @@ def full_diagonal(m: np.ndarray, n: int) -> np.ndarray:
     """
     m = np.asarray(m)
     diag = np.zeros(2**n, dtype=m.dtype)
-    diag[_tables(n, m.shape[0]).basis] = m.diagonal()
+    diag[_checked_tables(m, n).basis] = m.diagonal()
     return diag
 
 
@@ -140,7 +152,7 @@ def pair_states(rho: np.ndarray, n: int) -> np.ndarray:
     |e_i e_j>} (qubit i is the most-significant factor); traces are kept.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
-    tables = _tables(n, rho.shape[0])
+    tables = _checked_tables(rho, n)
     flat = rho.reshape(-1).view(np.float64)
     out = np.bincount(
         tables.pair_dst, weights=flat[tables.pair_src], minlength=32 * tables.n_pairs
@@ -177,9 +189,10 @@ def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID
 
     Spin-flip eigenvalues below ``invalid_below`` raise (the input is not a
     physical state); pass ``invalid_below=None`` to clamp unconditionally.
-    The trajectory pipeline does so because the evolved equations are not a
-    completely positive map and small negative excursions are inherent to
-    the model (positivity is monitored separately by the integrator).
+    The trajectory pipeline uses :func:`pair_concurrences`, which always
+    clamps, because the evolved equations are not a completely positive map
+    and small negative excursions are inherent to the model (positivity is
+    monitored separately by the integrator).
     """
     eigs = np.real(np.linalg.eigvals(spin_flip(rho4)))
     if invalid_below is not None and eigs.min() < invalid_below:

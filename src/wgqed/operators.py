@@ -1,12 +1,12 @@
-"""Computational basis, excitation-sector basis and small state helpers.
+"""Computational basis, excitation-sector basis and qubit pairs.
 
 Basis convention: each qubit has local basis (|g> = 0, |e> = 1) and qubit 1
 is the most-significant bit, so the composite index of |g...g> is 0 and of
 |e...e> is 2^N - 1.  Qubit indices are 1-based throughout.
 
-The hierarchy is evolved on the *sector basis*: the ascending computational
-indices with at most ``MAX_EXCITATIONS`` excited qubits.  For N <= 3 it is
-the whole space.
+Every state of the package lives on the *sector basis*: the ascending
+computational indices with at most ``MAX_EXCITATIONS`` excited qubits.  For
+N <= 3 it is the whole space.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 # exceeds the bound (and n does too).
 MAX_EXCITATIONS = 3
 
-# The initial HierarchyState is dense: six 2^N x 2^N complex blocks, 6 * 4^N
-# entries, about 100 MB at N = 10.
+# No state is stored on the full space (176 basis states at N = 10), but the
+# basis and the index tables are still built by scanning all 2^N indices, and
+# no run beyond N = 10 has been checked.
 MAX_QUBITS = 10
 
 
@@ -42,31 +43,10 @@ def excitation_bits(states: np.ndarray, n: int) -> np.ndarray:
 def sector_basis(n: int) -> np.ndarray:
     """Ascending computational indices with at most MAX_EXCITATIONS excited
     qubits (2, 4, 8, 15, 26, 42, 64, 93, 130, 176 states for n = 1..10)."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n = {n} is out of range 1..{MAX_QUBITS}")
     states = np.arange(2**n)
     return states[excitation_bits(states, n).sum(axis=1) <= MAX_EXCITATIONS]
-
-
-def state_basis(n: int, d: int) -> np.ndarray:
-    """Basis indices of a d x d state of an n-qubit chain: the full space when
-    d = 2^n, the sector basis when d is its size (the two coincide for n <= 3)."""
-    if d == 2**n:
-        return np.arange(d)
-    basis = sector_basis(n)
-    if d != len(basis):
-        raise ValueError(
-            f"a {n}-qubit state has dimension {2**n} (full space) or {len(basis)} "
-            f"(at most {MAX_EXCITATIONS} excitations), got {d}"
-        )
-    return basis
-
-
-def ground_state_density(n: int) -> np.ndarray:
-    """Density matrix |g...g><g...g| for an n-qubit chain."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

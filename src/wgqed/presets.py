@@ -7,7 +7,7 @@ off the published plot ranges and are estimates, flagged in run metadata.
 
 from __future__ import annotations
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 _T_END_NOTE = "t_end is an estimate read off the published axis range"
 _SEPARATION_NOTE = (
@@ -115,5 +115,5 @@ def expand_preset(preset_id: str) -> list[ExperimentConfig]:
         _, factory = PRESETS[preset_id]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {preset_id!r}; expected one of: {known}") from None
+        raise ConfigError(f"unknown preset {preset_id!r}; expected one of: {known}") from None
     return factory()

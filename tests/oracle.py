@@ -6,7 +6,8 @@ production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) regroups the
 same algebra into a few collective operators; the test suite checks the two
 against each other, so this module must stay independent of that regrouping.
 
-The single-qubit operators are Kronecker products on the full 2^N space,
+Everything here works on the full 2^N space: the blocks are raw
+(6, 2^N, 2^N) arrays, and the single-qubit operators are Kronecker products,
 independent of the production code's bit arithmetic on the sector basis.
 :func:`dense_operators` builds the evaluator's collective operators from them,
 :func:`partial_trace_to_pair` is the reference for the batched pair
@@ -20,7 +21,7 @@ import functools
 
 import numpy as np
 
-from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState
+from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode
 from wgqed.pulse import GaussianPulse
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
@@ -241,31 +242,48 @@ def drive_coupling(
     return term
 
 
+def ground_state_density(n: int) -> np.ndarray:
+    """Density matrix |g...g><g...g| for an n-qubit chain on the full space."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def ground_blocks(n: int) -> np.ndarray:
+    """The six blocks of the hierarchy's initial condition on the full space:
+    rho00, rho11 and rho_s in the ground state, the cross blocks zero."""
+    blocks = np.zeros((len(BLOCK_NAMES), 2**n, 2**n), dtype=complex)
+    for name in ("rho00", "rho11", "rho_s"):
+        blocks[BLOCK_NAMES.index(name)] = ground_state_density(n)
+    return blocks
+
+
 def hierarchy_rhs(
-    state: HierarchyState,
+    blocks: np.ndarray,
     t: float,
     params: ChainParams,
     pulse: GaussianPulse,
     mode: DriveMode = DriveMode.TWO_PHOTON,
     rho21_hc: bool = True,
-) -> HierarchyState:
-    """Time derivative of all blocks evolved in the given mode.
+) -> np.ndarray:
+    """Time derivative of the six full-space (6, 2^n, 2^n) blocks, in
+    ``BLOCK_NAMES`` order, evolved in the given mode.
 
     Blocks the mode does not evolve get a zero derivative.  ``rho21_hc`` keeps
     the conjugate drive term on the rho21 row (the default); setting it False
     drops that term.
     """
-    if state.n_qubits != params.n:
-        raise ValueError(
-            f"state is for {state.n_qubits} qubits, params for {params.n}"
-        )
-    out = np.zeros_like(state.blocks)
-    n_evolved = mode.n_blocks
-    for b in range(n_evolved):
-        out[b] = liouvillian(state.blocks[b], params)
+    blocks = np.asarray(blocks, dtype=complex)
+    d = 2**params.n
+    if blocks.shape != (len(BLOCK_NAMES), d, d):
+        raise ValueError(f"expected full-space blocks of shape (6, {d}, {d}), got {blocks.shape}")
+    block = dict(zip(BLOCK_NAMES, blocks))
+    out = np.zeros_like(blocks)
+    for b in range(mode.n_blocks):
+        out[b] = liouvillian(blocks[b], params)
 
     if mode is DriveMode.NONE:
-        return HierarchyState(out)
+        return out
 
     strong = [np.sqrt(2.0 * g) for g in params.gamma_r]  # two-photon rows
     weak = [np.sqrt(g) for g in params.gamma_r]  # one-photon rows
@@ -279,12 +297,12 @@ def hierarchy_rhs(
         return total
 
     i10, i11 = BLOCK_NAMES.index("rho10"), BLOCK_NAMES.index("rho11")
-    out[i10] += drive(state.block("rho00"), weak, include_hc=False)
-    out[i11] += drive(dagger(state.block("rho10")), weak, include_hc=True)
+    out[i10] += drive(block["rho00"], weak, include_hc=False)
+    out[i11] += drive(dagger(block["rho10"]), weak, include_hc=True)
 
     if mode is DriveMode.TWO_PHOTON:
         i20, i21, i_s = (BLOCK_NAMES.index(k) for k in ("rho20", "rho21", "rho_s"))
-        out[i20] += drive(state.block("rho10"), strong, include_hc=False)
-        out[i21] += drive(state.block("rho11"), strong, include_hc=rho21_hc)
-        out[i_s] += drive(dagger(state.block("rho21")), strong, include_hc=True)
-    return HierarchyState(out)
+        out[i20] += drive(block["rho10"], strong, include_hc=False)
+        out[i21] += drive(block["rho11"], strong, include_hc=rho21_hc)
+        out[i_s] += drive(dagger(block["rho21"]), strong, include_hc=True)
+    return out

@@ -227,13 +227,18 @@ def test_criterion_6_larger_chains_reduced(figures):
 # --------------------------------------------------------------------------
 
 def test_criterion_7_separation_ratio(figures):
-    small = max_concurrence(figures.traj("fig7b_n4_sep16th"))[0]
-    large = max_concurrence(figures.traj("fig7b_n4_sep1"))[0]
+    sep16, sep1 = figures.traj("fig7b_n4_sep16th"), figures.traj("fig7b_n4_sep1")
+    small = max_concurrence(sep16)[0]
+    large = max_concurrence(sep1)[0]
     ratio = small / large
     ok = ratio >= 2.0
+    # the 1/16 member is not a physical state at its C_max (README, known
+    # discrepancies); the report shows each member's min eigenvalue there
+    eig16, eig1 = (t.min_eigenvalue[np.argmax(t.c_avg_all_pairs)] for t in (sep16, sep1))
     report(
         ok, "criterion 7 (N = 4 smallest/largest separation C_max ratio >= 2)",
-        f"{small:.3e} / {large:.3e} = {ratio:.3g}",
+        f"{small:.3e} / {large:.3e} = {ratio:.3g}; min eigenvalue at C_max "
+        f"{eig16:.3g} (sep 1/16), {eig1:.3g} (sep 1)",
     )
     assert ok
 

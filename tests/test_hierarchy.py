@@ -6,6 +6,7 @@ from oracle import (
     cooperative_decay_term,
     dagger,
     drive_coupling,
+    ground_state_density,
     hierarchy_rhs,
     liouvillian,
     lowering_operator,
@@ -13,13 +14,18 @@ from oracle import (
     raising_operator,
 )
 from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
-from wgqed.operators import ground_state_density
 from wgqed.pulse import GaussianPulse
 
 
 def random_state(rng, n):
+    """Random full-space blocks, the oracle's input format (on the sector
+    basis too for n <= 3)."""
     d = 2**n
-    return HierarchyState(rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d)))
+    return rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+
+
+def block(blocks, name):
+    return blocks[BLOCK_NAMES.index(name)]
 
 
 def random_hermitian(rng, d):
@@ -53,7 +59,7 @@ class TestChainParams:
         with pytest.raises(ValueError):
             ChainParams(n=2, positions=[1.0, 0.5])
         with pytest.raises(ValueError, match="n = 11"):
-            ChainParams(n=11)  # beyond the pair reduction's qubit count
+            ChainParams(n=11)  # beyond operators.MAX_QUBITS
         for name, value in (("gamma_l", np.inf), ("delta", np.nan), ("spacing", np.inf)):
             with pytest.raises(ValueError, match=name):
                 ChainParams(n=2, **{name: value})
@@ -200,6 +206,15 @@ class TestInitialState:
         for name in ("rho10", "rho20", "rho21"):
             assert np.count_nonzero(s.block(name)) == 0
 
+    def test_shape_is_that_of_the_sector_basis(self):
+        s = HierarchyState.ground(10)
+        assert s.n == 10 and s.blocks.shape == (6, 176, 176)
+        assert np.count_nonzero(s.blocks) == 3
+        for n, shape in ((4, (6, 16, 16)), (4, (5, 15, 15)), (2, (6, 8, 8)), (7, (6, 64, 63))):
+            with pytest.raises(ValueError, match=f"{n}-qubit state has"):
+                HierarchyState(n, np.zeros(shape))
+        assert HierarchyState(4, np.zeros((6, 15, 15))).blocks.dtype == complex
+
     def test_invariants_exact(self):
         s = HierarchyState.ground(2)
         for name in ("rho00", "rho11", "rho_s"):
@@ -214,9 +229,9 @@ class TestHierarchyRhs:
         p = ChainParams(n=2, gamma_r=0.7, gamma_l=1.2, delta=0.3)
         s = random_state(rng, 2)
         out = hierarchy_rhs(s, 0.5, p, PULSE, DriveMode.NONE)
-        assert np.allclose(out.block("rho00"), liouvillian(s.block("rho00"), p))
+        assert np.allclose(block(out, "rho00"), liouvillian(block(s, "rho00"), p))
         for name in BLOCK_NAMES[1:]:
-            assert np.allclose(out.block(name), 0.0)
+            assert np.allclose(block(out, name), 0.0)
 
     def test_all_blocks_traceless(self):
         rng = np.random.default_rng(9)
@@ -224,7 +239,7 @@ class TestHierarchyRhs:
         s = random_state(rng, 2)
         out = hierarchy_rhs(s, 0.9, p, PULSE, DriveMode.TWO_PHOTON)
         for name in BLOCK_NAMES:
-            assert abs(np.trace(out.block(name))) < 1e-11
+            assert abs(np.trace(block(out, name))) < 1e-11
 
     def test_row_couplings_and_sources(self):
         # each driven row uses its documented source block, strength and
@@ -242,17 +257,17 @@ class TestHierarchyRhs:
         b_weak = sum(
             np.sqrt(p.gamma_r[i]) * phases[i] * raising_operator(i + 1, 2) for i in range(2)
         )
-        rho00, rho10, rho11, rho20, rho21, rho_s = s.blocks
+        rho00, rho10, rho11, rho20, rho21, rho_s = s
         x10 = g * (rho00 @ b_weak - b_weak @ rho00)
-        assert np.allclose(out.block("rho10"), liouvillian(rho10, p) + x10)
+        assert np.allclose(block(out, "rho10"), liouvillian(rho10, p) + x10)
         x20 = g * (rho10 @ b_strong - b_strong @ rho10)
-        assert np.allclose(out.block("rho20"), liouvillian(rho20, p) + x20)
+        assert np.allclose(block(out, "rho20"), liouvillian(rho20, p) + x20)
         x11 = g * (dagger(rho10) @ b_weak - b_weak @ dagger(rho10))
-        assert np.allclose(out.block("rho11"), liouvillian(rho11, p) + x11 + x11.conj().T)
+        assert np.allclose(block(out, "rho11"), liouvillian(rho11, p) + x11 + x11.conj().T)
         x21 = g * (rho11 @ b_strong - b_strong @ rho11)
-        assert np.allclose(out.block("rho21"), liouvillian(rho21, p) + x21 + x21.conj().T)
+        assert np.allclose(block(out, "rho21"), liouvillian(rho21, p) + x21 + x21.conj().T)
         xs = g * (dagger(rho21) @ b_strong - b_strong @ dagger(rho21))
-        assert np.allclose(out.block("rho_s"), liouvillian(rho_s, p) + xs + xs.conj().T)
+        assert np.allclose(block(out, "rho_s"), liouvillian(rho_s, p) + xs + xs.conj().T)
 
     def test_rho21_hc_flag_drops_conjugate_term(self):
         rng = np.random.default_rng(11)
@@ -265,10 +280,10 @@ class TestHierarchyRhs:
         b_strong = sum(
             np.sqrt(2.0) * raising_operator(i, 2) for i in (1, 2)
         )
-        rho11 = s.block("rho11")
+        rho11 = block(s, "rho11")
         x21 = g * (rho11 @ b_strong - b_strong @ rho11)
-        assert np.allclose(with_hc.block("rho21") - without.block("rho21"), x21.conj().T)
-        assert np.allclose(with_hc.block("rho_s"), without.block("rho_s"))
+        assert np.allclose(block(with_hc, "rho21") - block(without, "rho21"), x21.conj().T)
+        assert np.allclose(block(with_hc, "rho_s"), block(without, "rho_s"))
 
     def test_one_photon_mode_freezes_upper_blocks(self):
         rng = np.random.default_rng(12)
@@ -277,9 +292,9 @@ class TestHierarchyRhs:
         one = hierarchy_rhs(s, 0.7, p, PULSE, DriveMode.ONE_PHOTON)
         two = hierarchy_rhs(s, 0.7, p, PULSE, DriveMode.TWO_PHOTON)
         for name in ("rho00", "rho10", "rho11"):
-            assert np.allclose(one.block(name), two.block(name))
+            assert np.allclose(block(one, name), block(two, name))
         for name in ("rho20", "rho21", "rho_s"):
-            assert np.allclose(one.block(name), 0.0)
+            assert np.allclose(block(one, name), 0.0)
 
 
 class TestFastEvaluator:
@@ -299,8 +314,8 @@ class TestFastEvaluator:
             for hc in (True, False):
                 want = hierarchy_rhs(s, 0.9, p, PULSE, mode, rho21_hc=hc)
                 fast = RhsEvaluator(p, PULSE, mode, rho21_hc=hc)
-                got = fast(0.9, s.blocks[: mode.n_blocks].astype(complex))
-                assert np.abs(want.blocks[: mode.n_blocks] - got).max() < 1e-12
+                got = fast(0.9, s[: mode.n_blocks].astype(complex))
+                assert np.abs(want[: mode.n_blocks] - got).max() < 1e-12
 
     def test_real_dtype_path_matches_complex(self):
         # the operator dtype is fixed at construction: real operators keep
@@ -316,8 +331,8 @@ class TestFastEvaluator:
         assert real_out.dtype == np.float64
         assert complex_out.dtype == np.complex128
         assert np.abs(complex_out - real_out).max() < 1e-13
-        want = hierarchy_rhs(HierarchyState(blocks), 0.8, p, pulse, DriveMode.TWO_PHOTON)
-        assert np.abs(want.blocks - real_out).max() < 1e-12
+        want = hierarchy_rhs(blocks, 0.8, p, pulse, DriveMode.TWO_PHOTON)
+        assert np.abs(want - real_out).max() < 1e-12
 
     def test_complex_required_for_detuning_and_phases(self):
         for kwargs in (dict(delta=0.5), dict(spacing=1 / 8)):

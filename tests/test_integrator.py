@@ -156,8 +156,12 @@ class TestIntegrate:
             mode=DriveMode.TWO_PHOTON,
             config=IntegratorConfig(dt=1e-3, t_end=1.0),
         )
-        a = integrate(HierarchyState.ground(2), **kwargs)
-        b = integrate(HierarchyState.ground(2), **kwargs)
+        # integrate only reads its initial state, which both runs share
+        state0 = HierarchyState.ground(2)
+        state0.blocks.setflags(write=False)
+        a = integrate(state0, **kwargs)
+        b = integrate(state0, **kwargs)
+        assert np.array_equal(state0.blocks, HierarchyState.ground(2).blocks)
         assert np.array_equal(a.p_excited, b.p_excited)
         assert np.array_equal(a.c_avg_all_pairs, b.c_avg_all_pairs)
 
@@ -173,11 +177,17 @@ class TestIntegrate:
     def test_positivity_warning_fires(self):
         # strong driving makes the evolved state dip below the monitor threshold
         pulse = GaussianPulse(tbar=5.0, width=1.5)
-        with pytest.warns(RuntimeWarning, match="positivity"):
-            integrate(
+        with pytest.warns(RuntimeWarning, match="positivity") as caught:
+            traj = integrate(
                 HierarchyState.ground(2), ChainParams(n=2), pulse,
                 DriveMode.TWO_PHOTON, IntegratorConfig(dt=2e-3, t_end=8.0, sample_every=5),
             )
+        # the warning names the worst eigenvalue and the time it was sampled
+        worst = int(np.argmin(traj.min_eigenvalue))
+        assert 0.0 < traj.times[worst] < 8.0
+        assert str(caught[0].message).endswith(
+            f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g})"
+        )
 
     def test_zero_drive_blocks_coincide(self):
         # with the pulse amplitude identically zero the three unit-trace
@@ -243,7 +253,8 @@ class TestDiagnostics:
         blocks = np.zeros((6, 64, 64), dtype=complex)
         blocks[[0, 2, 5]] = np.eye(64) / 64
         assert diagnostics(blocks, 7).min_eigenvalue == 0.0
-        assert diagnostics(blocks, 6).min_eigenvalue == pytest.approx(1 / 64)
+        with pytest.raises(ValueError, match="42 x 42"):
+            diagnostics(blocks, 6)  # the sector basis of 6 qubits has 42 states
         full = HierarchyState.ground(3).blocks
         full[[0, 2, 5]] = np.eye(8) / 8
         assert diagnostics(full, 3).min_eigenvalue == pytest.approx(1 / 8)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracle import excitation_projector, number_operator, partial_trace_to_pair
+from oracle import (
+    excitation_projector,
+    ground_state_density,
+    number_operator,
+    partial_trace_to_pair,
+)
 from wgqed.observables import (
     average_concurrence,
     concurrence_pair,
@@ -12,7 +17,7 @@ from wgqed.observables import (
     spin_flip,
     survival_time,
 )
-from wgqed.operators import all_pairs, ground_state_density, sector_basis
+from wgqed.operators import all_pairs, sector_basis
 
 
 def bell_phi_plus(sign=1.0):
@@ -41,6 +46,20 @@ def random_single_qubit_unitary(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def padded(rho, n):
+    """A sector-basis state zero-padded to the full 2^n space."""
+    basis = sector_basis(n)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    full[np.ix_(basis, basis)] = rho
+    return full
+
+
+def restricted(full, n):
+    """A full-space state with at most three excitations on the sector basis."""
+    basis = sector_basis(n)
+    return full[np.ix_(basis, basis)]
 
 
 class FakeTrajectory:
@@ -79,13 +98,15 @@ class TestPopulations:
     def test_masked_sums_match_projector_oracle(self, n):
         # same products and summation order as trace(P @ rho): equal bits
         rng = np.random.default_rng(n)
-        for rho in (random_density(rng, 2**n), ground_state_density(n)):
+        d = len(sector_basis(n))
+        for rho in (random_density(rng, d), restricted(ground_state_density(n), n)):
             rec = populations(rho, n)
-            sectors = [np.trace(excitation_projector(k, n) @ rho).real for k in range(n + 1)]
+            full = padded(rho, n)
+            sectors = [np.trace(excitation_projector(k, n) @ full).real for k in range(n + 1)]
             assert rec.p_ground == sectors[0] and rec.p_one == sectors[1]
             assert rec.p_two == (sectors[2] if n >= 2 else 0.0)
             assert rec.p_excited == tuple(
-                np.trace(number_operator(i, n) @ rho).real for i in range(1, n + 1)
+                np.trace(number_operator(i, n) @ full).real for i in range(1, n + 1)
             )
 
     def test_single_qubit_has_no_two_sector(self):
@@ -157,11 +178,12 @@ class TestAveragePairwise:
 
     def test_ground_state_zero(self):
         for n in (2, 3, 4):
-            assert average_concurrence(pair_concurrences(ground_state_density(n), n), n) == 0.0
+            rho = restricted(ground_state_density(n), n)
+            assert average_concurrence(pair_concurrences(rho, n), n) == 0.0
 
     def test_one_entangled_pair_of_four_qubits(self):
         rho = np.kron(bell_phi_plus(), ground_state_density(2))
-        values = pair_concurrences(rho, 4)
+        values = pair_concurrences(restricted(rho, 4), 4)
         assert values[0] == pytest.approx(1.0, abs=1e-10)  # pair (1,2)
         assert np.allclose(values[1:], 0.0, atol=1e-10)
         assert average_concurrence(values, 4, "all-pairs") == pytest.approx(1 / 6, abs=1e-10)
@@ -172,20 +194,12 @@ class TestAveragePairwise:
             average_concurrence(np.array([0.5]), 2, "bogus")
 
 
-def padded(rho, n):
-    """A sector-basis state zero-padded to the full 2^n space."""
-    basis = sector_basis(n)
-    full = np.zeros((2**n, 2**n), dtype=complex)
-    full[np.ix_(basis, basis)] = rho
-    return full
-
-
 class TestSectorBasisInput:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pair_states_match_partial_trace_oracle(self, n):
         rng = np.random.default_rng(30 + n)
-        rho = random_density(rng, 2**n)
-        want = [partial_trace_to_pair(rho, i, j, n) for i, j in all_pairs(n)]
+        rho = random_density(rng, len(sector_basis(n)))
+        want = [partial_trace_to_pair(padded(rho, n), i, j, n) for i, j in all_pairs(n)]
         assert np.abs(pair_states(rho, n) - np.array(want)).max() < 1e-15
 
     @pytest.mark.parametrize("n", [4, 5, 7])
@@ -195,14 +209,18 @@ class TestSectorBasisInput:
         full = padded(rho, n)
         want = [partial_trace_to_pair(full, i, j, n) for i, j in all_pairs(n)]
         assert np.abs(pair_states(rho, n) - np.array(want)).max() < 1e-15
-        assert np.abs(pair_concurrences(rho, n) - pair_concurrences(full, n)).max() < 1e-12
-        assert np.allclose(
-            pair_concurrences(rho, n), [concurrence_pair(m, None) for m in want], atol=1e-12
-        )
-        got, ref = populations(rho, n), populations(full, n)
+        oracle_c = [concurrence_pair(m, None) for m in want]
+        assert np.abs(pair_concurrences(rho, n) - oracle_c).max() < 1e-12
+        got = populations(rho, n)
+        ref = {
+            name: np.trace(excitation_projector(k, n) @ full).real
+            for k, name in enumerate(("p_ground", "p_one", "p_two"))
+        }
+        ref["p_total"] = np.trace(full).real
         for name in ("p_ground", "p_one", "p_two", "p_total"):
-            assert getattr(got, name) == pytest.approx(getattr(ref, name), abs=1e-15)
-        assert np.allclose(got.p_excited, ref.p_excited, atol=1e-15)
+            assert getattr(got, name) == pytest.approx(ref[name], abs=1e-15)
+        ref_excited = [np.trace(number_operator(i, n) @ full).real for i in range(1, n + 1)]
+        assert np.allclose(got.p_excited, ref_excited, atol=1e-15)
 
     def test_entangled_pair_in_a_seven_qubit_chain(self):
         # (|e_2 g_5> + |g_2 e_5>)/sqrt(2) with the other qubits in |g>
@@ -214,10 +232,11 @@ class TestSectorBasisInput:
         assert np.sum(values) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_other_dimensions(self):
-        for d in (16, 27):
-            with pytest.raises(ValueError, match="26"):
+        # the full 2^5 = 32 space is refused too: one input format
+        for d in (16, 27, 32):
+            with pytest.raises(ValueError, match="26 x 26"):
                 populations(np.eye(d), 5)
-            with pytest.raises(ValueError, match="32"):
+            with pytest.raises(ValueError, match="26 x 26"):
                 pair_concurrences(np.eye(d), 5)
 
 

@@ -5,12 +5,13 @@ from oracle import (
     commutator,
     dagger,
     excitation_projector,
+    ground_state_density,
     lowering_operator,
     number_operator,
     partial_trace_to_pair,
     raising_operator,
 )
-from wgqed.operators import all_pairs, ground_state_density, sector_basis, state_basis
+from wgqed.operators import all_pairs, sector_basis
 
 
 def random_matrix(rng, d):
@@ -222,9 +223,7 @@ class TestSectorBasis:
         want = [b for b in range(2**n) if bin(b).count("1") <= 3]
         assert basis.tolist() == want
 
-    def test_state_basis_by_dimension(self):
-        assert np.array_equal(state_basis(3, 8), np.arange(8))
-        assert np.array_equal(state_basis(4, 16), np.arange(16))
-        assert np.array_equal(state_basis(4, 15), sector_basis(4))
-        with pytest.raises(ValueError):
-            state_basis(4, 14)
+    @pytest.mark.parametrize("n", [0, 11, 40])
+    def test_out_of_range_is_refused_before_the_scan(self, n):
+        with pytest.raises(ValueError, match=f"n = {n} is out of range"):
+            sector_basis(n)

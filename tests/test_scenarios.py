@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wgqed import runner
+from wgqed import cli, runner
 from wgqed.cli import main
-from wgqed.config import ExperimentConfig
+from wgqed.config import ConfigError, ExperimentConfig
 from wgqed.integrator import Trajectory
 from wgqed.presets import expand_preset, list_presets
 from wgqed.runner import emit_csv, emit_summary_csv, run, run_many, summarize
@@ -97,7 +97,7 @@ class TestPresets:
         assert len(all_labels) == len(set(all_labels))
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError, match="unknown preset"):
+        with pytest.raises(ConfigError, match="unknown preset"):
             expand_preset("fig99")
 
 
@@ -239,6 +239,19 @@ class TestCli:
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["sweep", "fig99"]) == 2
+        known = ", ".join(sorted(list_presets()))
+        assert capsys.readouterr().err == (
+            f"error: unknown preset 'fig99'; expected one of: {known}\n"
+        )
+
+    def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
+        # only ConfigError and OSError are reported as bad input (exit 2)
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "run_many", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["sweep", "fig2"])
 
     @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--t-end", "inf"), ("--jobs", "0")])
     def test_non_finite_override_exits_two(self, flag, value, capsys):

@@ -15,6 +15,7 @@ import pytest
 from oracle import (
     dense_operators,
     excitation_projector,
+    ground_blocks,
     hierarchy_rhs,
     number_operator,
     partial_trace_to_pair,
@@ -44,8 +45,7 @@ def oracle_rk4(params, blocks, mode=DriveMode.TWO_PHOTON, rho21_hc=True):
     """RK4 over the oracle RHS on the full space: the state after every step."""
 
     def rhs(t, blocks):
-        state = HierarchyState(blocks)
-        return hierarchy_rhs(state, t, params, PULSE, mode, rho21_hc).blocks
+        return hierarchy_rhs(blocks, t, params, PULSE, mode, rho21_hc)
 
     states = [blocks]
     for step in range(int(round(CONFIG.t_end / CONFIG.dt))):
@@ -57,7 +57,7 @@ def oracle_rk4(params, blocks, mode=DriveMode.TWO_PHOTON, rho21_hc=True):
 @functools.lru_cache(maxsize=None)
 def dense_run(n, rho21_hc=True):
     params = ChainParams(n=n, **CHAINS[n])
-    return params, oracle_rk4(params, HierarchyState.ground(n).blocks, rho21_hc=rho21_hc)
+    return params, oracle_rk4(params, ground_blocks(n), rho21_hc=rho21_hc)
 
 
 @pytest.mark.parametrize("rho21_hc", [True, False])
@@ -97,12 +97,13 @@ def test_evaluator_operators_are_the_restricted_dense_ones(n, kwargs):
 @pytest.mark.parametrize("n", [4, 5])
 def test_integrate_matches_dense_oracle(n):
     params, states = dense_run(n)
-    traj = integrate(
-        HierarchyState.ground(n), params, PULSE, DriveMode.TWO_PHOTON, CONFIG, keep_states=True
-    )
+    state0 = HierarchyState.ground(n)
+    basis = sector_basis(n)
+    assert np.array_equal(state0.blocks, ground_blocks(n)[:, basis[:, None], basis])
+    state0.blocks.setflags(write=False)  # integrate only reads it
+    traj = integrate(state0, params, PULSE, DriveMode.TWO_PHOTON, CONFIG, keep_states=True)
     samples = states[:: CONFIG.sample_every]
     assert len(traj) == len(samples)
-    basis = sector_basis(n)
     gamma_ref = float(params.gamma_r[0])
     columns = {name: [] for name in (
         "p_ground", "p_one", "p_two", "p_total", "p_excited", "pair_concurrence",
@@ -114,7 +115,7 @@ def test_integrate_matches_dense_oracle(n):
         sector = [np.trace(excitation_projector(m, n) @ rho).real for m in range(3)]
         pair_c = [concurrence_pair(partial_trace_to_pair(rho, i, j, n), None)
                   for i, j in all_pairs(n)]
-        diag = diagnostics(blocks, n)
+        diag = diagnostics(blocks[:, basis[:, None], basis], n)
         for name, value in (
             ("p_ground", sector[0]), ("p_one", sector[1]), ("p_two", sector[2]),
             ("p_total", np.trace(rho).real),
@@ -137,10 +138,12 @@ def test_integrate_matches_dense_oracle(n):
 
 
 def test_state_outside_the_sector_basis_is_refused():
-    state = HierarchyState.ground(4)
-    state.blocks[RHO_S][15, 15] = 1e-3  # |1111><1111|
-    with pytest.raises(ValueError, match="more than 3 excitations"):
-        integrate(state, ChainParams(n=4), PULSE, DriveMode.TWO_PHOTON, CONFIG)
+    # weight on |1111><1111| has no place on the 15-state basis of 4 qubits:
+    # the full 16-state stack is refused as a shape
+    blocks = ground_blocks(4)
+    blocks[RHO_S][15, 15] = 1e-3
+    with pytest.raises(ValueError, match=r"expected shape \(6, 15, 15\), got \(6, 16, 16\)"):
+        HierarchyState(4, blocks)
 
 
 @pytest.mark.parametrize(
@@ -152,13 +155,14 @@ def test_prepared_state_is_evolved_exactly_or_refused(mode, rho21_hc, reach):
     # qubit 1 starts excited: the oracle reaches 1 + drive_depth excitations,
     # and integrate evolves the state exactly when that stays within 3 and
     # refuses it otherwise
-    n, count = 4, excitations(4)
+    n, count, basis = 4, excitations(4), sector_basis(4)
     params = ChainParams(n=n)
-    state = HierarchyState.ground(n)
+    dense = ground_blocks(n)
     for name in ("rho00", "rho11", "rho_s"):
-        block = state.block(name)
+        block = dense[BLOCK_NAMES.index(name)]
         block[0, 0], block[8, 8] = 0.0, 1.0  # |eggg><eggg|
-    states = [b[: mode.n_blocks] for b in oracle_rk4(params, state.blocks, mode, rho21_hc)]
+    state = HierarchyState(n, dense[:, basis[:, None], basis])
+    states = [b[: mode.n_blocks] for b in oracle_rk4(params, dense, mode, rho21_hc)]
     assert max(count[np.any(b, axis=(0, 1)) | np.any(b, axis=(0, 2))].max() for b in states) == reach
     assert RhsEvaluator(params, PULSE, mode, rho21_hc).drive_depth == reach - 1
     if reach > 3:
@@ -166,7 +170,7 @@ def test_prepared_state_is_evolved_exactly_or_refused(mode, rho21_hc, reach):
             integrate(state, params, PULSE, mode, CONFIG, rho21_hc)
         return
     traj = integrate(state, params, PULSE, mode, CONFIG, rho21_hc, keep_states=True)
-    basis, reported = sector_basis(n), BLOCK_NAMES.index(mode.reported_block)
+    reported = BLOCK_NAMES.index(mode.reported_block)
     for k, blocks in enumerate(states[:: CONFIG.sample_every]):
         assert np.abs(traj.states[k] - blocks[reported][np.ix_(basis, basis)]).max() < 1e-10
     assert traj.p_two.max() > 1e-3  # the drive added to the prepared excitation
