@@ -87,14 +87,18 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         configs = [_overridden(cfg, args) for cfg in expand_preset(args.id)]
-        summaries = run_many(configs, out_dir=args.out, jobs=args.jobs)
-        for summary in summaries:
-            _print_summary(summary)
+        results = run_many(configs, out_dir=args.out, jobs=args.jobs)
+        for cfg, result in zip(configs, results):
+            if isinstance(result, Exception):
+                print(f"{cfg.label}: failed: {result}", file=sys.stderr)
+            else:
+                _print_summary(result)
+        finished = [(cfg, r) for cfg, r in zip(configs, results) if isinstance(r, RunSummary)]
         if args.out is not None:
             path = os.path.join(args.out, f"{args.id}_summary.csv")
-            emit_summary_csv(configs, summaries, path)
+            emit_summary_csv([cfg for cfg, _ in finished], [r for _, r in finished], path)
             print(f"summary written to {path}")
-        return 0
+        return 0 if len(finished) == len(configs) else 1
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

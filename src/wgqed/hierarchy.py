@@ -17,10 +17,10 @@ Every block evolves under the same Liouvillian, split into
 * a coherent part  -i [H, .]  with H = sum_i delta_i |e_i><e_i|,
 * a pure-decay part with per-qubit rate (gamma_iR + gamma_iL) / 2,
 * a cooperative-decay part coupling qubit pairs through the shared continua,
-  weighted sqrt(gamma_iR gamma_jR) for i > j (right-movers) and
-  sqrt(gamma_iL gamma_jL) for i < j (left-movers), with propagation phases
-  exp(-i phi_ij), phi_ij = 2 pi (d_i - d_j) and positions d_i in units of
-  the emission wavelength.
+  right-movers carrying each qubit's emission down the chain and left-movers
+  up it, with propagation phases set by the positions d_i (in units of the
+  emission wavelength); :class:`RhsEvaluator` builds the directional weights
+  and phases and states their rule.
 
 The drive enters through commutators with the collective raising operator,
 scaled by sqrt(2 gamma_iR) g(t) on the two-photon rows and sqrt(gamma_iR) g(t)
@@ -38,6 +38,7 @@ rate (set to 1).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,11 @@ from .operators import MAX_QUBITS, excitation_bits, sector_basis
 from .pulse import GaussianPulse
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
-# of this tuple are exactly the blocks each drive mode evolves.
+# of this tuple are exactly the blocks each drive mode evolves, and the last
+# block of each slice holds the physical system state.
 BLOCK_NAMES = ("rho00", "rho10", "rho11", "rho20", "rho21", "rho_s")
+# Blocks that start in the ground state and keep unit trace; the others stay traceless.
+UNIT_TRACE_BLOCKS = ("rho00", "rho11", "rho_s")
 
 
 class DriveMode(enum.Enum):
@@ -60,15 +64,6 @@ class DriveMode(enum.Enum):
     @property
     def n_blocks(self) -> int:
         return {DriveMode.NONE: 1, DriveMode.ONE_PHOTON: 3, DriveMode.TWO_PHOTON: 6}[self]
-
-    @property
-    def reported_block(self) -> str:
-        """Name of the block holding the physical system state."""
-        return {
-            DriveMode.NONE: "rho00",
-            DriveMode.ONE_PHOTON: "rho11",
-            DriveMode.TWO_PHOTON: "rho_s",
-        }[self]
 
 
 @dataclass
@@ -125,23 +120,6 @@ class ChainParams:
             raise ValueError(f"{name} must be finite, got {value!r}")
         return arr
 
-    @property
-    def gamma_rl(self) -> np.ndarray:
-        """Per-qubit pure-decay prefactor (gamma_iR + gamma_iL) / 2."""
-        return 0.5 * (self.gamma_r + self.gamma_l)
-
-    def pair_weight(self, i: int, j: int) -> float:
-        """Directional cooperative weight for the ordered pair (i, j), 1-based."""
-        if i > j:
-            return float(np.sqrt(self.gamma_r[i - 1] * self.gamma_r[j - 1]))
-        if i < j:
-            return float(np.sqrt(self.gamma_l[i - 1] * self.gamma_l[j - 1]))
-        return 0.0
-
-    def pair_phase(self, i: int, j: int) -> float:
-        """Propagation phase angle phi_ij = 2 pi (d_i - d_j), 1-based indices."""
-        return 2.0 * np.pi * (self.positions[i - 1] - self.positions[j - 1])
-
 
 @dataclass
 class HierarchyState:
@@ -167,12 +145,8 @@ class HierarchyState:
         the collective ground state (basis index 0), cross blocks zero."""
         d = len(sector_basis(n))
         blocks = np.zeros((len(BLOCK_NAMES), d, d), dtype=complex)
-        for name in ("rho00", "rho11", "rho_s"):
-            blocks[BLOCK_NAMES.index(name), 0, 0] = 1.0
+        blocks[[BLOCK_NAMES.index(name) for name in UNIT_TRACE_BLOCKS], 0, 0] = 1.0
         return cls(n, blocks)
-
-    def block(self, name: str) -> np.ndarray:
-        return self.blocks[BLOCK_NAMES.index(name)]
 
 
 class RhsEvaluator:
@@ -217,19 +191,18 @@ class RhsEvaluator:
         lowered = [pos[basis[e] ^ masks[i]] for i, e in enumerate(excited)]
 
         drift = np.zeros((d, d), dtype=complex)
+        rate = 0.5 * (params.gamma_r + params.gamma_l)
         for i in range(n):
-            drift[excited[i], excited[i]] -= 1j * params.delta[i] + params.gamma_rl[i]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                w = params.pair_weight(i, j)
-                if w == 0.0:
-                    continue
-                phase = np.exp(-1j * params.pair_phase(i, j))
-                # sigma^+_i sigma^-_j moves the excitation of qubit j to qubit i
-                src = excited[j - 1][bits[excited[j - 1], i - 1] == 0]
-                drift[pos[basis[src] ^ masks[j - 1] ^ masks[i - 1]], src] -= w * phase
+            drift[excited[i], excited[i]] -= 1j * params.delta[i] + rate[i]
+        # Cooperative weights sqrt(gamma_iR gamma_jR) for i > j (right-movers) and
+        # sqrt(gamma_iL gamma_jL) for i < j (left-movers), phases exp(-i 2 pi (d_i - d_j)).
+        g_r, g_l, x = params.gamma_r, params.gamma_l, params.positions
+        weight = np.sqrt(np.tril(np.outer(g_r, g_r), -1) + np.triu(np.outer(g_l, g_l), 1))
+        phase = np.exp(-1j * (2.0 * np.pi * (x[:, None] - x)))
+        for i, j in itertools.permutations(range(n), 2):
+            # sigma^+_i sigma^-_j moves the excitation of qubit j to qubit i
+            src = excited[j][bits[excited[j], i] == 0]
+            drift[pos[basis[src] ^ masks[j] ^ masks[i]], src] -= weight[i, j] * phase[i, j]
 
         def collective(coeffs: np.ndarray) -> np.ndarray:
             """sum_i coeffs[i] sigma^-_{i+1} on the sector basis."""

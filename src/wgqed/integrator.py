@@ -16,14 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
+from .hierarchy import (
+    BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
+)
 from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
 from .operators import MAX_EXCITATIONS, all_pairs, excitation_bits, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
 POSITIVITY_WARN = -1e-7
-UNIT_TRACE_BLOCKS = ("rho00", "rho11", "rho_s")
 
 
 class IntegrationError(RuntimeError):
@@ -131,7 +132,7 @@ def diagnostics(
             herm_err = max(herm_err, float(np.abs(m - m.conj().T).max()))
         else:
             zero_trace = max(zero_trace, abs(trace))
-    reported = blocks[BLOCK_NAMES.index(mode.reported_block)]
+    reported = blocks[mode.n_blocks - 1]
     min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))[0]
     if n > MAX_EXCITATIONS:
         min_eig = min(min_eig, 0.0)
@@ -202,7 +203,7 @@ def integrate(
     def sample(k: int, t: float) -> None:
         # observables see complex blocks whatever the arithmetic dtype
         blocks = work.astype(complex, copy=False)
-        rho = blocks[BLOCK_NAMES.index(mode.reported_block)]
+        rho = blocks[mode.n_blocks - 1]
         pops = populations(rho, n)
         pair_c = pair_concurrences(rho, n)
         diag = diagnostics(blocks, n, mode)

@@ -35,22 +35,15 @@ class RunSummary:
 
 
 def summarize(traj: Trajectory, cfg: ExperimentConfig) -> RunSummary:
-    if traj.n_qubits >= 2:
-        c_all, t_at = max_concurrence(traj, "all-pairs")
-        c_half, _ = max_concurrence(traj, "half-n")
-        surv_all = survival_time(traj, cfg.threshold, "all-pairs")
-        surv_half = survival_time(traj, cfg.threshold, "half-n")
-    else:
-        c_all = c_half = surv_all = surv_half = 0.0
-        t_at = float(traj.times[0])
+    c_all, t_at = max_concurrence(traj, "all-pairs")
     return RunSummary(
         label=cfg.label,
         n=traj.n_qubits,
         c_max_all_pairs=c_all,
         t_at_c_max=t_at,
-        c_max_half_n=c_half,
-        survival_all_pairs=surv_all,
-        survival_half_n=surv_half,
+        c_max_half_n=max_concurrence(traj, "half-n")[0],
+        survival_all_pairs=survival_time(traj, cfg.threshold, "all-pairs"),
+        survival_half_n=survival_time(traj, cfg.threshold, "half-n"),
         peak_p_one=float(traj.p_one.max()),
         peak_p_two=float(traj.p_two.max()),
         peak_p_excited=float(traj.p_excited.max()),
@@ -124,8 +117,11 @@ def run(cfg: ExperimentConfig, out_dir=None) -> tuple[Trajectory, RunSummary]:
     return traj, summary
 
 
-def _run_summary_only(cfg: ExperimentConfig, out_dir) -> RunSummary:
-    return run(cfg, out_dir)[1]
+def _run_or_error(cfg: ExperimentConfig, out_dir) -> RunSummary | Exception:
+    try:
+        return run(cfg, out_dir)[1]
+    except Exception as exc:
+        return exc
 
 
 SUMMARY_CONFIG_COLUMNS = (
@@ -166,9 +162,13 @@ def emit_summary_csv(configs, summaries, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary]:
-    """Run a family of configs, optionally in parallel worker processes."""
+def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exception]:
+    """Run a family of configs, optionally in parallel worker processes.
+
+    Returns, in config order, each member's summary or the exception it
+    raised: a failing member does not stop the others.
+    """
     if jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            return list(pool.map(_run_summary_only, configs, [out_dir] * len(configs)))
-    return [_run_summary_only(cfg, out_dir) for cfg in configs]
+            return list(pool.map(_run_or_error, configs, [out_dir] * len(configs)))
+    return [_run_or_error(cfg, out_dir) for cfg in configs]

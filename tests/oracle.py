@@ -6,13 +6,23 @@ production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) regroups the
 same algebra into a few collective operators; the test suite checks the two
 against each other, so this module must stay independent of that regrouping.
 
+The couplings are derived here, one qubit or ordered pair at a time, from the
+equations in the README: the decay rate (gamma_iR + gamma_iL) / 2, the
+directional weights sqrt(gamma_iR gamma_jR) (i > j) and sqrt(gamma_iL gamma_jL)
+(i < j), and the phases exp(-i 2 pi (d_i - d_j)).  Of the production code this
+module uses only the parameter containers (:class:`~wgqed.hierarchy.ChainParams`
+for its per-qubit arrays ``gamma_r``, ``gamma_l``, ``delta`` and ``positions``,
+:class:`~wgqed.hierarchy.DriveMode` for its block count), the block names
+(``BLOCK_NAMES``) and the pulse envelope (:class:`~wgqed.pulse.GaussianPulse`).
+
 Everything here works on the full 2^N space: the blocks are raw
 (6, 2^N, 2^N) arrays, and the single-qubit operators are Kronecker products,
 independent of the production code's bit arithmetic on the sector basis.
 :func:`dense_operators` builds the evaluator's collective operators from them,
 :func:`partial_trace_to_pair` is the reference for the batched pair
-reduction, and the excitation-sector projectors are the reference for the
-masked diagonal sums that :func:`wgqed.observables.populations` uses.
+reduction, :func:`wootters_concurrence` for the batched concurrences, and the
+excitation-sector projectors are the reference for the masked diagonal sums
+that :func:`wgqed.observables.populations` uses.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode
 from wgqed.pulse import GaussianPulse
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 # One einsum subscript letter per qubit in partial_trace_to_pair.
 _TRACE_LETTERS = "abcdefghij"
@@ -98,21 +109,36 @@ def partial_trace_to_pair(rho: np.ndarray, i: int, j: int, n: int) -> np.ndarray
     return np.einsum(subscripts, tensor).reshape(4, 4).copy()
 
 
+def decay_rate(params: ChainParams, i: int) -> float:
+    """Pure-decay rate (gamma_iR + gamma_iL) / 2 of qubit i (1-based)."""
+    return 0.5 * (params.gamma_r[i - 1] + params.gamma_l[i - 1])
+
+
+def pair_coupling(params: ChainParams, i: int, j: int) -> tuple[float, complex]:
+    """Weight and phase factor of the ordered pair (i, j), i != j, 1-based.
+
+    Right-movers carry qubit j's emission to qubit i > j with weight
+    sqrt(gamma_iR gamma_jR), left-movers to qubit i < j with weight
+    sqrt(gamma_iL gamma_jL); the phase factor is exp(-i 2 pi (d_i - d_j)).
+    """
+    rates = params.gamma_r if i > j else params.gamma_l
+    weight = np.sqrt(rates[i - 1] * rates[j - 1])
+    phase = np.exp(-1j * (2.0 * np.pi * (params.positions[i - 1] - params.positions[j - 1])))
+    return weight, phase
+
+
 def dense_operators(params: ChainParams) -> tuple[np.ndarray, ...]:
     """The evaluator's drift, J_R, J_L and strong and weak collective raising
     operators on the full space, summed from the Kronecker-built operators."""
     n, d = params.n, 2**params.n
     drift = np.zeros((d, d), dtype=complex)
     for i in range(1, n + 1):
-        drift -= (1j * params.delta[i - 1] + params.gamma_rl[i - 1]) * number_operator(i, n)
+        drift -= (1j * params.delta[i - 1] + decay_rate(params, i)) * number_operator(i, n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            w = params.pair_weight(i, j)
-            if w == 0.0:
-                continue
-            phase = np.exp(-1j * params.pair_phase(i, j))
+            w, phase = pair_coupling(params, i, j)
             drift -= w * phase * (raising_operator(i, n) @ lowering_operator(j, n))
     phases = np.exp(1j * 2.0 * np.pi * params.positions)
 
@@ -170,7 +196,7 @@ def pure_decay_term(rho: np.ndarray, params: ChainParams) -> np.ndarray:
         sm = lowering_operator(i, params.n)
         sp = raising_operator(i, params.n)
         num = sp @ sm
-        out -= params.gamma_rl[i - 1] * (num @ rho - 2.0 * sm @ rho @ sp + rho @ num)
+        out -= decay_rate(params, i) * (num @ rho - 2.0 * sm @ rho @ sp + rho @ num)
     return out
 
 
@@ -198,10 +224,7 @@ def cooperative_decay_term(rho: np.ndarray, params: ChainParams) -> np.ndarray:
         for j in range(1, params.n + 1):
             if i == j:
                 continue
-            w = params.pair_weight(i, j)
-            if w == 0.0:
-                continue
-            phase = np.exp(-1j * params.pair_phase(i, j))
+            w, phase = pair_coupling(params, i, j)
             si, sj = sm[i - 1], sm[j - 1]
             pi_, pj = sp[i - 1], sp[j - 1]
             forward = phase * (pi_ @ sj @ rho - sj @ rho @ pi_)
@@ -240,6 +263,18 @@ def drive_coupling(
     if include_hc:
         term = term + term.conj().T
     return term
+
+
+def wootters_concurrence(rho4: np.ndarray) -> float:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state,
+    with l1 >= ... >= l4 the square roots of the eigenvalues of the hermitian
+    sqrt(rho) rho~ sqrt(rho), rho~ = (sy x sy) rho* (sy x sy)."""
+    flip = np.kron(SIGMA_Y, SIGMA_Y)
+    vals, vecs = np.linalg.eigh(rho4)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    eigs = np.linalg.eigvalsh(root @ flip @ rho4.conj() @ flip @ root)
+    lam = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def ground_state_density(n: int) -> np.ndarray:

@@ -43,7 +43,6 @@ class TestChainParams:
         assert np.allclose(p.gamma_l, 1.0)
         assert np.allclose(p.delta, 0.0)
         assert np.allclose(p.positions, 0.0)
-        assert np.allclose(p.gamma_rl, 0.75)
 
     def test_uniform_grid_positions(self):
         p = ChainParams(n=4, spacing=0.25)
@@ -65,9 +64,10 @@ class TestChainParams:
                 ChainParams(n=2, **{name: value})
 
     def test_directional_weights(self):
-        p = ChainParams(n=2, gamma_r=4.0, gamma_l=0.25)
-        assert p.pair_weight(2, 1) == pytest.approx(4.0)   # right-movers
-        assert p.pair_weight(1, 2) == pytest.approx(0.25)  # left-movers
+        # basis |gg>, |ge>, |eg>, |ee>: sp_2 sm_1 takes |eg> to |ge>
+        drift = RhsEvaluator(ChainParams(n=2, gamma_r=4.0, gamma_l=0.25), PULSE)._a
+        assert drift[1, 2] == pytest.approx(-4.0)   # right-movers, i = 2 > j = 1
+        assert drift[2, 1] == pytest.approx(-0.25)  # left-movers, i = 1 < j = 2
 
 
 class TestCoherentTerm:
@@ -195,16 +195,16 @@ class TestDriveCoupling:
 class TestInitialState:
     def test_single_qubit(self):
         s = HierarchyState.ground(1)
-        assert np.allclose(s.block("rho_s"), np.diag([1.0, 0.0]))
+        assert np.allclose(block(s.blocks, "rho_s"), np.diag([1.0, 0.0]))
 
     def test_three_qubits_single_entry(self):
         s = HierarchyState.ground(3)
         for name in ("rho00", "rho11", "rho_s"):
-            block = s.block(name)
-            assert block[0, 0] == 1.0
-            assert np.count_nonzero(block) == 1
+            m = block(s.blocks, name)
+            assert m[0, 0] == 1.0
+            assert np.count_nonzero(m) == 1
         for name in ("rho10", "rho20", "rho21"):
-            assert np.count_nonzero(s.block(name)) == 0
+            assert np.count_nonzero(block(s.blocks, name)) == 0
 
     def test_shape_is_that_of_the_sector_basis(self):
         s = HierarchyState.ground(10)
@@ -218,9 +218,9 @@ class TestInitialState:
     def test_invariants_exact(self):
         s = HierarchyState.ground(2)
         for name in ("rho00", "rho11", "rho_s"):
-            block = s.block(name)
-            assert np.trace(block) == 1.0
-            assert np.array_equal(block, block.conj().T)
+            m = block(s.blocks, name)
+            assert np.trace(m) == 1.0
+            assert np.array_equal(m, m.conj().T)
 
 
 class TestHierarchyRhs:

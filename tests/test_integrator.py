@@ -12,6 +12,7 @@ from wgqed.integrator import (
     integrate,
     rk4_step,
 )
+from wgqed.operators import sector_basis
 from wgqed.pulse import GaussianPulse
 
 FAR_PULSE = GaussianPulse(tbar=1e9, width=1.5)
@@ -120,6 +121,26 @@ class TestIntegrate:
         analytic = one_photon_excitation(traj.times, gamma_r, gamma_l, pulse)
         assert analytic.max() > 0.25
         assert np.abs(traj.p_excited[:, 0] - analytic).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_positions_are_a_gauge_without_drive(self, n):
+        # undriven decay of |e g ... g>: the phases exp(+-i 2 pi d) of the
+        # couplings cancel from populations and pair concurrences
+        rates = dict(gamma_r=[1.0, 0.6, 1.4, 0.8][:n], gamma_l=[0.5, 1.2, 0.8, 1.1][:n])
+        state = HierarchyState.ground(n)
+        k = np.searchsorted(sector_basis(n), 1 << (n - 1))
+        state.blocks[0, 0, 0], state.blocks[0, k, k] = 0.0, 1.0
+        config = IntegratorConfig(dt=1e-2, t_end=4.0, sample_every=10)
+        spaced, packed = (
+            integrate(state, ChainParams(n, positions=positions, **rates), FAR_PULSE,
+                      DriveMode.NONE, config)
+            for positions in ((0.0, 0.13, 0.41, 0.9)[:n], 0.0)
+        )
+        for name in ("p_ground", "p_one", "p_two", "p_excited"):
+            assert np.abs(getattr(spaced, name) - getattr(packed, name)).max() < 1e-12
+        # sqrt(eps) noise from spin-flip eigenvalues near zero
+        assert np.abs(spaced.pair_concurrence - packed.pair_concurrence).max() < 1e-7
+        assert packed.pair_concurrence.max() >= 0.5
 
     def test_sample_spacing_uniform(self):
         traj = integrate(

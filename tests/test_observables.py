@@ -6,6 +6,7 @@ from oracle import (
     ground_state_density,
     number_operator,
     partial_trace_to_pair,
+    wootters_concurrence,
 )
 from wgqed.observables import (
     average_concurrence,
@@ -54,6 +55,14 @@ def padded(rho, n):
     full = np.zeros((2**n, 2**n), dtype=complex)
     full[np.ix_(basis, basis)] = rho
     return full
+
+
+def oracle_concurrences(rho, n):
+    """Oracle pair concurrences of a sector-basis state, in all_pairs(n) order."""
+    full = padded(rho, n)
+    return np.array([
+        wootters_concurrence(partial_trace_to_pair(full, i, j, n)) for i, j in all_pairs(n)
+    ])
 
 
 def restricted(full, n):
@@ -209,7 +218,7 @@ class TestSectorBasisInput:
         full = padded(rho, n)
         want = [partial_trace_to_pair(full, i, j, n) for i, j in all_pairs(n)]
         assert np.abs(pair_states(rho, n) - np.array(want)).max() < 1e-15
-        oracle_c = [concurrence_pair(m, None) for m in want]
+        oracle_c = [wootters_concurrence(m) for m in want]
         assert np.abs(pair_concurrences(rho, n) - oracle_c).max() < 1e-12
         got = populations(rho, n)
         ref = {
@@ -221,6 +230,28 @@ class TestSectorBasisInput:
             assert getattr(got, name) == pytest.approx(ref[name], abs=1e-15)
         ref_excited = [np.trace(number_operator(i, n) @ full).real for i in range(1, n + 1)]
         assert np.allclose(got.p_excited, ref_excited, atol=1e-15)
+
+    @pytest.mark.parametrize("n, entangled", [(4, 5), (5, 1)])
+    def test_concurrences_of_random_pure_states_match_oracle(self, n, entangled):
+        # a pure state on the basis leaves some pairs entangled, unlike the
+        # full-rank densities above, whose pair concurrences all vanish
+        rng = np.random.default_rng(55 + n)
+        d = len(sector_basis(n))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        want = oracle_concurrences(rho, n)
+        assert np.count_nonzero(want > 0.01) == entangled
+        assert np.abs(pair_concurrences(rho, n) - want).max() < 1e-12
+
+    def test_w_state_concurrences_match_oracle(self):
+        # every pair of the n-qubit W state has concurrence 2/n
+        n, basis = 7, sector_basis(7)
+        v = np.zeros(len(basis))
+        v[np.searchsorted(basis, [1 << k for k in range(n)])] = 1 / np.sqrt(n)
+        rho = np.outer(v, v)
+        want = oracle_concurrences(rho, n)
+        assert np.allclose(want, 2 / n, rtol=0, atol=1e-12)
+        assert np.abs(pair_concurrences(rho, n) - want).max() < 1e-12
 
     def test_entangled_pair_in_a_seven_qubit_chain(self):
         # (|e_2 g_5> + |g_2 e_5>)/sqrt(2) with the other qubits in |g>

@@ -8,9 +8,9 @@ import pytest
 from wgqed import cli, runner
 from wgqed.cli import main
 from wgqed.config import ConfigError, ExperimentConfig
-from wgqed.integrator import Trajectory
+from wgqed.integrator import IntegrationError, Trajectory
 from wgqed.presets import expand_preset, list_presets
-from wgqed.runner import emit_csv, emit_summary_csv, run, run_many, summarize
+from wgqed.runner import RunSummary, emit_csv, emit_summary_csv, run, run_many, summarize
 
 TINY = ExperimentConfig(dt=2e-3, t_end=1.0, label="tiny")
 
@@ -176,6 +176,20 @@ class TestRunner:
         assert started == [3]
         assert [s.label for s in summaries] == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_member_does_not_lose_the_others(self, tmp_path, jobs):
+        # at dt = 0.5 unit rates breach the trace bound by t = 15; rates 0.1 do not
+        coarse = dict(n=3, dt=0.5, t_end=16.0)
+        configs = [
+            ExperimentConfig(label="unit", **coarse),
+            ExperimentConfig(label="small", gamma_r=0.1, gamma_l=0.1, **coarse),
+        ]
+        unit, small = run_many(configs, out_dir=str(tmp_path), jobs=jobs)
+        assert isinstance(unit, IntegrationError)
+        assert str(unit).startswith("trace deviation") and str(unit).endswith("at t=15")
+        assert isinstance(small, RunSummary) and small.label == "small"
+        assert sorted(os.listdir(tmp_path)) == ["small.csv", "small.meta.json"]
+
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
         summaries = run_many(configs)
@@ -236,6 +250,23 @@ class TestCli:
         summary = (tmp_path / "fig6c-sweep_summary.csv").read_text().splitlines()
         assert len(summary) == 9  # header + 8 members
         assert (tmp_path / "fig6c_chiral_n2.csv").exists()
+
+    def test_sweep_with_failing_members_exits_one(self, tmp_path, capsys):
+        # the six unit-rate members breach the trace bound at this step
+        assert main(["sweep", "fig5c-sweep", "--dt", "0.5", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        failed = [line for line in err.splitlines() if ": failed: " in line]
+        assert [line.split(":")[0] for line in failed] == [
+            f"fig5c_unit_w{w}" for w in ("0p5", "1", "1p5", "2", "2p5", "3")
+        ]
+        assert all("trace deviation" in line for line in failed)
+        assert out.count("fig5c_small_") == 6
+        summary = (tmp_path / "fig5c-sweep_summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == [
+            f"fig5c_small_w{w}" for w in ("0p5", "1", "1p5", "2", "2p5", "3")
+        ]
+        assert len(list(tmp_path.glob("fig5c_small_*"))) == 12
+        assert not list(tmp_path.glob("fig5c_unit_*"))
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["sweep", "fig99"]) == 2
