@@ -13,6 +13,7 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     diagnostics,
+    evolve,
     integrate,
     rk4_step,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "summarize",
     "concurrence_pair",
     "diagnostics",
+    "evolve",
     "integrate",
     "max_concurrence",
     "pair_concurrences",

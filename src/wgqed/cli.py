@@ -91,6 +91,8 @@ def main(argv=None) -> int:
         for cfg, result in zip(configs, results):
             if isinstance(result, Exception):
                 print(f"{cfg.label}: failed: {result}", file=sys.stderr)
+                # the traceback, formatted where the member ran
+                print("".join(getattr(result, "__notes__", ())), end="", file=sys.stderr)
             else:
                 _print_summary(result)
         finished = [(cfg, r) for cfg, r in zip(configs, results) if isinstance(r, RunSummary)]

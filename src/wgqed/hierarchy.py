@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import MAX_QUBITS, excitation_bits, sector_basis
-from .pulse import GaussianPulse
+from .pulse import GaussianPulse, envelopes
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
 # of this tuple are exactly the blocks each drive mode evolves, and the last
@@ -160,11 +160,27 @@ class RhsEvaluator:
     identical to summing the single-qubit terms one by one, which the test
     suite's reference implementation (``tests/oracle.py``) does.
 
+    The drive commutators are one stacked product X = g (S R - R S).  The
+    sources S are [rho00, rho10, rho11, rho10^dag, rho21^dag] (the unstored
+    rho01 and rho12 as adjoints), R stacks the matching weak or strong
+    collective raising operators, the rows feeding the Hermitian targets get
+    X + X^dag, and X is added to the targets [rho10, rho20, rho21, rho11,
+    rho_s].  The one-photon drive uses the rows that feed rho10 and rho11.
+
     The operators are stored once, as float64 when all of them are real
     (``is_real``) and as complex128 otherwise.  Real operators applied to real
     blocks keep the arithmetic in float64, which roughly quadruples throughput
     on the larger chains; complex blocks promote them to complex.
+
+    One evaluator maps the (n_blocks, d, d) blocks of one chain.
+    :meth:`stack` joins evaluators that share mode, ``rho21_hc``, ``is_real``
+    and basis into one whose operators carry a leading member axis and whose
+    envelope is a vector over members; it maps (members, n_blocks, d, d)
+    arrays, member by member with the same arithmetic.
     """
+
+    # the operators :meth:`stack` and :meth:`take` carry along the member axis
+    _MEMBER_ARRAYS = ("_a", "_a_h", "_jr", "_jr_h", "_jl", "_jl_h", "_bs", "_bw", "_raise")
 
     def __init__(
         self,
@@ -230,6 +246,40 @@ class RhsEvaluator:
         self._bs = conv(raise_strong)
         self._bw = conv(raise_weak)
 
+        # Drive rows: the blocks ``_direct``, then the adjoints of ``_adjoint``,
+        # each with its raising operator; ``_hermitian`` rows get X + X^dag and
+        # ``_order`` lists the rows in target order rho10, rho11[, rho20, rho21, rho_s].
+        if mode is DriveMode.TWO_PHOTON:
+            self._direct, self._adjoint, strong = slice(0, 3), [1, 4], (0, 1, 1, 0, 1)
+            self._hermitian, self._order = slice(3 - rho21_hc, 5), [0, 3, 1, 2, 4]
+        else:
+            self._direct, self._adjoint, strong = slice(0, 1), [1], (0, 0)
+            self._hermitian, self._order = slice(1, 2), [0, 1]
+        self._raise = np.stack([(self._bw, self._bs)[k] for k in strong])
+
+    @classmethod
+    def stack(cls, members) -> "RhsEvaluator":
+        """One evaluator stepping ``members`` together; their chains share the
+        basis and they share mode, ``rho21_hc`` and ``is_real``.  Its
+        ``pulse`` is None: each member keeps its own envelope."""
+        if len({(m.mode, m.rho21_hc, m.is_real, m._a.shape) for m in members}) > 1:
+            raise ValueError("stacked evaluators must share mode, rho21_hc, is_real and basis")
+        out = cls.__new__(cls)
+        out.__dict__.update(members[0].__dict__, pulse=None, _pulses=[m.pulse for m in members])
+        for name in cls._MEMBER_ARRAYS:
+            values = np.array([getattr(m, name) for m in members])
+            # the (d, d) operators broadcast over the block axis
+            setattr(out, name, values[:, None] if values.ndim == 3 else values)
+        return out
+
+    def take(self, keep) -> "RhsEvaluator":
+        """The stacked evaluator of the members at indices ``keep``."""
+        out = type(self).__new__(type(self))
+        out.__dict__.update(self.__dict__, _pulses=[self._pulses[k] for k in keep])
+        for name in self._MEMBER_ARRAYS:
+            setattr(out, name, getattr(self, name)[keep])
+        return out
+
     @property
     def drive_depth(self) -> int:
         """How many excitations the drive can add to the rows or columns of a
@@ -241,7 +291,8 @@ class RhsEvaluator:
         return 0 if self.mode is DriveMode.NONE else 1
 
     def __call__(self, t: float, blocks: np.ndarray) -> np.ndarray:
-        """Derivative of the stacked (n_blocks, d, d) array."""
+        """Derivative of the stacked (n_blocks, d, d) array, or of the
+        (members, n_blocks, d, d) array of a stacked evaluator."""
         out = np.matmul(self._a, blocks)
         out += np.matmul(blocks, self._a_h)
         out += np.matmul(np.matmul(self._jr, blocks), self._jr_h)
@@ -249,23 +300,29 @@ class RhsEvaluator:
         if self.mode is DriveMode.NONE:
             return out
 
-        # stacked-array indices follow BLOCK_NAMES order
-        g = self.pulse.envelope(t)
-        if g != 0.0:
-            bw, bs = self._bw, self._bs
-            x10 = g * (blocks[0] @ bw - bw @ blocks[0])
-            out[1] += x10
-            rho01 = blocks[1].conj().T
-            x11 = g * (rho01 @ bw - bw @ rho01)
-            out[2] += x11 + x11.conj().T
-            if self.mode is DriveMode.TWO_PHOTON:
-                x20 = g * (blocks[1] @ bs - bs @ blocks[1])
-                out[3] += x20
-                x21 = g * (blocks[2] @ bs - bs @ blocks[2])
-                if self.rho21_hc:
-                    x21 = x21 + x21.conj().T
-                out[4] += x21
-                rho12 = blocks[4].conj().T
-                xs = g * (rho12 @ bs - bs @ rho12)
-                out[5] += xs + xs.conj().T
+        if self.pulse is not None:
+            g = self.pulse.envelope(t)
+        else:
+            g = envelopes(self._pulses, t).reshape(-1, 1, 1, 1)
+        if np.all(g != 0.0):
+            self._add_drive(out, blocks, g, self._raise)
+        elif np.any(g != 0.0):
+            # a stack whose pulses have partly underflowed to 0: as alone, the
+            # drive skips those members (adding 0 * X would not be a no-op
+            # on their non-finite entries)
+            live = np.flatnonzero(g)
+            part = out[live]
+            self._add_drive(part, blocks[live], g[live], self._raise[live])
+            out[live] = part
         return out
+
+    def _add_drive(self, out, blocks, g, raising) -> None:
+        """Add the drive commutators with envelope ``g`` to ``out`` in place."""
+        adjoints = blocks[..., self._adjoint, :, :].conj().swapaxes(-1, -2)
+        sources = np.concatenate((blocks[..., self._direct, :, :], adjoints), axis=-3)
+        x = np.matmul(sources, raising)
+        x -= np.matmul(raising, sources)
+        x *= g
+        h = x[..., self._hermitian, :, :]
+        h += h.conj().swapaxes(-1, -2)
+        out[..., 1 : len(self._order) + 1, :, :] += x[..., self._order, :, :]

@@ -6,13 +6,16 @@ diagnostics (trace error, hermiticity deviation, smallest eigenvalue of the
 reported state).  Positivity is monitored, never enforced: projecting back
 onto the positive cone would mask transcription errors in the equations of
 motion.  A trace error beyond 1e-6 aborts the run with the offending time.
+
+:func:`evolve` steps a group of chains that share n, step and sampling
+stride as one stack through the same RK4 step; :func:`integrate` is that
+loop with one member.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .operators import MAX_EXCITATIONS, all_pairs, excitation_bits, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
-POSITIVITY_WARN = -1e-7
 
 
 class IntegrationError(RuntimeError):
@@ -46,6 +48,15 @@ class IntegratorConfig:
             raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt that reach t_end; the last one may overshoot it
+        when dt does not divide t_end."""
+        n_steps = int(round(self.t_end / self.dt))
+        if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            n_steps = int(np.ceil(self.t_end / self.dt))
+        return n_steps
 
 
 @dataclass
@@ -163,44 +174,90 @@ def integrate(
     always the first sample).  ``keep_states`` stores a copy of the reported
     block at each sample, on the sector basis.
     """
-    if state0.n != params.n:
-        raise ValueError("state and parameters disagree on the chain length")
-    rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
-    n = params.n
-    work = np.ascontiguousarray(state0.blocks[: mode.n_blocks])
-    held = excitation_bits(sector_basis(n), n).sum(axis=1)[
-        np.any(work, axis=(0, 1)) | np.any(work, axis=(0, 2))
-    ].max(initial=0)
-    if min(n, held + rhs.drive_depth) > MAX_EXCITATIONS:
-        raise ValueError(
-            f"state0 holds up to {held} excitations and the drive adds up to "
-            f"{rhs.drive_depth}: the evolution would populate states with more than "
-            f"{MAX_EXCITATIONS} excitations, which the sector basis drops"
+    [(_, outcome)] = evolve([(state0, params, pulse, config)], mode, rho21_hc, keep_states)
+    if isinstance(outcome, IntegrationError):
+        raise outcome
+    return outcome
+
+
+def evolve(
+    members, mode: DriveMode, rho21_hc: bool = True, keep_states: bool = False
+) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
+    """:func:`integrate` for several chains at once.
+
+    ``members`` is a sequence of ``(state0, params, pulse, config)``; the
+    chains share n, and the configs share dt and sample_every, while rates,
+    positions, pulses and t_end may differ.  Members whose arithmetic has the
+    same dtype are stepped as one stack, member by member with the same
+    arithmetic as alone, so each trajectory is bit for bit the one
+    :func:`integrate` gives.  Yields ``(index into members, trajectory)`` as
+    each member reaches its t_end, or ``(index, IntegrationError)`` as it
+    breaks an invariant; a failing member leaves the stack and the others go on.
+    """
+    chains = [_Chain(i, *member, mode, rho21_hc, keep_states) for i, member in enumerate(members)]
+    shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
+    if len(shared) > 1:
+        raise ValueError(f"evolved members must share n, dt and sample_every, got {sorted(shared)}")
+    stacks = [[c for c in chains if c.work.dtype.kind == kind] for kind in "fc"]
+    del chains
+    for stack in stacks:
+        if stack:
+            yield from _step_stack(stack)
+
+
+class _Chain:
+    """One member of an evolved stack: its evaluator, initial blocks and
+    trajectory, and the error that ends it early, if any."""
+
+    def __init__(self, index, state0, params, pulse, config, mode, rho21_hc, keep_states):
+        if state0.n != params.n:
+            raise ValueError("state and parameters disagree on the chain length")
+        self.index, self.n, self.pulse, self.mode = index, params.n, pulse, mode
+        self.config = config
+        self.rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
+        n = params.n
+        work = np.ascontiguousarray(state0.blocks[: mode.n_blocks])
+        held = excitation_bits(sector_basis(n), n).sum(axis=1)[
+            np.any(work, axis=(0, 1)) | np.any(work, axis=(0, 2))
+        ].max(initial=0)
+        if min(n, held + self.rhs.drive_depth) > MAX_EXCITATIONS:
+            raise ValueError(
+                f"state0 holds up to {held} excitations and the drive adds up to "
+                f"{self.rhs.drive_depth}: the evolution would populate states with more "
+                f"than {MAX_EXCITATIONS} excitations, which the sector basis drops"
+            )
+        if self.rhs.is_real and np.abs(work.imag).max() == 0.0:
+            work = np.ascontiguousarray(work.real)
+        self.work = work
+        self.n_steps = config.n_steps
+        self.error: IntegrationError | None = None
+
+        n_samples = 1 + self.n_steps // config.sample_every
+        pairs = all_pairs(n)
+        shapes = {"p_excited": (n_samples, n), "pair_concurrence": (n_samples, len(pairs))}
+        self.traj = Trajectory(
+            n_qubits=n,
+            pair_labels=pairs,
+            states=[] if keep_states else None,
+            **{
+                f.name: np.zeros(shapes.get(f.name, n_samples))
+                for f in fields(Trajectory)
+                if f.name not in ("n_qubits", "pair_labels", "states")
+            },
         )
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        n_steps = int(np.ceil(config.t_end / config.dt))
+        # the published pulse curves use the first qubit's right-going rate
+        self.gamma_ref = float(params.gamma_r[0])
 
-    if rhs.is_real and np.abs(work.imag).max() == 0.0:
-        work = np.ascontiguousarray(work.real)
+    def sample(self, k: int, t: float, work: np.ndarray) -> None:
+        """Record sample ``k`` at time ``t`` from this member's evolved blocks;
+        a trace breach ends the member with that IntegrationError."""
+        try:
+            self._record(k, t, work)
+        except IntegrationError as exc:
+            self.error = exc
 
-    n_samples = 1 + n_steps // config.sample_every
-    pairs = all_pairs(n)
-    shapes = {"p_excited": (n_samples, n), "pair_concurrence": (n_samples, len(pairs))}
-    traj = Trajectory(
-        n_qubits=n,
-        pair_labels=pairs,
-        states=[] if keep_states else None,
-        **{
-            f.name: np.zeros(shapes.get(f.name, n_samples))
-            for f in fields(Trajectory)
-            if f.name not in ("n_qubits", "pair_labels", "states")
-        },
-    )
-    # the published pulse curves use the first qubit's right-going rate
-    gamma_ref = float(params.gamma_r[0])
-
-    def sample(k: int, t: float) -> None:
+    def _record(self, k: int, t: float, work: np.ndarray) -> None:
+        n, mode, traj = self.n, self.mode, self.traj
         # observables see complex blocks whatever the arithmetic dtype
         blocks = work.astype(complex, copy=False)
         rho = blocks[mode.n_blocks - 1]
@@ -222,27 +279,60 @@ def integrate(
         traj.c_avg_all_pairs[k] = average_concurrence(pair_c, n, "all-pairs")
         traj.c_avg_half_n[k] = average_concurrence(pair_c, n, "half-n")
         if mode is not DriveMode.NONE:
-            traj.pulse_intensity[k] = pulse.drive_intensity(gamma_ref, t)
+            traj.pulse_intensity[k] = self.pulse.drive_intensity(self.gamma_ref, t)
         traj.trace_err[k] = diag.trace_err
         traj.herm_err[k] = diag.herm_err
         traj.zero_block_trace[k] = diag.zero_block_trace
         traj.min_eigenvalue[k] = diag.min_eigenvalue
-        if keep_states:
+        if traj.states is not None:
             traj.states.append(rho.copy())
 
-    sample(0, 0.0)
-    for step in range(n_steps):
-        t = step * config.dt
-        work = rk4_step(work, t, config.dt, rhs)
-        if (step + 1) % config.sample_every == 0:
-            sample((step + 1) // config.sample_every, (step + 1) * config.dt)
 
-    worst = int(np.argmin(traj.min_eigenvalue))
-    if traj.min_eigenvalue[worst] < POSITIVITY_WARN:
-        warnings.warn(
-            f"reported state dipped below positivity tolerance "
-            f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return traj
+def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
+    """The stepping loop.  One chain steps its (n_blocks, d, d) blocks, so
+    the evaluator sees exactly the single-chain shapes; several step a
+    (members, n_blocks, d, d) stack through the stacked evaluator."""
+    stacked = len(chains) > 1
+    rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
+    work = np.stack([c.work for c in chains]) if stacked else chains[0].work
+    dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
+    for j, chain in enumerate(chains):
+        chain.sample(0, 0.0, work[j] if stacked else work)
+    step = 0
+    while True:
+        keep = []
+        for j, chain in enumerate(chains):
+            if chain.error is None and chain.n_steps > step:
+                keep.append(j)
+            else:
+                # the trajectory leaves with the member; the stack keeps no reference
+                outcome, chain.traj, chain.work = chain.error or chain.traj, None, None
+                yield chain.index, outcome
+        if not keep:
+            return
+        if len(keep) < len(chains):
+            chains = [chains[j] for j in keep]
+            work, rhs = work[keep], rhs.take(keep)
+
+        t = step * dt
+        try:
+            work = rk4_step(work, t, dt, rhs)
+        except IntegrationError as exc:
+            if not stacked:
+                chains[0].error = exc
+                continue
+            # find the members that went non-finite: each steps alone on the
+            # same arithmetic, and the others keep that result
+            parts = []
+            for j, chain in enumerate(chains):
+                try:
+                    parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j])))
+                except IntegrationError as member_exc:
+                    chain.error = member_exc
+                    parts.append(work[j : j + 1])
+            work = np.concatenate(parts)
+        step += 1
+        if step % sample_every == 0:
+            for j, chain in enumerate(chains):
+                if chain.error is None:
+                    chain.sample(step // sample_every, step * dt, work[j] if stacked else work)

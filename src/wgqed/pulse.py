@@ -46,15 +46,17 @@ class GaussianPulse:
                 f"expected one of {NORMALIZATIONS}"
             )
 
+    @property
+    def amplitude(self) -> float:
+        """Peak value g(tbar) of the envelope under its normalization."""
+        if self.normalization == "verbatim":
+            return 1.0 / (np.sqrt(2.0 * np.pi) * self.width)
+        return (np.pi * self.width**2) ** -0.25
+
     def envelope(self, t):
         """Real amplitude g(t); accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)
-        shape = np.exp(-((t - self.tbar) ** 2) / (2.0 * self.width**2))
-        if self.normalization == "verbatim":
-            amp = 1.0 / (np.sqrt(2.0 * np.pi) * self.width)
-        else:
-            amp = (np.pi * self.width**2) ** -0.25
-        out = amp * shape
+        out = self.amplitude * np.exp(_exponent(t, self.tbar, self.width))
         return out if out.ndim else float(out)
 
     def drive_intensity(self, gamma_r: float, t):
@@ -63,3 +65,16 @@ class GaussianPulse:
             raise ValueError("decay rate must be non-negative")
         g = self.envelope(t)
         return 2.0 * gamma_r * np.square(g) if np.ndim(g) else 2.0 * gamma_r * g * g
+
+
+def envelopes(pulses, t: float) -> np.ndarray:
+    """Every pulse's ``envelope(t)`` at one scalar time, bit for bit, with one
+    exp call.  Each exponent is formed in scalar arithmetic as ``envelope``
+    forms it: numpy squares an array by multiplication, a scalar by ``pow``,
+    and the two can differ in the last bit."""
+    exponents = [_exponent(t, p.tbar, p.width) for p in pulses]
+    return np.multiply([p.amplitude for p in pulses], np.exp(exponents))
+
+
+def _exponent(t, tbar, width):
+    return -((t - tbar) ** 2) / (2.0 * width**2)

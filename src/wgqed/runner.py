@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
 from .hierarchy import HierarchyState
-from .integrator import Trajectory, integrate
+from .integrator import Trajectory, evolve, integrate
 from .observables import max_concurrence, survival_time
+from .operators import sector_basis
+
+POSITIVITY_WARN = -1e-7
 
 
 @dataclass(frozen=True)
@@ -98,14 +105,23 @@ def write_metadata(cfg: ExperimentConfig, summary: RunSummary, path) -> None:
 def run(cfg: ExperimentConfig, out_dir=None) -> tuple[Trajectory, RunSummary]:
     """Integrate one config; write CSV and a metadata sidecar when an output
     location is configured (explicit path wins over out_dir/label.csv)."""
-    traj = integrate(
-        HierarchyState.ground(cfg.n),
-        cfg.chain_params(),
-        cfg.gaussian_pulse(),
-        cfg.drive_mode(),
-        cfg.integrator_config(),
-        rho21_hc=cfg.rho21_hc,
-    )
+    state0, params, pulse, config = _member(cfg)
+    traj = integrate(state0, params, pulse, cfg.drive_mode(), config, rho21_hc=cfg.rho21_hc)
+    summary = _finish(cfg, traj, out_dir)
+    message = _positivity_warning(traj, cfg.label)
+    if message is not None:
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return traj, summary
+
+
+def _member(cfg: ExperimentConfig) -> tuple:
+    """``(state0, params, pulse, config)`` of one config, from the ground state."""
+    state0 = HierarchyState.ground(cfg.n)
+    return state0, cfg.chain_params(), cfg.gaussian_pulse(), cfg.integrator_config()
+
+
+def _finish(cfg: ExperimentConfig, traj: Trajectory, out_dir) -> RunSummary:
+    """Summarize a finished member and write its outputs."""
     summary = summarize(traj, cfg)
     target = cfg.path
     if target is None and out_dir is not None:
@@ -114,14 +130,73 @@ def run(cfg: ExperimentConfig, out_dir=None) -> tuple[Trajectory, RunSummary]:
         os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
         emit_csv(traj, target)
         write_metadata(cfg, summary, f"{os.path.splitext(target)[0]}.meta.json")
-    return traj, summary
+    return summary
 
 
-def _run_or_error(cfg: ExperimentConfig, out_dir) -> RunSummary | Exception:
-    try:
-        return run(cfg, out_dir)[1]
-    except Exception as exc:
-        return exc
+def _positivity_warning(traj: Trajectory, label: str) -> str | None:
+    """The warning for a reported state that dipped below the positivity
+    tolerance, naming the worst eigenvalue, its time and the member; None when
+    the state stayed within it.  Positivity is monitored, never enforced."""
+    worst = int(np.argmin(traj.min_eigenvalue))
+    if traj.min_eigenvalue[worst] >= POSITIVITY_WARN:
+        return None
+    return (
+        f"reported state dipped below positivity tolerance "
+        f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g}) "
+        f"in {label}"
+    )
+
+
+def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | None]]:
+    """Run one worker's members, each group of compatible ones as one stack.
+
+    Each member's outputs are written as soon as it finishes.  Returns, per
+    member, its summary or exception, and its positivity warning.  An
+    exception carries its formatted traceback as a note, so it survives the
+    trip back from a worker process.
+    """
+    results: list = [None] * len(configs)
+    # evolve() steps each group, split by real or complex arithmetic, as one stack
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.n, cfg.mode, cfg.rho21_hc, cfg.dt, cfg.sample_every), []).append(i)
+    for indices in groups.values():
+        first = configs[indices[0]]
+        members = [_member(configs[i]) for i in indices]
+        try:
+            for j, outcome in evolve(members, first.drive_mode(), first.rho21_hc):
+                i = indices[j]
+                if isinstance(outcome, Exception):
+                    results[i] = (outcome, None)
+                    continue
+                try:
+                    summary = _finish(configs[i], outcome, out_dir)
+                    results[i] = (summary, _positivity_warning(outcome, configs[i].label))
+                except Exception as exc:
+                    results[i] = (exc, None)
+        except Exception as exc:  # the group's unfinished members share the error
+            for i in indices:
+                if results[i] is None:
+                    results[i] = (exc, None)
+    noted = set()
+    for result, _ in results:
+        if isinstance(result, Exception) and id(result) not in noted:
+            noted.add(id(result))
+            result.add_note("".join(traceback.format_exception(result)))
+    return results
+
+
+def _batches(configs, count: int) -> list[list[int]]:
+    """Config indices split into ``count`` batches balanced by step count x d^3,
+    longest member first, each to the least loaded batch."""
+    cost = [c.integrator_config().n_steps * len(sector_basis(c.n)) ** 3 for c in configs]
+    batches: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(configs)), key=lambda i: -cost[i]):
+        b = min(range(count), key=lambda b: (loads[b], len(batches[b])))
+        batches[b].append(i)
+        loads[b] += cost[i]
+    return [sorted(batch) for batch in batches]
 
 
 SUMMARY_CONFIG_COLUMNS = (
@@ -165,10 +240,25 @@ def emit_summary_csv(configs, summaries, path) -> None:
 def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exception]:
     """Run a family of configs, optionally in parallel worker processes.
 
-    Returns, in config order, each member's summary or the exception it
-    raised: a failing member does not stop the others.
+    The members are split into at most ``jobs`` batches, one per worker, and
+    each batch steps its compatible members (same n, drive mode, rho21_hc, dt
+    and sample_every) as one stack.  Every member's files are the ones
+    :func:`run` writes.  Returns, in config order, each member's summary or
+    the exception it raised: a failing member does not stop the others.
+    Positivity warnings are issued here, in config order.
     """
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            return list(pool.map(_run_or_error, configs, [out_dir] * len(configs)))
-    return [_run_or_error(cfg, out_dir) for cfg in configs]
+    batches = _batches(configs, min(jobs, len(configs)))
+    work = [[configs[i] for i in batch] for batch in batches]
+    if len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+            outcomes = list(pool.map(_run_batch, work, [out_dir] * len(batches)))
+    else:
+        outcomes = [_run_batch(batch, out_dir) for batch in work]
+    results: list = [None] * len(configs)
+    for batch, outcome in zip(batches, outcomes):
+        for i, result in zip(batch, outcome):
+            results[i] = result
+    for _, message in results:
+        if message is not None:
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return [result for result, _ in results]

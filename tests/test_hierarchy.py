@@ -340,3 +340,47 @@ class TestFastEvaluator:
             fast = RhsEvaluator(p, PULSE, DriveMode.TWO_PHOTON)
             assert not fast.is_real
             assert fast(0.9, HierarchyState.ground(2).blocks.real).dtype == np.complex128
+
+    @pytest.mark.parametrize("mode", [DriveMode.TWO_PHOTON, DriveMode.ONE_PHOTON])
+    @pytest.mark.parametrize("hc", [True, False])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stack_is_its_members_bit_for_bit(self, mode, hc, real):
+        # one member's pulse has underflowed to exactly 0 at t = 30 while the
+        # others still drive
+        kwargs = dict() if real else dict(delta=0.3, spacing=1 / 8)
+        members = [
+            RhsEvaluator(ChainParams(n=3, gamma_r=r, gamma_l=0.5, **kwargs), pulse, mode, hc)
+            for r, pulse in [
+                (1.0, GaussianPulse(5.0, 0.5)),
+                (0.1, GaussianPulse(5.0, 3.0, "verbatim")),
+                (0.4, GaussianPulse(6.0, 2.0)),
+            ]
+        ]
+        stack = RhsEvaluator.stack(members)
+        assert stack.is_real is real and stack.mode is mode and stack.pulse is None
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((3, mode.n_blocks, 8, 8))
+        if not real:
+            blocks = blocks + 1j * rng.standard_normal(blocks.shape)
+        blocks[:, :, 0, 0] = -0.0
+        for t in (0.7, 30.0, 200.0):
+            assert [m.pulse.envelope(t) == 0.0 for m in members] == [t > 25, t > 100, t > 100]
+            got = stack(t, blocks)
+            for j, member in enumerate(members):
+                want = member(t, blocks[j])
+                assert got[j].tobytes() == want.tobytes()
+            # dropping members keeps the others' arithmetic
+            assert stack.take([2, 0])(t, blocks[[2, 0]]).tobytes() == got[[2, 0]].tobytes()
+        # the undriven member gets no drive term at all: 0 * X would spread
+        # its infinite entry to NaNs it does not have alone
+        blocks[0, 0, 3, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            alone = members[0](30.0, blocks[0])
+            assert np.array_equal(stack(30.0, blocks)[0], alone, equal_nan=True)
+
+    def test_stack_refuses_mixed_members(self):
+        real = RhsEvaluator(ChainParams(n=2), PULSE)
+        with pytest.raises(ValueError, match="share"):
+            RhsEvaluator.stack([real, RhsEvaluator(ChainParams(n=2, delta=0.5), PULSE)])
+        with pytest.raises(ValueError, match="share"):
+            RhsEvaluator.stack([real, RhsEvaluator(ChainParams(n=3), PULSE)])

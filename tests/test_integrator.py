@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wgqed.integrator import (
     IntegratorConfig,
     Trajectory,
     diagnostics,
+    evolve,
     integrate,
     rk4_step,
 )
@@ -195,21 +197,6 @@ class TestIntegrate:
                 IntegratorConfig(dt=1e-3, t_end=1.0),
             )
 
-    def test_positivity_warning_fires(self):
-        # strong driving makes the evolved state dip below the monitor threshold
-        pulse = GaussianPulse(tbar=5.0, width=1.5)
-        with pytest.warns(RuntimeWarning, match="positivity") as caught:
-            traj = integrate(
-                HierarchyState.ground(2), ChainParams(n=2), pulse,
-                DriveMode.TWO_PHOTON, IntegratorConfig(dt=2e-3, t_end=8.0, sample_every=5),
-            )
-        # the warning names the worst eigenvalue and the time it was sampled
-        worst = int(np.argmin(traj.min_eigenvalue))
-        assert 0.0 < traj.times[worst] < 8.0
-        assert str(caught[0].message).endswith(
-            f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g})"
-        )
-
     def test_zero_drive_blocks_coincide(self):
         # with the pulse amplitude identically zero the three unit-trace
         # blocks obey the same undriven equation from identical initial data
@@ -232,6 +219,54 @@ class TestIntegrate:
         assert np.abs(blocks[2] - blocks[5]).max() < 1e-10
         for idx in (1, 3, 4):
             assert np.abs(blocks[idx]).max() < 1e-14
+
+    def test_evolve_steps_a_stack_as_its_members(self):
+        # members of different rates, pulses and lengths stepped as one stack
+        # give each member's own trajectory bit for bit, and a member that
+        # breaks the trace bound leaves with the error integrate raises; the
+        # width-0.5 pulse underflows to 0 from t = 24.5 while the width-3 one drives
+        config = dict(dt=0.5, sample_every=2)
+        members = [
+            (ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), GaussianPulse(5.0, 0.5), 30.0),
+            (ChainParams(n=3), GaussianPulse(5.0, 1.5), 20.0),
+            (ChainParams(n=3, gamma_r=0.3, gamma_l=0.1), GaussianPulse(5.0, 3.0), 28.0),
+        ]
+        stack = [
+            (HierarchyState.ground(3), p, g, IntegratorConfig(t_end=t, **config))
+            for p, g, t in members
+        ]
+        outcomes = list(evolve(stack, DriveMode.TWO_PHOTON))
+        assert [i for i, _ in outcomes] == [1, 2, 0]  # in the order they leave
+        for i, outcome in outcomes:
+            try:
+                alone = integrate(*stack[i][:3], DriveMode.TWO_PHOTON, stack[i][3])
+            except IntegrationError as exc:
+                assert isinstance(outcome, IntegrationError) and str(outcome) == str(exc)
+                assert str(exc).startswith("trace deviation")
+                continue
+            for f in fields(Trajectory):
+                if f.name != "states":
+                    assert np.asarray(getattr(outcome, f.name)).tobytes() == \
+                        np.asarray(getattr(alone, f.name)).tobytes()
+        assert isinstance(outcomes[0][1], IntegrationError)
+        with pytest.raises(ValueError, match="share n, dt and sample_every"):
+            list(evolve([stack[0], (HierarchyState.ground(2), ChainParams(n=2), FAR_PULSE,
+                                    IntegratorConfig(**config))], DriveMode.TWO_PHOTON))
+
+    def test_non_finite_member_leaves_the_stack(self):
+        # rates of 1e80 overflow in the second step; the other member goes on
+        config = IntegratorConfig(dt=0.5, t_end=3.0, sample_every=2)
+        pulse = GaussianPulse(5.0, 1.5)
+        stack = [(HierarchyState.ground(2), ChainParams(n=2, gamma_r=r), pulse, config)
+                 for r in (1e80, 0.2)]
+        with np.errstate(all="ignore"):
+            outcomes = dict(evolve(stack, DriveMode.TWO_PHOTON))
+            with pytest.raises(IntegrationError) as alone:
+                integrate(*stack[0][:3], DriveMode.TWO_PHOTON, config)
+        assert str(outcomes[0]) == str(alone.value)
+        assert str(alone.value) == "non-finite state entries after step at t=0.5"
+        kept = integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
+        assert outcomes[1].p_excited.tobytes() == kept.p_excited.tobytes()
 
     def test_one_and_two_photon_lower_blocks_agree(self):
         pulse = GaussianPulse(tbar=1.0, width=0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wgqed.pulse import GaussianPulse
+from wgqed.pulse import NORMALIZATIONS, GaussianPulse, envelopes
 
 
 def test_verbatim_peak_value():
@@ -56,6 +56,17 @@ def test_verbatim_peak_scales_inversely_with_width():
     a = GaussianPulse(tbar=0.0, width=1.0, normalization="verbatim")
     b = GaussianPulse(tbar=0.0, width=2.0, normalization="verbatim")
     assert abs(a.envelope(0.0) - 2.0 * b.envelope(0.0)) < 1e-15
+
+
+def test_envelopes_are_each_envelope_bit_for_bit():
+    # the RK4 stage times of a dt = 1e-3 run up to t = 10, where numpy's
+    # array square and the scalar pow differ in the last bit at a few times
+    pulses = [GaussianPulse(5.0, w, norm) for w in (0.5, 1.5, 3.0) for norm in NORMALIZATIONS]
+    pulses.append(GaussianPulse(0.0, 0.5))  # underflows to exactly 0 from t = 19.3
+    for t in [k * 5e-4 for k in range(20000)] + [19.0, 19.5, 40.0]:
+        want = [p.envelope(t) for p in pulses]
+        assert envelopes(pulses, t).tobytes() == np.array(want).tobytes()
+    assert envelopes(pulses, 40.0)[-1] == 0.0 < envelopes(pulses, 19.0)[-1]
 
 
 def test_validation():

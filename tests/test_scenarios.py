@@ -7,7 +7,7 @@ import pytest
 
 from wgqed import cli, runner
 from wgqed.cli import main
-from wgqed.config import ConfigError, ExperimentConfig
+from wgqed.config import ConfigError, ExperimentConfig, apply_overrides
 from wgqed.integrator import IntegrationError, Trajectory
 from wgqed.presets import expand_preset, list_presets
 from wgqed.runner import RunSummary, emit_csv, emit_summary_csv, run, run_many, summarize
@@ -190,6 +190,67 @@ class TestRunner:
         assert isinstance(small, RunSummary) and small.label == "small"
         assert sorted(os.listdir(tmp_path)) == ["small.csv", "small.meta.json"]
 
+    def test_positivity_warning_names_the_member(self):
+        # strong driving makes the evolved state dip below the monitor threshold
+        cfg = ExperimentConfig(dt=2e-3, t_end=8.0, sample_every=5, label="dip")
+        with pytest.warns(RuntimeWarning, match="^reported state dipped below") as caught:
+            traj, _ = run(cfg)
+        # the warning names the worst eigenvalue, the time it was sampled and the member
+        worst = int(np.argmin(traj.min_eigenvalue))
+        assert 0.0 < traj.times[worst] < 8.0
+        assert str(caught[0].message).endswith(
+            f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g}) in dip"
+        )
+        # a sweep warns in config order, whichever member finishes first
+        configs = [replace(cfg, label="long", t_end=8.0), replace(cfg, label="short", t_end=6.0)]
+        for jobs in (1, 2):
+            with pytest.warns(RuntimeWarning) as caught:
+                run_many(configs, jobs=jobs)
+            assert [str(w.message).rsplit(" ", 1)[1] for w in caught] == ["long", "short"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batched_members_write_the_files_run_writes(self, tmp_path, jobs):
+        # one stack of mixed widths, rates and lengths: the width-0.5 pulse
+        # underflows to exactly 0 from t = 24.5 while others still drive, and
+        # the unit-rate member breaches the trace bound at this step
+        coarse = dict(n=3, dt=0.5, sample_every=2)
+        configs = [
+            ExperimentConfig(label="w0p5", gamma_r=0.1, gamma_l=0.1, width=0.5, t_end=30.0,
+                             **coarse),
+            ExperimentConfig(label="unit", t_end=20.0, **coarse),
+            ExperimentConfig(label="w3", gamma_r=0.3, gamma_l=0.1, width=3.0, t_end=28.0, **coarse),
+            ExperimentConfig(label="verb", gamma_r=0.2, gamma_l=0.2, width=2.0,
+                             normalization="verbatim", t_end=26.0, **coarse),
+            ExperimentConfig(label="short", gamma_r=0.1, gamma_l=0.3, t_end=3.0, **coarse),
+        ]
+        batched = run_many(configs, out_dir=str(tmp_path / "batched"), jobs=jobs)
+        for cfg, result in zip(configs, batched):
+            try:
+                _, alone = run(cfg, out_dir=str(tmp_path / "alone"))
+            except IntegrationError as exc:
+                assert cfg.label == "unit"
+                assert type(result) is IntegrationError and str(result) == str(exc)
+                continue
+            assert result == alone
+            for suffix in (".csv", ".meta.json"):
+                name = f"{cfg.label}{suffix}"
+                assert (tmp_path / "batched" / name).read_bytes() == \
+                    (tmp_path / "alone" / name).read_bytes()
+        assert len(os.listdir(tmp_path / "batched")) == 8
+
+    def test_batches_balance_steps_times_cube_of_basis(self):
+        # twelve fig5c members on two workers: three long and three short each
+        configs = [replace(cfg, dt=0.01) for cfg in expand_preset("fig5c-sweep")]
+        batches = runner._batches(configs, 2)
+        lengths = [sorted(configs[i].t_end for i in batch) for batch in batches]
+        assert lengths == [[25.0] * 3 + [50.0] * 3] * 2
+        # an n = 5 member (d = 26) outweighs a twice as long n = 3 one (d = 8)
+        mixed = [apply_overrides(TINY, n=5, label="n5"),
+                 apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
+                 apply_overrides(TINY, n=3, label="n3b")]
+        assert runner._batches(mixed, 2) == [[0], [1, 2]]
+        assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
+
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
         summaries = run_many(configs)
@@ -267,6 +328,20 @@ class TestCli:
         ]
         assert len(list(tmp_path.glob("fig5c_small_*"))) == 12
         assert not list(tmp_path.glob("fig5c_unit_*"))
+
+    def test_failed_pool_member_prints_its_traceback(self, tmp_path, monkeypatch, capsys):
+        # an integer output path raises TypeError in the worker that writes it
+        def members(preset_id):
+            return [replace(TINY, label="good", t_end=0.1),
+                    replace(TINY, label="bad", t_end=0.1, path=123)]
+
+        monkeypatch.setattr(cli, "expand_preset", members)
+        assert main(["sweep", "fig2", "--jobs", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("bad: failed: ") and "not int" in err[0]
+        assert err[1] == "Traceback (most recent call last):"
+        assert any("_finish" in line for line in err)
+        assert err[-1].startswith("TypeError: ")
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["sweep", "fig99"]) == 2
