@@ -19,8 +19,8 @@ Every block evolves under the same Liouvillian, split into
 * a cooperative-decay part coupling qubit pairs through the shared continua,
   right-movers carrying each qubit's emission down the chain and left-movers
   up it, with propagation phases set by the positions d_i (in units of the
-  emission wavelength); :class:`RhsEvaluator` builds the directional weights
-  and phases and states their rule.
+  emission wavelength); :func:`sector_operators` builds the directional
+  weights and phases and states their rule.
 
 The drive enters through commutators with the collective raising operator,
 scaled by sqrt(2 gamma_iR) g(t) on the two-photon rows and sqrt(gamma_iR) g(t)
@@ -29,7 +29,13 @@ enter only through the phases above.
 
 From the ground state no block ever holds an entry with more than three
 excited qubits, so every block lives on the sector basis of
-:mod:`wgqed.operators` (the whole space for n <= 3).
+:mod:`wgqed.operators` (the whole space for n <= 3).  Within it, only the
+tiles that the evolution can reach from the initial blocks ever move (a tile
+being the entries of a block whose rows hold r excitations and columns c);
+:class:`RhsEvaluator` finds them by a closure over the drift, the jumps and
+the drive, and evolves their entries as one vector under one sparse
+real-linear system, 398 of the 4,056 block entries at n = 5 and 1,410 of
+24,576 at n = 7.
 
 All rates, times and detunings are measured in units of a reference decay
 rate (set to 1).
@@ -38,12 +44,15 @@ rate (set to 1).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .operators import MAX_QUBITS, excitation_bits, sector_basis
+from .operators import MAX_EXCITATIONS, MAX_QUBITS, excitation_bits, sector_basis
 from .pulse import GaussianPulse, envelopes
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
@@ -84,6 +93,7 @@ class ChainParams:
     positions: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        _require_integer("n", self.n)
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(
                 f"n = {self.n} is out of range: need at least one qubit, and at most "
@@ -121,6 +131,14 @@ class ChainParams:
         return arr
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a count given as anything but an integer (2.0 included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class HierarchyState:
     """The six jointly evolved blocks of an n-qubit chain, stacked as one
@@ -149,38 +167,473 @@ class HierarchyState:
         return cls(n, blocks)
 
 
+# Drive rows: (target block, source block, whether the source enters as its
+# adjoint, whether the raising operator is the strong two-photon one, whether
+# the target gets X + X^dag), with None standing for ``rho21_hc``.  A drive
+# mode uses the rows whose target block it evolves.
+_DRIVE_ROWS = (
+    (1, 0, False, False, False),  # rho10 <- rho00
+    (2, 1, True, False, True),  # rho11 <- rho10^dag
+    (3, 1, False, True, False),  # rho20 <- rho10
+    (4, 2, False, True, None),  # rho21 <- rho11
+    (5, 4, True, True, True),  # rho_s <- rho21^dag
+)
+
+
+def _drive_rows(mode: DriveMode, rho21_hc: bool) -> list[tuple]:
+    return [
+        (target, source, adjoint, strong, rho21_hc if hermitian is None else hermitian)
+        for target, source, adjoint, strong, hermitian in _DRIVE_ROWS
+        if target < mode.n_blocks
+    ]
+
+
+def _read_only(cached):
+    """``cached``, an array or a nesting of tuples and lists of them, made
+    read-only: a cache hands it to every caller."""
+    if isinstance(cached, np.ndarray):
+        cached.setflags(write=False)
+    elif isinstance(cached, (tuple, list)):
+        for item in cached:
+            _read_only(item)
+    return cached
+
+
+class _Moves(NamedTuple):
+    """Index tables of the n-qubit sector basis, by bit arithmetic on the kept
+    indices."""
+
+    # per qubit i, the kept states with qubit i + 1 excited
+    excited: list[np.ndarray]
+    # (image, state, i) of sigma^-_{i+1} on every kept state it does not annihilate
+    low: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # (image, state, i, j) of sigma^+_{i+1} sigma^-_{j+1}, i != j, likewise
+    hop: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_moves(n: int) -> _Moves:
+    basis = sector_basis(n)
+    bits = excitation_bits(basis, n)
+    masks = 1 << np.arange(n - 1, -1, -1)
+    pos = np.full(2**n, -1)
+    pos[basis] = np.arange(len(basis))
+    excited = [np.flatnonzero(bits[:, i]) for i in range(n)]
+    qubit = np.repeat(np.arange(n), [len(e) for e in excited])
+    state = np.concatenate(excited)
+    low = (pos[basis[state] ^ masks[qubit]], state, qubit)
+    # sigma^+_i sigma^-_j moves the excitation of qubit j to qubit i
+    row, i = np.nonzero(bits[state] == 0)
+    src, j = state[row], qubit[row]
+    hop = (pos[basis[src] ^ masks[j] ^ masks[i]], src, i, j)
+    return _read_only(_Moves(excited, low, hop))
+
+
+def sector_operators(params: ChainParams) -> tuple[np.ndarray, ...]:
+    """The drift A, the collective jumps J_R and J_L and the strong and weak
+    collective raising operators of a chain, dense (d, d) complex on the
+    sector basis.  No 2^n x 2^n matrix is allocated."""
+    n = params.n
+    d = len(sector_basis(n))
+    moves = _sector_moves(n)
+    drift = np.zeros((d, d), dtype=complex)
+    rate = 0.5 * (params.gamma_r + params.gamma_l)
+    for i, excited in enumerate(moves.excited):
+        drift[excited, excited] -= 1j * params.delta[i] + rate[i]
+    # Cooperative weights sqrt(gamma_iR gamma_jR) for i > j (right-movers) and
+    # sqrt(gamma_iL gamma_jL) for i < j (left-movers), phases exp(-i 2 pi (d_i - d_j)).
+    g_r, g_l, x = params.gamma_r, params.gamma_l, params.positions
+    weight = np.sqrt(np.tril(np.outer(g_r, g_r), -1) + np.triu(np.outer(g_l, g_l), 1))
+    phase = np.exp(-1j * (2.0 * np.pi * (x[:, None] - x)))
+    target, src, i, j = moves.hop
+    drift[target, src] -= (weight * phase)[i, j]
+    image, state, qubit = moves.low
+
+    def collective(coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[i] sigma^-_{i+1} on the sector basis."""
+        m = np.zeros((d, d), dtype=complex)
+        m[image, state] = coeffs[qubit]
+        return m
+
+    phases = np.exp(1j * 2.0 * np.pi * params.positions)
+    return (
+        drift,
+        collective(np.sqrt(params.gamma_r) * phases),
+        collective(np.sqrt(params.gamma_l) * phases),
+        collective(np.sqrt(2.0 * params.gamma_r) * phases).T,
+        collective(np.sqrt(params.gamma_r) * phases).T,
+    )
+
+
+# Index arrays of the system build are int32: they are the bulk of its
+# memory, and touching fresh memory is most of its cost.
+_INDEX = np.int32
+
+
+class _Pattern(NamedTuple):
+    """Where a (d, d) operator may be non-zero, row by row: entries
+    ptr[k]:ptr[k + 1] are those of row k, in column order."""
+
+    ptr: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, d: int) -> "_Pattern":
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order].astype(_INDEX), cols[order].astype(_INDEX)
+        return cls(np.searchsorted(rows, np.arange(d + 1)).astype(_INDEX), rows, cols)
+
+
+@functools.lru_cache(maxsize=None)
+def _patterns(n: int) -> tuple[_Pattern, _Pattern, _Pattern]:
+    """The patterns of the drift's off-diagonal part, of the lowering
+    operators J and of the raising operators J^T on the n-qubit sector basis,
+    for any rates, detunings and positions."""
+    d = len(sector_basis(n))
+    moves = _sector_moves(n)
+    target, src = moves.hop[:2]
+    low, high = moves.low[:2]
+    return _read_only((_Pattern.of(target, src, d), _Pattern.of(low, high, d),
+                       _Pattern.of(high, low, d)))
+
+
+def _factors(ops: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two tables f, g of the operator entries the system is assembled from:
+    a term with factor indices (p, q) has the value
+    f[p] conj(f[q]) + g[p] conj(g[q]).
+
+    In the layout :func:`_factor_offsets` names, f holds 1, the drift's
+    off-diagonal part on its pattern, J_R on the lowering pattern, the weak
+    and strong raising operators transposed on the lowering pattern (for
+    M R) and negated on the raising pattern (for -R M), then the drift's
+    diagonal and ones; g holds J_L where f holds J_R, ones and the diagonal
+    where f holds the diagonal and ones, and zeros elsewhere.  A term
+    (diag_left + i, diag_right + j) so is A_ii + conj(A_jj), and a jump term
+    J_R J_R^* + J_L J_L^*."""
+    drift, jump_r, jump_l, raise_strong, raise_weak = ops
+    a, low, high = _patterns(n)
+    diagonal = np.diagonal(drift)
+    ones = np.ones(len(diagonal))
+    f = np.concatenate((
+        [1.0],
+        drift[a.row, a.col],
+        jump_r[low.row, low.col],
+        raise_weak[low.col, low.row],
+        raise_strong[low.col, low.row],
+        -raise_weak[high.row, high.col],
+        -raise_strong[high.row, high.col],
+        diagonal,
+        ones,
+    ))
+    g = np.zeros_like(f)
+    offset = _factor_offsets(n)
+    g[offset["jump"] : offset["weak_t"]] = jump_l[low.row, low.col]
+    g[offset["diag_left"] :] = np.concatenate((ones, diagonal))
+    return f, g
+
+
+def _factor_offsets(n: int) -> dict[str, int]:
+    a, low, _ = _patterns(n)
+    d = len(sector_basis(n))
+    sizes = (1, len(a.col)) + (len(low.col),) * 5 + (d,)
+    names = ("unit", "a", "jump", "weak_t", "strong_t", "-weak", "-strong", "diag_left",
+             "diag_right")
+    return dict(zip(names, itertools.accumulate(sizes, initial=0)))
+
+
+def _row_terms(rows: np.ndarray, pattern: _Pattern) -> tuple[np.ndarray, np.ndarray]:
+    """One term per stored entry of each pattern row in ``rows``: which of
+    ``rows`` it belongs to, and its place in the pattern."""
+    lo = pattern.ptr[rows]
+    counts = pattern.ptr[rows + 1] - lo
+    which = np.repeat(np.arange(len(rows), dtype=_INDEX), counts)
+    skip = np.cumsum(counts, dtype=_INDEX) - counts - lo
+    return which, np.arange(len(which), dtype=_INDEX) - np.repeat(skip, counts)
+
+
+def _changes(sorted_values: np.ndarray) -> np.ndarray:
+    """Where a sorted array starts a new value (True at 0)."""
+    out = np.empty(len(sorted_values), dtype=bool)
+    out[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=out[1:])
+    return out
+
+
+def _closure(tiles: frozenset, n: int, rows: list[tuple]) -> frozenset:
+    """Every tile (block, r, c) that the evolution reaches from ``tiles``.
+
+    The drift keeps a tile, a jump maps (r + 1, c + 1) to (r, c), and a drive
+    row maps a tile of its source (transposed when the source enters as its
+    adjoint) to (r, c - 1) through S R and to (r + 1, c) through R S, adding
+    the transposes on a Hermitian target.  An entry outside these tiles
+    starts at zero and stays exactly zero."""
+    reached, frontier = set(tiles), list(tiles)
+    while frontier:
+        b, r, c = frontier.pop()
+        new = [(b, r - 1, c - 1)] if r and c else []
+        for target, source, adjoint, _, hermitian in rows:
+            if source != b:
+                continue
+            sr, sc = (c, r) if adjoint else (r, c)
+            x = [(sr, sc - 1)] * (sc > 0) + [(sr + 1, sc)] * (sr < n)
+            new += [(target, xr, xc) for xr, xc in x]
+            if hermitian:
+                new += [(target, xc, xr) for xr, xc in x]
+        for tile in new:
+            if tile not in reached:
+                reached.add(tile)
+                frontier.append(tile)
+    return frozenset(reached)
+
+
+class _Rows(NamedTuple):
+    """Rows of a sparse system: row ``rows[k]`` sums the coefficients from
+    ``starts[k]`` on (up to the next start), each times the entry in ``cols``."""
+
+    cols: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray) -> "_Rows":
+        starts = np.flatnonzero(_changes(rows))
+        return cls(cols, starts, rows[starts])
+
+    def apply(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The row sums of ``coeffs`` (one row per member of a stack) times
+        the entries of ``x``."""
+        terms = x[..., self.cols]
+        terms *= coeffs
+        return np.add.reduceat(terms, self.starts, axis=-1)
+
+
+class _Part(NamedTuple):
+    """One part of the system, L0 or L1: its terms, each an entry times
+    f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`), and its rows.
+    With complex arithmetic ``pick`` and ``sign`` take the real and imaginary
+    parts of the term values that make up each stored coefficient; terms
+    from ``merge[k]`` on (all of them one by one when None) sum to
+    coefficient k."""
+
+    p: np.ndarray
+    q: np.ndarray
+    pick: np.ndarray | None
+    sign: np.ndarray | None
+    merge: np.ndarray | None
+    rows: _Rows
+
+    def coefficients(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if self.pick is None:  # real arithmetic: real factors
+            f, g = f.real, g.real
+            coeffs = f[self.p] * f[self.q] + g[self.p] * g[self.q]
+        else:
+            value = f[self.p] * f[self.q].conj() + g[self.p] * g[self.q].conj()
+            coeffs = value.view(np.float64)[self.pick] * self.sign
+        return coeffs if self.merge is None else np.add.reduceat(coeffs, self.merge)
+
+
+class _System(NamedTuple):
+    """The right-hand side of one (n, mode, rho21_hc, initial tiles,
+    arithmetic) as a sparse real-linear system x' = L0 x + g(t) L1 x on the
+    reachable entries, independent of rates, detunings, positions and pulse:
+    L0 is the Liouvillian and L1 the unit-envelope drive."""
+
+    tiles: frozenset
+    real: bool
+    shape: tuple[int, int, int]  # (n_blocks, d, d)
+    flat: np.ndarray  # flat (block, row, column) index of each entry
+    static: _Part
+    drive: _Part
+
+
+@functools.lru_cache(maxsize=None)
+def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool) -> _System:
+    drive_rows = _drive_rows(mode, rho21_hc)
+    tiles = _closure(tiles, n, drive_rows)
+    b, r, c = max(tiles, key=lambda tile: max(tile[1:]), default=(0, 0, 0))
+    if max(r, c) > MAX_EXCITATIONS:
+        raise ValueError(
+            f"from state0 the evolution would populate states with more than "
+            f"{MAX_EXCITATIONS} excitations ({max(r, c)} in {BLOCK_NAMES[b]}), which the "
+            f"sector basis drops"
+        )
+    d, nb = len(sector_basis(n)), mode.n_blocks
+    count = excitation_bits(sector_basis(n), n).sum(axis=1)
+    occupied = np.zeros((nb, MAX_EXCITATIONS + 1, MAX_EXCITATIONS + 1), dtype=bool)
+    for tile in tiles:
+        occupied[tile] = True
+    flat = np.flatnonzero(occupied[:, count[:, None], count]).astype(_INDEX)
+    index = np.full(nb * d * d, -1, dtype=_INDEX)
+    index[flat] = np.arange(len(flat), dtype=_INDEX)
+    blocks, i, j = (x.astype(_INDEX) for x in np.unravel_index(flat, (nb, d, d)))
+    a, low, high = _patterns(n)
+    off = _factor_offsets(n)
+    unit = off["unit"]
+    # A term is (target entry, flat index of its source entry, p, q); a
+    # factor in row k and column l of its pattern moves the source row (or
+    # column) from k to l.  The Liouvillian A M + M A^dag + J M J^dag (J = J_R,
+    # J_L) acts on every block, the jumps only on the entries whose tile
+    # (b, r + 1, c + 1) is reachable; no two of its terms share a source.
+    # Every entry has its diagonal term (0 for |g><g|), so every row of L0
+    # is stored, in order.
+    entries = np.arange(len(flat), dtype=_INDEX)
+    static = [(entries, flat, off["diag_left"] + i, off["diag_right"] + j)]
+    which, pos = _row_terms(i, a)
+    static.append((which, flat[which] + (a.col - a.row)[pos] * d, off["a"] + pos, unit))
+    which, pos = _row_terms(j, a)
+    static.append((which, flat[which] + (a.col - a.row)[pos], unit, off["a"] + pos))
+    above = np.pad(occupied, ((0, 0), (0, 1), (0, 1)))[:, 1:, 1:]
+    fed = np.flatnonzero(above[blocks, count[i], count[j]])
+    first, left = _row_terms(i[fed], low)
+    second, right = _row_terms(j[fed[first]], low)
+    left, which = left[second], fed[first[second]]
+    source = flat[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
+    static.append((which, source, off["jump"] + left, off["jump"] + right))
+
+    # Drive X = S R - R S from the source S (or its adjoint); a Hermitian
+    # target also gets X^dag, whose (i, j) term is the conjugate of X's (j, i).
+    # Each copy k is one (target, conjugated) pair.
+    copies, at = [], []
+    for target, source, adjoint, strong, hermitian in drive_rows:
+        kind = "strong" if strong else "weak"
+        for conj in (False, True)[: 1 + hermitian]:
+            copies.append((source, adjoint, conj, off[f"{kind}_t"], off[f"-{kind}"]))
+            at.append(np.flatnonzero(blocks == target))
+    empty = np.zeros(0, dtype=_INDEX)
+    drive = (empty, empty, empty, empty, np.zeros(0, dtype=bool))
+    if copies:
+        source, adjoint, conj, right, left = (
+            np.array(column, dtype=bool if k in (1, 2) else _INDEX)
+            for k, column in enumerate(zip(*copies))
+        )
+        copy = np.repeat(np.arange(len(copies), dtype=_INDEX), [len(x) for x in at])
+        at = np.concatenate(at)
+        xi = np.where(conj[copy], j[at], i[at])
+        xj = np.where(conj[copy], i[at], j[at])
+        which, pos = _row_terms(xj, low)  # S R: S[xi, k] R[k, xj]
+        which2, pos2 = _row_terms(xi, high)  # -R S: -R[xi, k] S[k, xj]
+        copy = np.concatenate((copy[which], copy[which2]))
+        si = np.concatenate((xi[which], high.col[pos2]))
+        sj = np.concatenate((low.col[pos], xj[which2]))
+        factor = np.concatenate((right[copy[: len(which)]] + pos, left[copy[len(which) :]] + pos2))
+        flip = adjoint[copy]
+        f = index[(source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)]
+        live = f >= 0  # a source outside the reachable entries is zero
+        copy = copy[live]
+        drive = (
+            np.concatenate((at[which], at[which2]))[live],
+            f[live],
+            np.where(conj[copy], unit, factor[live]),
+            np.where(conj[copy], factor[live], unit),
+            # an adjoint source or an X^dag term, not both, reads conj(x)
+            adjoint[copy] != conj[copy],
+        )
+    system = _System(
+        tiles, real, (nb, d, d), flat,
+        _static_part(static, index, len(flat), real), _drive_part(*drive, len(flat), real),
+    )
+    return _read_only(system)
+
+
+def _static_part(groups: list[tuple], index: np.ndarray, size: int, real: bool) -> _Part:
+    """L0 from term groups each ordered by target entry, laid out row by row
+    without a sort: entry e's row holds the terms of each group in turn."""
+    counts = [np.bincount(group[0], minlength=size) for group in groups]
+    total = sum(counts)
+    start = np.cumsum(total) - total
+    cols, p, q = (np.empty(int(total.sum()), dtype=dtype) for dtype in (np.intp, _INDEX, _INDEX))
+    offset = start.copy()
+    for (e, source, gp, gq), c in zip(groups, counts):
+        dest = (offset - np.cumsum(c) + c)[e] + np.arange(len(e))
+        cols[dest], p[dest], q[dest] = index[source], gp, gq
+        offset += c
+    live = np.flatnonzero(total)
+    if real:
+        return _Part(p, q, None, None, None, _Rows(cols, start[live], live))
+    # On x = u + i w a term v x adds Re(v) u - Im(v) w to the real row 2e and
+    # Im(v) u + Re(v) w to the imaginary row 2e + 1; each entry's two rows
+    # hold its terms' (u, w) pairs in turn.
+    term = np.arange(len(cols))
+    entry = np.repeat(np.arange(size), total)
+    real_row = 2 * (term + start[entry])
+    imag_row = real_row + 2 * total[entry]
+    spots = np.concatenate((real_row, real_row + 1, imag_row, imag_row + 1))
+    order = np.empty_like(spots)
+    order[spots] = np.arange(len(spots))
+    interleaved = np.tile(2 * cols, 4) + np.repeat([0, 1, 0, 1], len(cols))
+    pick = np.tile(2 * term, 4) + np.repeat([0, 1, 1, 0], len(cols))
+    sign = np.repeat([1.0, -1.0, 1.0, 1.0], len(cols))
+    rows = np.stack((2 * live, 2 * live + 1), axis=1).ravel()
+    starts = np.stack((4 * start[live], 4 * start[live] + 2 * total[live]), axis=1).ravel()
+    return _Part(p, q, pick[order], sign[order], None, _Rows(interleaved[order], starts, rows))
+
+
+def _drive_part(e, f, p, q, anti, size: int, real: bool) -> _Part:
+    """L1 from its terms (target entry, source entry, p, q, antilinear), the
+    terms of each stored coefficient merged once (a stable sort;
+    np.unique would import numpy.ma, a tenth of the set-up time)."""
+    pick = sign = None
+    if not real:
+        # as in L0, except that an antilinear term v conj(x) flips the signs
+        # of its w coefficients
+        size, k = 2 * size, len(e)
+        e = np.repeat(2 * e, 4) + np.tile([0, 0, 1, 1], k)
+        f = np.repeat(2 * f, 4) + np.tile([0, 1, 0, 1], k)
+        pick = np.repeat(2 * np.arange(k), 4) + np.tile([0, 1, 1, 0], k)
+        linear, antilinear = [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]
+        sign = np.where(np.repeat(anti, 4), np.tile(antilinear, k), np.tile(linear, k))
+    key = e.astype(np.int64) * size + f
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    merge = np.flatnonzero(_changes(key))
+    key = key[merge]
+    rows = _Rows.of(key // size, key % size)
+    if real:
+        return _Part(p[order], q[order], None, None, merge, rows)
+    return _Part(p, q, pick[order], sign[order], merge, rows)
+
+
 class RhsEvaluator:
-    """Precomputed right-hand side acting on the stacked block array, with
-    every block on the sector basis (:func:`~wgqed.operators.sector_basis`).
+    """The right-hand side of the hierarchy as one sparse real-linear system on
+    the reachable entries of the evolved blocks.
 
-    The Liouvillian is applied as  A M + M A^dag + J_R M J_R^dag + J_L M J_L^dag
-    with a drift matrix A collecting the coherent, pure-decay and directional
-    cross-coupling parts, and collective emission operators
-    J_dir = sum_i sqrt(gamma_i,dir) e^{i 2 pi d_i} sm_i.  This is algebraically
-    identical to summing the single-qubit terms one by one, which the test
-    suite's reference implementation (``tests/oracle.py``) does.
+    Every block evolves under the Liouvillian  A M + M A^dag + J_R M J_R^dag +
+    J_L M J_L^dag  with a drift matrix A collecting the coherent, pure-decay
+    and directional cross-coupling parts, and collective emission operators
+    J_dir = sum_i sqrt(gamma_i,dir) e^{i 2 pi d_i} sm_i (:func:`sector_operators`).
+    The drive adds X = g(t) (S R - R S) from a source block S (rho00, rho10,
+    rho11, or the unstored rho01 and rho12 as the adjoints of rho10 and rho21)
+    with the weak or strong collective raising operator R, and X + X^dag on
+    the Hermitian targets.  This is algebraically identical to summing the
+    single-qubit terms one by one, which the test suite's reference
+    implementation (``tests/oracle.py``) does.
 
-    The drive commutators are one stacked product X = g (S R - R S).  The
-    sources S are [rho00, rho10, rho11, rho10^dag, rho21^dag] (the unstored
-    rho01 and rho12 as adjoints), R stacks the matching weak or strong
-    collective raising operators, the rows feeding the Hermitian targets get
-    X + X^dag, and X is added to the targets [rho10, rho20, rho21, rho11,
-    rho_s].  The one-photon drive uses the rows that feed rho10 and rho11.
+    A tile (block, r, c) is the set of a block's entries whose row has r
+    excited qubits and whose column has c.  Starting from the tiles the
+    initial blocks occupy (the ground state by default, or those of
+    ``state0``), the evaluator closes them under the drift, the jumps and the
+    drive rows (``system.tiles``), and every entry outside that closure stays
+    exactly zero.  The entries of the closure, in (block, row, column) order,
+    are the state it evolves: :meth:`entries` gathers them from blocks and
+    :meth:`blocks` scatters them back.  When the operators are real
+    (``is_real``) and so are the initial blocks, the entries vector is
+    float64; otherwise it is the float64 view of the complex entries, and the
+    system acts on real and imaginary parts, the adjoint sources and the
+    X^dag terms being antilinear.  A state whose closure passes three
+    excitations is refused, as the sector basis drops those states.
 
-    The operators are stored once, as float64 when all of them are real
-    (``is_real``) and as complex128 otherwise.  Real operators applied to real
-    blocks keep the arithmetic in float64, which roughly quadruples throughput
-    on the larger chains; complex blocks promote them to complex.
+    The derivative is L0 x + g(t) L1 x, with L0 the Liouvillian and L1 the
+    unit-envelope drive, each stored by rows: a row sums its coefficients
+    times the entries they name.  The structure (which entries, rows and
+    columns) depends only on (n, mode, rho21_hc, initial tiles, arithmetic)
+    and is shared through a cache; the coefficients are the chain's own.
 
-    One evaluator maps the (n_blocks, d, d) blocks of one chain.
-    :meth:`stack` joins evaluators that share mode, ``rho21_hc``, ``is_real``
-    and basis into one whose operators carry a leading member axis and whose
-    envelope is a vector over members; it maps (members, n_blocks, d, d)
-    arrays, member by member with the same arithmetic.
+    One evaluator maps the entries vector of one chain.  :meth:`stack` joins
+    evaluators that share the structure into one whose coefficients carry a
+    leading member axis and whose envelope is a vector over members; it maps
+    (members, entries) arrays, row by row with the same arithmetic.
     """
-
-    # the operators :meth:`stack` and :meth:`take` carry along the member axis
-    _MEMBER_ARRAYS = ("_a", "_a_h", "_jr", "_jr_h", "_jl", "_jl_h", "_bs", "_bw", "_raise")
 
     def __init__(
         self,
@@ -188,141 +641,84 @@ class RhsEvaluator:
         pulse: GaussianPulse,
         mode: DriveMode = DriveMode.TWO_PHOTON,
         rho21_hc: bool = True,
+        state0: HierarchyState | None = None,
     ) -> None:
         self.pulse = pulse
         self.mode = mode
-        self.rho21_hc = rho21_hc
-        n = params.n
-        # Everything is built on the sector basis by bit arithmetic on the kept
-        # indices; no 2^n x 2^n matrix is allocated.
-        basis = sector_basis(n)
-        d = len(basis)
-        bits = excitation_bits(basis, n)
-        masks = 1 << np.arange(n - 1, -1, -1)
-        pos = np.full(2**n, -1)
-        pos[basis] = np.arange(d)
-        # excited[i]: kept states with qubit i + 1 excited; lowered[i]: their
-        # images under sigma^-_{i+1}, which are kept too.
-        excited = [np.flatnonzero(bits[:, i]) for i in range(n)]
-        lowered = [pos[basis[e] ^ masks[i]] for i, e in enumerate(excited)]
-
-        drift = np.zeros((d, d), dtype=complex)
-        rate = 0.5 * (params.gamma_r + params.gamma_l)
-        for i in range(n):
-            drift[excited[i], excited[i]] -= 1j * params.delta[i] + rate[i]
-        # Cooperative weights sqrt(gamma_iR gamma_jR) for i > j (right-movers) and
-        # sqrt(gamma_iL gamma_jL) for i < j (left-movers), phases exp(-i 2 pi (d_i - d_j)).
-        g_r, g_l, x = params.gamma_r, params.gamma_l, params.positions
-        weight = np.sqrt(np.tril(np.outer(g_r, g_r), -1) + np.triu(np.outer(g_l, g_l), 1))
-        phase = np.exp(-1j * (2.0 * np.pi * (x[:, None] - x)))
-        for i, j in itertools.permutations(range(n), 2):
-            # sigma^+_i sigma^-_j moves the excitation of qubit j to qubit i
-            src = excited[j][bits[excited[j], i] == 0]
-            drift[pos[basis[src] ^ masks[j] ^ masks[i]], src] -= weight[i, j] * phase[i, j]
-
-        def collective(coeffs: np.ndarray) -> np.ndarray:
-            """sum_i coeffs[i] sigma^-_{i+1} on the sector basis."""
-            m = np.zeros((d, d), dtype=complex)
-            for i in range(n):
-                m[lowered[i], excited[i]] = coeffs[i]
-            return m
-
-        phases = np.exp(1j * 2.0 * np.pi * params.positions)
-        jump_r = collective(np.sqrt(params.gamma_r) * phases)
-        jump_l = collective(np.sqrt(params.gamma_l) * phases)
-        # Collective raising operators entering the drive commutators.
-        raise_strong = collective(np.sqrt(2.0 * params.gamma_r) * phases).T
-        raise_weak = collective(np.sqrt(params.gamma_r) * phases).T
-
-        mats = (drift, jump_r, jump_l, raise_strong, raise_weak)
-        self.is_real = all(np.abs(m.imag).max() == 0.0 for m in mats)
-        conv = (lambda m: np.ascontiguousarray(m.real)) if self.is_real else np.ascontiguousarray
-        self._a = conv(drift)
-        self._a_h = conv(drift.conj().T)
-        self._jr = conv(jump_r)
-        self._jr_h = conv(jump_r.conj().T)
-        self._jl = conv(jump_l)
-        self._jl_h = conv(jump_l.conj().T)
-        self._bs = conv(raise_strong)
-        self._bw = conv(raise_weak)
-
-        # Drive rows: the blocks ``_direct``, then the adjoints of ``_adjoint``,
-        # each with its raising operator; ``_hermitian`` rows get X + X^dag and
-        # ``_order`` lists the rows in target order rho10, rho11[, rho20, rho21, rho_s].
-        if mode is DriveMode.TWO_PHOTON:
-            self._direct, self._adjoint, strong = slice(0, 3), [1, 4], (0, 1, 1, 0, 1)
-            self._hermitian, self._order = slice(3 - rho21_hc, 5), [0, 3, 1, 2, 4]
+        n, n_blocks = params.n, mode.n_blocks
+        f, g = _factors(sector_operators(params), n)
+        self.is_real = not (np.any(f.imag) or np.any(g.imag))
+        if state0 is None:
+            unit = [BLOCK_NAMES.index(name) for name in UNIT_TRACE_BLOCKS]
+            tiles = frozenset((b, 0, 0) for b in unit if b < n_blocks)
+            real = self.is_real
         else:
-            self._direct, self._adjoint, strong = slice(0, 1), [1], (0, 0)
-            self._hermitian, self._order = slice(1, 2), [0, 1]
-        self._raise = np.stack([(self._bw, self._bs)[k] for k in strong])
+            if state0.n != n:
+                raise ValueError("state and parameters disagree on the chain length")
+            held = state0.blocks[:n_blocks]
+            count = excitation_bits(sector_basis(n), n).sum(axis=1)
+            b, i, j = np.nonzero(held)
+            tiles = frozenset(zip(b.tolist(), count[i].tolist(), count[j].tolist()))
+            real = self.is_real and not np.any(held.imag)
+        system = self.system = _system(n, mode, rho21_hc, tiles, real)
+        self._v0 = system.static.coefficients(f, g)
+        self._v1 = system.drive.coefficients(f, g)
 
     @classmethod
     def stack(cls, members) -> "RhsEvaluator":
-        """One evaluator stepping ``members`` together; their chains share the
-        basis and they share mode, ``rho21_hc`` and ``is_real``.  Its
-        ``pulse`` is None: each member keeps its own envelope."""
-        if len({(m.mode, m.rho21_hc, m.is_real, m._a.shape) for m in members}) > 1:
-            raise ValueError("stacked evaluators must share mode, rho21_hc, is_real and basis")
+        """One evaluator stepping ``members`` together; they share the system
+        structure.  Its ``pulse`` is None: each member keeps its own envelope."""
+        if len({id(m.system) for m in members}) > 1:
+            raise ValueError(
+                "stacked evaluators must share mode, rho21_hc, basis, initial tiles and arithmetic"
+            )
         out = cls.__new__(cls)
-        out.__dict__.update(members[0].__dict__, pulse=None, _pulses=[m.pulse for m in members])
-        for name in cls._MEMBER_ARRAYS:
-            values = np.array([getattr(m, name) for m in members])
-            # the (d, d) operators broadcast over the block axis
-            setattr(out, name, values[:, None] if values.ndim == 3 else values)
+        out.__dict__.update(
+            members[0].__dict__,
+            pulse=None,
+            is_real=all(m.is_real for m in members),
+            _pulses=[m.pulse for m in members],
+            _v0=np.stack([m._v0 for m in members]),
+            _v1=np.stack([m._v1 for m in members]),
+        )
         return out
 
     def take(self, keep) -> "RhsEvaluator":
         """The stacked evaluator of the members at indices ``keep``."""
         out = type(self).__new__(type(self))
-        out.__dict__.update(self.__dict__, _pulses=[self._pulses[k] for k in keep])
-        for name in self._MEMBER_ARRAYS:
-            setattr(out, name, getattr(self, name)[keep])
+        out.__dict__.update(
+            self.__dict__,
+            _pulses=[self._pulses[k] for k in keep],
+            _v0=self._v0[keep],
+            _v1=self._v1[keep],
+        )
         return out
 
-    @property
-    def drive_depth(self) -> int:
-        """How many excitations the drive can add to the rows or columns of a
-        block beyond the most the initial blocks hold: 0 undriven, 1 for one
-        photon, 2 for two, and 3 when rho21 carries its conjugate term, which
-        raises the columns of rho21 that feed the rows of rho_s."""
-        if self.mode is DriveMode.TWO_PHOTON:
-            return 2 + self.rho21_hc
-        return 0 if self.mode is DriveMode.NONE else 1
+    def entries(self, blocks: np.ndarray) -> np.ndarray:
+        """The entries vector of blocks on the sector basis (the evolved
+        prefix of ``HierarchyState.blocks``, or all of them)."""
+        x = np.asarray(blocks).reshape(-1)[self.system.flat]
+        if self.system.real:
+            return np.ascontiguousarray(x.real)
+        return x.astype(complex).view(np.float64)
 
-    def __call__(self, t: float, blocks: np.ndarray) -> np.ndarray:
-        """Derivative of the stacked (n_blocks, d, d) array, or of the
-        (members, n_blocks, d, d) array of a stacked evaluator."""
-        out = np.matmul(self._a, blocks)
-        out += np.matmul(blocks, self._a_h)
-        out += np.matmul(np.matmul(self._jr, blocks), self._jr_h)
-        out += np.matmul(np.matmul(self._jl, blocks), self._jl_h)
-        if self.mode is DriveMode.NONE:
-            return out
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """The complex (n_blocks, d, d) blocks of one entries vector, zero
+        outside the reachable entries."""
+        system = self.system
+        out = np.zeros(np.prod(system.shape), dtype=complex)
+        out[system.flat] = x if system.real else x.view(complex)
+        return out.reshape(system.shape)
 
-        if self.pulse is not None:
-            g = self.pulse.envelope(t)
-        else:
-            g = envelopes(self._pulses, t).reshape(-1, 1, 1, 1)
-        if np.all(g != 0.0):
-            self._add_drive(out, blocks, g, self._raise)
-        elif np.any(g != 0.0):
-            # a stack whose pulses have partly underflowed to 0: as alone, the
-            # drive skips those members (adding 0 * X would not be a no-op
-            # on their non-finite entries)
-            live = np.flatnonzero(g)
-            part = out[live]
-            self._add_drive(part, blocks[live], g[live], self._raise[live])
-            out[live] = part
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Derivative of the entries vector, or of the (members, entries)
+        array of a stacked evaluator."""
+        system = self.system
+        out = system.static.rows.apply(self._v0, x)  # every row, in order
+        if self.mode is not DriveMode.NONE:
+            if self.pulse is not None:
+                g = self.pulse.envelope(t)
+            else:
+                g = envelopes(self._pulses, t)[:, None]
+            out[..., system.drive.rows.rows] += g * system.drive.rows.apply(self._v1, x)
         return out
-
-    def _add_drive(self, out, blocks, g, raising) -> None:
-        """Add the drive commutators with envelope ``g`` to ``out`` in place."""
-        adjoints = blocks[..., self._adjoint, :, :].conj().swapaxes(-1, -2)
-        sources = np.concatenate((blocks[..., self._direct, :, :], adjoints), axis=-3)
-        x = np.matmul(sources, raising)
-        x -= np.matmul(raising, sources)
-        x *= g
-        h = x[..., self._hermitian, :, :]
-        h += h.conj().swapaxes(-1, -2)
-        out[..., 1 : len(self._order) + 1, :, :] += x[..., self._order, :, :]

@@ -21,9 +21,10 @@ import numpy as np
 
 from .hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
+    _require_integer,
 )
 from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
-from .operators import MAX_EXCITATIONS, all_pairs, excitation_bits, sector_basis
+from .operators import MAX_EXCITATIONS, all_pairs
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
@@ -46,6 +47,7 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
+        _require_integer("sample_every", self.sample_every)
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
 
@@ -108,7 +110,8 @@ class Trajectory:
 
 
 def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
-    """One classical RK4 update of the stacked block array.
+    """One classical RK4 update of the state array (the entries vector of
+    :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps).
 
     ``rhs(t, state)`` must return the derivative with the same shape.  The
     result is checked for overflow; non-finite entries abort.
@@ -166,13 +169,14 @@ def integrate(
 ) -> Trajectory:
     """Propagate from t = 0 to t_end and sample the observable bundle.
 
-    Only the blocks the mode evolves are propagated; ``state0`` is read, never
-    written.  It is refused when the excitations its blocks hold plus those
-    the drive adds (``RhsEvaluator.drive_depth``) could leave the sector basis
-    (:func:`~wgqed.operators.sector_basis`); from the ground state they never
-    do.  Samples land at t = k * dt * sample_every (the initial state is
-    always the first sample).  ``keep_states`` stores a copy of the reported
-    block at each sample, on the sector basis.
+    Only the blocks the mode evolves are propagated, as the entries vector of
+    their reachable tiles (:class:`~wgqed.hierarchy.RhsEvaluator`); ``state0``
+    is read, never written.  It is refused when the evolution from its tiles
+    would leave the sector basis (:func:`~wgqed.operators.sector_basis`);
+    from the ground state it never does.  Samples land at
+    t = k * dt * sample_every (the initial state is always the first sample).
+    ``keep_states`` stores a copy of the reported block at each sample, on
+    the sector basis.
     """
     [(_, outcome)] = evolve([(state0, params, pulse, config)], mode, rho21_hc, keep_states)
     if isinstance(outcome, IntegrationError):
@@ -187,8 +191,9 @@ def evolve(
 
     ``members`` is a sequence of ``(state0, params, pulse, config)``; the
     chains share n, and the configs share dt and sample_every, while rates,
-    positions, pulses and t_end may differ.  Members whose arithmetic has the
-    same dtype are stepped as one stack, member by member with the same
+    positions, pulses and t_end may differ.  Members whose evaluators share
+    one system structure (the same reachable tiles and real or complex
+    arithmetic) are stepped as one stack, member by member with the same
     arithmetic as alone, so each trajectory is bit for bit the one
     :func:`integrate` gives.  Yields ``(index into members, trajectory)`` as
     each member reaches its t_end, or ``(index, IntegrationError)`` as it
@@ -198,37 +203,24 @@ def evolve(
     shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
     if len(shared) > 1:
         raise ValueError(f"evolved members must share n, dt and sample_every, got {sorted(shared)}")
-    stacks = [[c for c in chains if c.work.dtype.kind == kind] for kind in "fc"]
+    stacks: dict[int, list[_Chain]] = {}
+    for chain in chains:
+        stacks.setdefault(id(chain.rhs.system), []).append(chain)
     del chains
-    for stack in stacks:
-        if stack:
-            yield from _step_stack(stack)
+    for stack in stacks.values():
+        yield from _step_stack(stack)
 
 
 class _Chain:
-    """One member of an evolved stack: its evaluator, initial blocks and
+    """One member of an evolved stack: its evaluator, entries vector and
     trajectory, and the error that ends it early, if any."""
 
     def __init__(self, index, state0, params, pulse, config, mode, rho21_hc, keep_states):
-        if state0.n != params.n:
-            raise ValueError("state and parameters disagree on the chain length")
         self.index, self.n, self.pulse, self.mode = index, params.n, pulse, mode
         self.config = config
-        self.rhs = RhsEvaluator(params, pulse, mode, rho21_hc=rho21_hc)
+        self.rhs = RhsEvaluator(params, pulse, mode, rho21_hc, state0)
+        self.work = self.rhs.entries(state0.blocks)
         n = params.n
-        work = np.ascontiguousarray(state0.blocks[: mode.n_blocks])
-        held = excitation_bits(sector_basis(n), n).sum(axis=1)[
-            np.any(work, axis=(0, 1)) | np.any(work, axis=(0, 2))
-        ].max(initial=0)
-        if min(n, held + self.rhs.drive_depth) > MAX_EXCITATIONS:
-            raise ValueError(
-                f"state0 holds up to {held} excitations and the drive adds up to "
-                f"{self.rhs.drive_depth}: the evolution would populate states with more "
-                f"than {MAX_EXCITATIONS} excitations, which the sector basis drops"
-            )
-        if self.rhs.is_real and np.abs(work.imag).max() == 0.0:
-            work = np.ascontiguousarray(work.real)
-        self.work = work
         self.n_steps = config.n_steps
         self.error: IntegrationError | None = None
 
@@ -258,8 +250,7 @@ class _Chain:
 
     def _record(self, k: int, t: float, work: np.ndarray) -> None:
         n, mode, traj = self.n, self.mode, self.traj
-        # observables see complex blocks whatever the arithmetic dtype
-        blocks = work.astype(complex, copy=False)
+        blocks = self.rhs.blocks(work)
         rho = blocks[mode.n_blocks - 1]
         pops = populations(rho, n)
         pair_c = pair_concurrences(rho, n)
@@ -289,9 +280,9 @@ class _Chain:
 
 
 def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
-    """The stepping loop.  One chain steps its (n_blocks, d, d) blocks, so
-    the evaluator sees exactly the single-chain shapes; several step a
-    (members, n_blocks, d, d) stack through the stacked evaluator."""
+    """The stepping loop.  One chain steps its entries vector, so the
+    evaluator sees exactly the single-chain shapes; several step a
+    (members, entries) stack through the stacked evaluator."""
     stacked = len(chains) > 1
     rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work

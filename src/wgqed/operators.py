@@ -24,9 +24,9 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 # 2 excitations, so only rho_s reaches 3, and rho_s is never a drive source.
 # Entries with more excitations start at zero and stay exactly zero, so
 # dropping those basis states is exact for every drive mode and rho21
-# variant.  A prepared state whose blocks already hold r excitations reaches
-# r + RhsEvaluator.drive_depth, so integrate refuses one for which that sum
-# exceeds the bound (and n does too).
+# variant.  For a prepared state RhsEvaluator closes the excitation tiles its
+# blocks hold under the same rules, and integrate refuses one whose closure
+# exceeds the bound.
 MAX_EXCITATIONS = 3
 
 # No state is stored on the full space (176 basis states at N = 10), but the

@@ -2,9 +2,10 @@
 
 Each Liouvillian term and each drive coupling is built directly from the
 single-qubit operators, exactly as the equations of motion are written.  The
-production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) regroups the
-same algebra into a few collective operators; the test suite checks the two
-against each other, so this module must stay independent of that regrouping.
+production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) assembles the
+same algebra into one sparse real-linear system on the entries it can reach;
+the test suite checks the two against each other, so this module must stay
+independent of that assembly.
 
 The couplings are derived here, one qubit or ordered pair at a time, from the
 equations in the README: the decay rate (gamma_iR + gamma_iL) / 2, the
@@ -17,7 +18,10 @@ for its per-qubit arrays ``gamma_r``, ``gamma_l``, ``delta`` and ``positions``,
 
 Everything here works on the full 2^N space: the blocks are raw
 (6, 2^N, 2^N) arrays, and the single-qubit operators are Kronecker products,
-independent of the production code's bit arithmetic on the sector basis.
+independent of the production code's bit arithmetic on the sector basis and
+of its sparse assembly on the reachable tiles.  ``GROUND_TILES`` states the
+tiles a ground-start evolution occupies, as measured, for the tests of the
+production code's tile closure.
 :func:`dense_operators` builds the evaluator's collective operators from them,
 :func:`partial_trace_to_pair` is the reference for the batched pair
 reduction, :func:`wootters_concurrence` for the batched concurrences, and the
@@ -275,6 +279,41 @@ def wootters_concurrence(rho4: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(root @ flip @ rho4.conj() @ flip @ root)
     lam = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+# The tiles (r, c) of each block that the evolution from the ground state
+# occupies, r being the excitation count of a tile's rows and c of its
+# columns (ROADMAP item 2's measured occupancy for n >= 3).  Without the
+# rho21 conjugate term rho21 keeps only (1, 0) and (2, 1), and rho_s only
+# (0, 0), (1, 1) and (2, 2).
+GROUND_TILES = {
+    "rho00": {(0, 0)},
+    "rho10": {(1, 0)},
+    "rho11": {(0, 0), (1, 1)},
+    "rho20": {(2, 0)},
+    "rho21": {(0, 1), (1, 0), (1, 2), (2, 1)},
+    "rho_s": {(0, 0), (1, 1), (2, 2), (2, 0), (0, 2), (3, 1), (1, 3)},
+}
+GROUND_TILES_WITHOUT_HC = {
+    **GROUND_TILES, "rho21": {(1, 0), (2, 1)}, "rho_s": {(0, 0), (1, 1), (2, 2)}
+}
+
+
+def ground_tiles(mode: DriveMode, rho21_hc: bool = True) -> set[tuple[int, int, int]]:
+    """(block index, r, c) of every tile the evolved blocks of ``mode`` occupy."""
+    table = GROUND_TILES if rho21_hc else GROUND_TILES_WITHOUT_HC
+    return {
+        (b, r, c) for b, name in enumerate(BLOCK_NAMES[: mode.n_blocks]) for r, c in table[name]
+    }
+
+
+def tile_mask(tiles, n: int) -> np.ndarray:
+    """The (6, 2^n, 2^n) mask of the full-space entries in ``tiles``."""
+    count = np.array([bin(idx).count("1") for idx in range(2**n)])
+    mask = np.zeros((len(BLOCK_NAMES), 2**n, 2**n), dtype=bool)
+    for b, r, c in tiles:
+        mask[b] |= np.outer(count == r, count == c)
+    return mask
 
 
 def ground_state_density(n: int) -> np.ndarray:

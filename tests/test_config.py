@@ -90,11 +90,14 @@ def test_unknown_section_rejected():
         ("[observables]\npair_norm = everything\n", "pair_norm"),
         ("[chain]\nn = 2\npositions = 1.0, 0.5\n", "positions"),
         ("[chain]\nn = 3\npositions = 0.0, 0.5\n", "positions"),
+        # keyword values, which skip the document's int() parsing
+        (dict(sample_every=2.0), "sample_every must be an integer, got 2.0"),
+        (dict(n=2.5), "n must be an integer, got 2.5"),
     ],
 )
 def test_validation_errors_name_the_field(snippet, field):
     with pytest.raises(ConfigError, match=field):
-        parse_config(snippet)
+        ExperimentConfig(**snippet) if isinstance(snippet, dict) else parse_config(snippet)
 
 
 def test_object_builders():

@@ -1,8 +1,9 @@
-"""The sector basis against the dense full-space oracle.
+"""The sector basis and the tile closure against the dense full-space oracle.
 
 The production code evolves and samples the hierarchy on the basis states
-with at most three excitations.  These tests check the selection rule that
-makes this exact on the term-by-term oracle, the evaluator's operators
+with at most three excitations, and evolves only the entries of the tiles
+its closure reaches.  These tests check the selection rule and the closure
+that make this exact on the term-by-term oracle, the evaluator's operators
 against the Kronecker-built ones, and a whole short run against RK4 over the
 oracle on the full space.
 """
@@ -16,11 +17,15 @@ from oracle import (
     dense_operators,
     excitation_projector,
     ground_blocks,
+    ground_tiles,
     hierarchy_rhs,
     number_operator,
     partial_trace_to_pair,
+    tile_mask,
 )
-from wgqed.hierarchy import BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator
+from wgqed.hierarchy import (
+    BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator, sector_operators,
+)
 from wgqed.integrator import IntegratorConfig, diagnostics, integrate, rk4_step
 from wgqed.observables import average_concurrence, concurrence_pair
 from wgqed.operators import all_pairs, excitation_bits, sector_basis
@@ -83,15 +88,41 @@ def test_selection_rule_is_exact(rho21_hc):
     [dict(), dict(delta=0.3, spacing=1 / 8), dict(gamma_r=0.4, gamma_l=0.0, spacing=0.2)],
 )
 def test_evaluator_operators_are_the_restricted_dense_ones(n, kwargs):
+    # the drift, jumps and raising operators the evaluator assembles its
+    # system from
     params = ChainParams(n=n, **kwargs)
-    fast = RhsEvaluator(params, PULSE)
     basis = sector_basis(n)
     want = [m[np.ix_(basis, basis)] for m in dense_operators(params)]
-    assert fast.is_real == all(np.abs(m.imag).max() == 0.0 for m in want)
-    got = (fast._a, fast._jr, fast._jl, fast._bs, fast._bw, fast._a_h, fast._jr_h, fast._jl_h)
-    want += [m.conj().T for m in want[:3]]
+    assert RhsEvaluator(params, PULSE).is_real == all(np.abs(m.imag).max() == 0.0 for m in want)
+    got = sector_operators(params)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(g, w.real if fast.is_real else w)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("mode", list(DriveMode))
+@pytest.mark.parametrize("rho21_hc", [True, False])
+def test_ground_closure_is_the_occupancy_table(n, mode, rho21_hc):
+    # 398 entries at n = 5 and 1,410 at n = 7 for the default equations
+    fast = RhsEvaluator(ChainParams(n=n), PULSE, mode, rho21_hc)
+    assert fast.system.tiles == ground_tiles(mode, rho21_hc)
+    if mode is DriveMode.TWO_PHOTON and rho21_hc and n in (5, 7):
+        assert len(fast.entries(HierarchyState.ground(n).blocks)) == {5: 398, 7: 1410}[n]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("mode", list(DriveMode))
+def test_oracle_stays_on_the_closure(n, mode):
+    # the term-by-term RHS of random states on the closure is exactly 0.0
+    # outside it: the entries the evaluator drops never move
+    rng = np.random.default_rng(n)
+    params = ChainParams(n=n, **CHAINS[n])
+    for rho21_hc in (True, False):
+        mask = tile_mask(ground_tiles(mode, rho21_hc), n)
+        blocks = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+        out = hierarchy_rhs(blocks * mask, 0.9, params, PULSE, mode, rho21_hc)
+        assert np.all(out[~mask] == 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -152,9 +183,9 @@ def test_state_outside_the_sector_basis_is_refused():
      (DriveMode.TWO_PHOTON, True, 4)],
 )
 def test_prepared_state_is_evolved_exactly_or_refused(mode, rho21_hc, reach):
-    # qubit 1 starts excited: the oracle reaches 1 + drive_depth excitations,
-    # and integrate evolves the state exactly when that stays within 3 and
-    # refuses it otherwise
+    # qubit 1 starts excited: the evaluator's closure reaches as many
+    # excitations as the oracle does, and integrate evolves the state exactly
+    # when that stays within 3 and refuses it otherwise
     n, count, basis = 4, excitations(4), sector_basis(4)
     params = ChainParams(n=n)
     dense = ground_blocks(n)
@@ -164,11 +195,12 @@ def test_prepared_state_is_evolved_exactly_or_refused(mode, rho21_hc, reach):
     state = HierarchyState(n, dense[:, basis[:, None], basis])
     states = [b[: mode.n_blocks] for b in oracle_rk4(params, dense, mode, rho21_hc)]
     assert max(count[np.any(b, axis=(0, 1)) | np.any(b, axis=(0, 2))].max() for b in states) == reach
-    assert RhsEvaluator(params, PULSE, mode, rho21_hc).drive_depth == reach - 1
     if reach > 3:
         with pytest.raises(ValueError, match="more than 3 excitations"):
             integrate(state, params, PULSE, mode, CONFIG, rho21_hc)
         return
+    tiles = RhsEvaluator(params, PULSE, mode, rho21_hc, state).system.tiles
+    assert max(max(r, c) for _, r, c in tiles) == reach
     traj = integrate(state, params, PULSE, mode, CONFIG, rho21_hc, keep_states=True)
     reported = mode.n_blocks - 1
     for k, blocks in enumerate(states[:: CONFIG.sample_every]):
