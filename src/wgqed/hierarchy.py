@@ -35,7 +35,9 @@ being the entries of a block whose rows hold r excitations and columns c);
 :class:`RhsEvaluator` finds them by a closure over the drift, the jumps and
 the drive, and evolves their entries as one vector under one sparse
 real-linear system, 398 of the 4,056 block entries at n = 5 and 1,410 of
-24,576 at n = 7.
+24,576 at n = 7.  The Liouvillian and the unit-envelope drive share one
+row-by-row layout, so a right-hand side call is one gather, one product and
+one row sum.
 
 All rates, times and detunings are measured in units of a reference decay
 rate (set to 1).
@@ -387,30 +389,10 @@ def _closure(tiles: frozenset, n: int, rows: list[tuple]) -> frozenset:
     return frozenset(reached)
 
 
-class _Rows(NamedTuple):
-    """Rows of a sparse system: row ``rows[k]`` sums the coefficients from
-    ``starts[k]`` on (up to the next start), each times the entry in ``cols``."""
-
-    cols: np.ndarray
-    starts: np.ndarray
-    rows: np.ndarray
-
-    @classmethod
-    def of(cls, rows: np.ndarray, cols: np.ndarray) -> "_Rows":
-        starts = np.flatnonzero(_changes(rows))
-        return cls(cols, starts, rows[starts])
-
-    def apply(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The row sums of ``coeffs`` (one row per member of a stack) times
-        the entries of ``x``."""
-        terms = x[..., self.cols]
-        terms *= coeffs
-        return np.add.reduceat(terms, self.starts, axis=-1)
-
-
 class _Part(NamedTuple):
     """One part of the system, L0 or L1: its terms, each an entry times
-    f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`), and its rows.
+    f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`), and the places
+    ``at`` of the coefficients they make up in the system's term layout.
     With complex arithmetic ``pick`` and ``sign`` take the real and imaginary
     parts of the term values that make up each stored coefficient; terms
     from ``merge[k]`` on (all of them one by one when None) sum to
@@ -421,7 +403,7 @@ class _Part(NamedTuple):
     pick: np.ndarray | None
     sign: np.ndarray | None
     merge: np.ndarray | None
-    rows: _Rows
+    at: np.ndarray | slice
 
     def coefficients(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         if self.pick is None:  # real arithmetic: real factors
@@ -437,14 +419,21 @@ class _System(NamedTuple):
     """The right-hand side of one (n, mode, rho21_hc, initial tiles,
     arithmetic) as a sparse real-linear system x' = L0 x + g(t) L1 x on the
     reachable entries, independent of rates, detunings, positions and pulse:
-    L0 is the Liouvillian and L1 the unit-envelope drive."""
+    L0 is the Liouvillian and L1 the unit-envelope drive.
+
+    The coefficients are laid out row by row, every row of L0 in order and,
+    when the mode drives, every row of L1 after them, a row without drive
+    terms holding one zero coefficient on its own entry: row k sums the
+    coefficients from ``starts[k]`` on (up to the next start), each times
+    the entry ``cols`` names."""
 
     tiles: frozenset
     real: bool
     shape: tuple[int, int, int]  # (n_blocks, d, d)
     flat: np.ndarray  # flat (block, row, column) index of each entry
-    static: _Part
-    drive: _Part
+    parts: tuple[_Part, ...]  # L0, then L1 when the mode drives
+    cols: np.ndarray
+    starts: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -491,6 +480,9 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
     source = flat[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
     static.append((which, source, off["jump"] + left, off["jump"] + right))
 
+    static, cols, starts = _static_part(static, index, len(flat), real)
+    parts = (static,)
+
     # Drive X = S R - R S from the source S (or its adjoint); a Hermitian
     # target also gets X^dag, whose (i, j) term is the conjugate of X's (j, i).
     # Each copy k is one (target, conjugated) pair.
@@ -500,9 +492,7 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
         for conj in (False, True)[: 1 + hermitian]:
             copies.append((source, adjoint, conj, off[f"{kind}_t"], off[f"-{kind}"]))
             at.append(np.flatnonzero(blocks == target))
-    empty = np.zeros(0, dtype=_INDEX)
-    drive = (empty, empty, empty, empty, np.zeros(0, dtype=bool))
-    if copies:
+    if copies:  # L1 follows L0, on every row
         source, adjoint, conj, right, left = (
             np.array(column, dtype=bool if k in (1, 2) else _INDEX)
             for k, column in enumerate(zip(*copies))
@@ -521,24 +511,27 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
         f = index[(source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)]
         live = f >= 0  # a source outside the reachable entries is zero
         copy = copy[live]
-        drive = (
+        drive, drive_cols, drive_starts = _drive_part(
             np.concatenate((at[which], at[which2]))[live],
             f[live],
             np.where(conj[copy], unit, factor[live]),
             np.where(conj[copy], factor[live], unit),
             # an adjoint source or an X^dag term, not both, reads conj(x)
             adjoint[copy] != conj[copy],
+            len(flat), real, len(cols),
         )
-    system = _System(
-        tiles, real, (nb, d, d), flat,
-        _static_part(static, index, len(flat), real), _drive_part(*drive, len(flat), real),
-    )
-    return _read_only(system)
+        parts += (drive,)
+        cols, starts = np.concatenate((cols, drive_cols)), np.concatenate((starts, drive_starts))
+    return _read_only(_System(tiles, real, (nb, d, d), flat, parts, cols, starts))
 
 
-def _static_part(groups: list[tuple], index: np.ndarray, size: int, real: bool) -> _Part:
+def _static_part(
+    groups: list[tuple], index: np.ndarray, size: int, real: bool
+) -> tuple[_Part, np.ndarray, np.ndarray]:
     """L0 from term groups each ordered by target entry, laid out row by row
-    without a sort: entry e's row holds the terms of each group in turn."""
+    without a sort: entry e's row holds the terms of each group in turn.
+    Every entry has its diagonal term, so every row holds at least one.
+    Returns the part, its ``cols`` and its ``starts``."""
     counts = [np.bincount(group[0], minlength=size) for group in groups]
     total = sum(counts)
     start = np.cumsum(total) - total
@@ -548,9 +541,8 @@ def _static_part(groups: list[tuple], index: np.ndarray, size: int, real: bool) 
         dest = (offset - np.cumsum(c) + c)[e] + np.arange(len(e))
         cols[dest], p[dest], q[dest] = index[source], gp, gq
         offset += c
-    live = np.flatnonzero(total)
     if real:
-        return _Part(p, q, None, None, None, _Rows(cols, start[live], live))
+        return _Part(p, q, None, None, None, slice(0, len(cols))), cols, start
     # On x = u + i w a term v x adds Re(v) u - Im(v) w to the real row 2e and
     # Im(v) u + Re(v) w to the imaginary row 2e + 1; each entry's two rows
     # hold its terms' (u, w) pairs in turn.
@@ -564,15 +556,20 @@ def _static_part(groups: list[tuple], index: np.ndarray, size: int, real: bool) 
     interleaved = np.tile(2 * cols, 4) + np.repeat([0, 1, 0, 1], len(cols))
     pick = np.tile(2 * term, 4) + np.repeat([0, 1, 1, 0], len(cols))
     sign = np.repeat([1.0, -1.0, 1.0, 1.0], len(cols))
-    rows = np.stack((2 * live, 2 * live + 1), axis=1).ravel()
-    starts = np.stack((4 * start[live], 4 * start[live] + 2 * total[live]), axis=1).ravel()
-    return _Part(p, q, pick[order], sign[order], None, _Rows(interleaved[order], starts, rows))
+    starts = np.stack((4 * start, 4 * start + 2 * total), axis=1).ravel()
+    part = _Part(p, q, pick[order], sign[order], None, slice(0, len(spots)))
+    return part, interleaved[order], starts
 
 
-def _drive_part(e, f, p, q, anti, size: int, real: bool) -> _Part:
+def _drive_part(
+    e, f, p, q, anti, size: int, real: bool, offset: int
+) -> tuple[_Part, np.ndarray, np.ndarray]:
     """L1 from its terms (target entry, source entry, p, q, antilinear), the
     terms of each stored coefficient merged once (a stable sort;
-    np.unique would import numpy.ma, a tenth of the set-up time)."""
+    np.unique would import numpy.ma, a tenth of the set-up time), laid out
+    on every row from place ``offset`` on, a row without drive terms holding
+    one zero coefficient on its own entry.  Returns the part, its ``cols``
+    and its ``starts``."""
     pick = sign = None
     if not real:
         # as in L0, except that an antilinear term v conj(x) flips the signs
@@ -588,10 +585,21 @@ def _drive_part(e, f, p, q, anti, size: int, real: bool) -> _Part:
     key = key[order]
     merge = np.flatnonzero(_changes(key))
     key = key[merge]
-    rows = _Rows.of(key // size, key % size)
+    rows = key // size
+    counts = np.bincount(rows, minlength=size)
+    empty = counts == 0
+    held = counts + empty
+    starts = np.cumsum(held) - held
+    # a coefficient's place is its row's start plus its rank within the row
+    at = (starts - np.cumsum(counts) + counts)[rows] + np.arange(len(rows))
+    cols = np.empty(int(held.sum()), dtype=np.intp)
+    cols[at] = key % size
+    cols[starts[empty]] = np.flatnonzero(empty)
     if real:
-        return _Part(p[order], q[order], None, None, merge, rows)
-    return _Part(p, q, pick[order], sign[order], merge, rows)
+        part = _Part(p[order], q[order], None, None, merge, at + offset)
+    else:
+        part = _Part(p, q, pick[order], sign[order], merge, at + offset)
+    return part, cols, starts + offset
 
 
 class RhsEvaluator:
@@ -624,10 +632,14 @@ class RhsEvaluator:
     excitations is refused, as the sector basis drops those states.
 
     The derivative is L0 x + g(t) L1 x, with L0 the Liouvillian and L1 the
-    unit-envelope drive, each stored by rows: a row sums its coefficients
-    times the entries they name.  The structure (which entries, rows and
-    columns) depends only on (n, mode, rho21_hc, initial tiles, arithmetic)
-    and is shared through a cache; the coefficients are the chain's own.
+    unit-envelope drive, stored together by rows: every row of L0, then every
+    row of L1, a row without drive terms holding one zero coefficient.  A
+    call is one gather of the entries the coefficients name, one product
+    with the coefficients and one row sum (``np.add.reduceat``); the L1 half
+    of the row sums is then scaled by g(t) and the L0 half added to it in
+    place.  The structure (which entries, rows and columns) depends only on
+    (n, mode, rho21_hc, initial tiles, arithmetic) and is shared through a
+    cache; the coefficients are the chain's own.
 
     One evaluator maps the entries vector of one chain.  :meth:`stack` joins
     evaluators that share the structure into one whose coefficients carry a
@@ -661,8 +673,9 @@ class RhsEvaluator:
             tiles = frozenset(zip(b.tolist(), count[i].tolist(), count[j].tolist()))
             real = self.is_real and not np.any(held.imag)
         system = self.system = _system(n, mode, rho21_hc, tiles, real)
-        self._v0 = system.static.coefficients(f, g)
-        self._v1 = system.drive.coefficients(f, g)
+        self._v = np.zeros(len(system.cols))
+        for part in system.parts:
+            self._v[part.at] = part.coefficients(f, g)
 
     @classmethod
     def stack(cls, members) -> "RhsEvaluator":
@@ -678,8 +691,7 @@ class RhsEvaluator:
             pulse=None,
             is_real=all(m.is_real for m in members),
             _pulses=[m.pulse for m in members],
-            _v0=np.stack([m._v0 for m in members]),
-            _v1=np.stack([m._v1 for m in members]),
+            _v=np.stack([m._v for m in members]),
         )
         return out
 
@@ -689,8 +701,7 @@ class RhsEvaluator:
         out.__dict__.update(
             self.__dict__,
             _pulses=[self._pulses[k] for k in keep],
-            _v0=self._v0[keep],
-            _v1=self._v1[keep],
+            _v=self._v[keep],
         )
         return out
 
@@ -714,11 +725,17 @@ class RhsEvaluator:
         """Derivative of the entries vector, or of the (members, entries)
         array of a stacked evaluator."""
         system = self.system
-        out = system.static.rows.apply(self._v0, x)  # every row, in order
-        if self.mode is not DriveMode.NONE:
-            if self.pulse is not None:
-                g = self.pulse.envelope(t)
-            else:
-                g = envelopes(self._pulses, t)[:, None]
-            out[..., system.drive.rows.rows] += g * system.drive.rows.apply(self._v1, x)
+        terms = x.take(system.cols, axis=-1)
+        terms *= self._v
+        rows = np.add.reduceat(terms, system.starts, axis=-1)
+        if self.mode is DriveMode.NONE:
+            return rows
+        if self.pulse is not None:
+            g = self.pulse.envelope(t)
+        else:
+            g = envelopes(self._pulses, t)[:, None]
+        half = rows.shape[-1] // 2
+        out = rows[..., half:]  # L1 x, row for row after L0 x
+        out *= g
+        out += rows[..., :half]
         return out

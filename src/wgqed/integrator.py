@@ -121,7 +121,7 @@ def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarra
     k3 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k2)
     k4 = rhs(t + dt, state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise IntegrationError(f"non-finite state entries after step at t={t:.6g}")
     return out
 

@@ -54,8 +54,11 @@ class GaussianPulse:
         return (np.pi * self.width**2) ** -0.25
 
     def envelope(self, t):
-        """Real amplitude g(t); accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
+        """Real amplitude g(t); accepts scalars or arrays.  A Python or numpy
+        float time is evaluated without 0-d arrays, bit for bit as the 0-d
+        array of that time is."""
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
         out = self.amplitude * np.exp(_exponent(t, self.tbar, self.width))
         return out if out.ndim else float(out)
 

@@ -13,10 +13,9 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .hierarchy import HierarchyState
+from .hierarchy import HierarchyState, RhsEvaluator
 from .integrator import Trajectory, evolve, integrate
 from .observables import max_concurrence, survival_time
-from .operators import sector_basis
 
 POSITIVITY_WARN = -1e-7
 
@@ -187,9 +186,13 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
 
 
 def _batches(configs, count: int) -> list[list[int]]:
-    """Config indices split into ``count`` batches balanced by step count x d^3,
-    longest member first, each to the least loaded batch."""
-    cost = [c.integrator_config().n_steps * len(sector_basis(c.n)) ** 3 for c in configs]
+    """Config indices split into ``count`` batches balanced by step count x
+    the coefficients of the member's system, which an RK4 step's cost
+    follows; longest member first, each to the least loaded batch."""
+    cost = []
+    for c in configs:
+        rhs = RhsEvaluator(c.chain_params(), c.gaussian_pulse(), c.drive_mode(), c.rho21_hc)
+        cost.append(c.integrator_config().n_steps * len(rhs.system.cols))
     batches: list[list[int]] = [[] for _ in range(count)]
     loads = [0] * count
     for i in sorted(range(len(configs)), key=lambda i: -cost[i]):

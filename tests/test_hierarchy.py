@@ -356,39 +356,47 @@ class TestFastEvaluator:
             x = fast.entries(HierarchyState.ground(2).blocks.real)
             assert x.dtype == np.float64 and len(x) == 2 * 25
 
-    @pytest.mark.parametrize("mode", [DriveMode.TWO_PHOTON, DriveMode.ONE_PHOTON])
+    @pytest.mark.parametrize("mode", [DriveMode.TWO_PHOTON, DriveMode.ONE_PHOTON, DriveMode.NONE])
     @pytest.mark.parametrize("hc", [True, False])
     @pytest.mark.parametrize("real", [True, False])
     def test_stack_is_its_members_bit_for_bit(self, mode, hc, real):
         # one member's pulse has underflowed to exactly 0 at t = 30 while the
-        # others still drive
+        # others still drive.  Rows without drive terms hold a zero
+        # coefficient; DriveMode.NONE has no drive rows at all, and evolves
+        # rho00 on every tile from a prepared state.
         kwargs = dict() if real else dict(delta=0.3, spacing=1 / 8)
-        members = [
-            RhsEvaluator(ChainParams(n=3, gamma_r=r, gamma_l=0.5, **kwargs), pulse, mode, hc)
-            for r, pulse in [
-                (1.0, GaussianPulse(5.0, 0.5)),
-                (0.1, GaussianPulse(5.0, 3.0, "verbatim")),
-                (0.4, GaussianPulse(6.0, 2.0)),
-            ]
-        ]
-        stack = RhsEvaluator.stack(members)
-        assert stack.is_real is real and stack.mode is mode and stack.pulse is None
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, len(members[0].entries(HierarchyState.ground(3).blocks))))
-        x[:, 0] = -0.0
-        for t in (0.7, 30.0, 200.0):
-            assert [m.pulse.envelope(t) == 0.0 for m in members] == [t > 25, t > 100, t > 100]
-            got = stack(t, x)
-            for j, member in enumerate(members):
-                want = member(t, x[j])
-                assert got[j].tobytes() == want.tobytes()
-            # dropping members keeps the others' arithmetic
-            assert stack.take([2, 0])(t, x[[2, 0]]).tobytes() == got[[2, 0]].tobytes()
-        # an infinite entry of the undriven member spreads as it does alone
-        x[0, 3] = np.inf
-        with np.errstate(invalid="ignore"):
-            alone = members[0](30.0, x[0])
-            assert np.array_equal(stack(30.0, x)[0], alone, equal_nan=True)
+        for n in (3, 5):
+            state0 = HierarchyState.ground(n)
+            if mode is DriveMode.NONE:
+                state0.blocks[0] = rng.standard_normal(state0.blocks[0].shape)
+            members = [
+                RhsEvaluator(
+                    ChainParams(n=n, gamma_r=r, gamma_l=0.5, **kwargs), pulse, mode, hc, state0
+                )
+                for r, pulse in [
+                    (1.0, GaussianPulse(5.0, 0.5)),
+                    (0.1, GaussianPulse(5.0, 3.0, "verbatim")),
+                    (0.4, GaussianPulse(6.0, 2.0)),
+                ]
+            ]
+            stack = RhsEvaluator.stack(members)
+            assert stack.is_real is real and stack.mode is mode and stack.pulse is None
+            x = rng.standard_normal((3, len(members[0].entries(state0.blocks))))
+            x[:, 0] = -0.0
+            for t in (0.7, 30.0, 200.0):
+                assert [m.pulse.envelope(t) == 0.0 for m in members] == [t > 25, t > 100, t > 100]
+                got = stack(t, x)
+                for j, member in enumerate(members):
+                    want = member(t, x[j])
+                    assert got[j].tobytes() == want.tobytes()
+                # dropping members keeps the others' arithmetic
+                assert stack.take([2, 0])(t, x[[2, 0]]).tobytes() == got[[2, 0]].tobytes()
+            # an infinite entry of the undriven member spreads as it does alone
+            x[0, 3] = np.inf
+            with np.errstate(invalid="ignore"):
+                alone = members[0](30.0, x[0])
+                assert np.array_equal(stack(30.0, x)[0], alone, equal_nan=True)
 
     def test_stack_refuses_mixed_members(self):
         real = RhsEvaluator(ChainParams(n=2), PULSE)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wgqed.presets import expand_preset
 from wgqed.pulse import NORMALIZATIONS, GaussianPulse, envelopes
 
 
@@ -67,6 +68,27 @@ def test_envelopes_are_each_envelope_bit_for_bit():
         want = [p.envelope(t) for p in pulses]
         assert envelopes(pulses, t).tobytes() == np.array(want).tobytes()
     assert envelopes(pulses, 40.0)[-1] == 0.0 < envelopes(pulses, 19.0)[-1]
+
+
+def test_scalar_envelope_is_the_array_path_bit_for_bit():
+    # every time at which a fig3 run at dt = 1e-3 evaluates the envelope,
+    # formed as the RK4 step forms them, then the pulse's subnormal tail and
+    # times where it has underflowed to exactly 0
+    cfg = expand_preset("fig3")[0]
+    pulse, config = cfg.gaussian_pulse(), cfg.integrator_config()
+    dt = config.dt
+    assert dt == 1e-3
+    stages = [s for k in range(config.n_steps) for t in [k * dt] for s in (t, t + 0.5 * dt, t + dt)]
+    tail = [60.0 + 0.125 * k for k in range(24)]
+    underflowed = [63.0, 100.0, 1e3, -80.0]
+    for t in stages + tail + underflowed:
+        want = np.float64(pulse.envelope(np.asarray(t))).tobytes()
+        for scalar in (t, np.float64(t)):
+            got = pulse.envelope(scalar)
+            assert type(got) is float and np.float64(got).tobytes() == want
+        assert envelopes([pulse], t).tobytes() == want
+    assert [pulse.envelope(t) for t in underflowed] == [0.0] * 4
+    assert pulse.envelope(60.0) > 0.0
 
 
 def test_validation():

@@ -238,17 +238,27 @@ class TestRunner:
                     (tmp_path / "alone" / name).read_bytes()
         assert len(os.listdir(tmp_path / "batched")) == 8
 
-    def test_batches_balance_steps_times_cube_of_basis(self):
-        # twelve fig5c members on two workers: three long and three short each
+    def test_batches_balance_steps_times_coefficients(self):
+        # twelve fig5c members share one system, so their step counts alone
+        # split them on two workers: three long and three short each
         configs = [replace(cfg, dt=0.01) for cfg in expand_preset("fig5c-sweep")]
         batches = runner._batches(configs, 2)
         lengths = [sorted(configs[i].t_end for i in batch) for batch in batches]
         assert lengths == [[25.0] * 3 + [50.0] * 3] * 2
-        # an n = 5 member (d = 26) outweighs a twice as long n = 3 one (d = 8)
+        # fig4: the n = 5 member's 6,574 coefficients outweigh the n = 3 and
+        # n = 4 ones together
+        fig4 = expand_preset("fig4")
+        assert [cfg.n for cfg in fig4] == [3, 4, 5]
+        assert runner._batches(fig4, 2) == [[2], [0, 1]]
+        # an n = 5 member outweighs a twice as long n = 3 one (622
+        # coefficients), but not a twelve times longer one: the cube of the
+        # basis (26^3 against 8^3) would still put the n = 5 member first
         mixed = [apply_overrides(TINY, n=5, label="n5"),
                  apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
                  apply_overrides(TINY, n=3, label="n3b")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
+        mixed[1] = apply_overrides(TINY, n=3, t_end=12 * TINY.t_end, label="n3")
+        assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
 
     def test_summary_csv_layout(self, tmp_path):
