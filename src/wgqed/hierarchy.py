@@ -715,11 +715,12 @@ class RhsEvaluator:
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         """The complex (n_blocks, d, d) blocks of one entries vector, zero
-        outside the reachable entries."""
+        outside the reachable entries; (members, n_blocks, d, d) for a
+        (members, entries) array."""
         system = self.system
-        out = np.zeros(np.prod(system.shape), dtype=complex)
-        out[system.flat] = x if system.real else x.view(complex)
-        return out.reshape(system.shape)
+        out = np.zeros(x.shape[:-1] + (np.prod(system.shape),), dtype=complex)
+        out[..., system.flat] = x if system.real else x.view(complex)
+        return out.reshape(x.shape[:-1] + system.shape)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Derivative of the entries vector, or of the (members, entries)

@@ -8,8 +8,11 @@ onto the positive cone would mask transcription errors in the equations of
 motion.  A trace error beyond 1e-6 aborts the run with the offending time.
 
 :func:`evolve` steps a group of chains that share n, step and sampling
-stride as one stack through the same RK4 step; :func:`integrate` is that
-loop with one member.
+stride as one stack through the same RK4 step, and samples the stack in one
+pass: the observables and :func:`diagnostics` each run once on the
+(members, ...) blocks of its live members, and each member's row is written
+from the result.  A trace breach ends only its own member.
+:func:`integrate` is that loop with one member.
 """
 
 from __future__ import annotations
@@ -137,25 +140,35 @@ def diagnostics(
     reported system state.  Every value is that of the zero-padded full
     blocks: for n > MAX_EXCITATIONS the dropped states count as exact zero
     eigenvalues.
+
+    For (..., n_blocks, d, d) blocks of several chains every field is an
+    array over the leading axes, each value the one its chain alone gives;
+    one chain gives floats.
     """
-    trace_err = herm_err = zero_trace = 0.0
-    for name, m in zip(BLOCK_NAMES, blocks):
-        trace = full_diagonal(m, n).sum()
-        if name in UNIT_TRACE_BLOCKS:
-            trace_err = max(trace_err, abs(trace - 1.0))
-            herm_err = max(herm_err, float(np.abs(m - m.conj().T).max()))
-        else:
-            zero_trace = max(zero_trace, abs(trace))
-    reported = blocks[mode.n_blocks - 1]
-    min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().T))[0]
+    blocks = np.asarray(blocks)
+    names = BLOCK_NAMES[: blocks.shape[-3]]
+    unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
+    other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
+    traces = full_diagonal(blocks, n).sum(axis=-1)
+    # |trace - 1| and |trace| rounded as abs() of one complex scalar rounds them
+    unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
+    herm_err = np.zeros(blocks.shape[:-3])
+    for k in unit:  # block by block: a gathered copy is slower from d = 64 on
+        m = blocks[..., k, :, :]
+        herm_err = np.maximum(herm_err, np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
+    reported = blocks[..., mode.n_blocks - 1, :, :]
+    min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().swapaxes(-1, -2)))[..., 0]
     if n > MAX_EXCITATIONS:
-        min_eig = min(min_eig, 0.0)
-    return Diagnostics(
-        trace_err=float(trace_err),
+        min_eig = np.where(min_eig > 0.0, 0.0, min_eig)
+    values = dict(
+        trace_err=np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0),
         herm_err=herm_err,
-        zero_block_trace=float(zero_trace),
-        min_eigenvalue=float(min_eig),
+        zero_block_trace=np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0),
+        min_eigenvalue=min_eig,
     )
+    if blocks.ndim == 3:
+        values = {name: float(value) for name, value in values.items()}
+    return Diagnostics(**values)
 
 
 def integrate(
@@ -240,43 +253,46 @@ class _Chain:
         # the published pulse curves use the first qubit's right-going rate
         self.gamma_ref = float(params.gamma_r[0])
 
-    def sample(self, k: int, t: float, work: np.ndarray) -> None:
-        """Record sample ``k`` at time ``t`` from this member's evolved blocks;
-        a trace breach ends the member with that IntegrationError."""
-        try:
-            self._record(k, t, work)
-        except IntegrationError as exc:
-            self.error = exc
 
-    def _record(self, k: int, t: float, work: np.ndarray) -> None:
-        n, mode, traj = self.n, self.mode, self.traj
-        blocks = self.rhs.blocks(work)
-        rho = blocks[mode.n_blocks - 1]
-        pops = populations(rho, n)
-        pair_c = pair_concurrences(rho, n)
-        diag = diagnostics(blocks, n, mode)
-        if diag.trace_err > TRACE_ABORT:
-            raise IntegrationError(
-                f"trace deviation {diag.trace_err:.3e} exceeds {TRACE_ABORT:.0e} "
+def _sample(chains: list[_Chain], k: int, t: float, x: np.ndarray) -> None:
+    """Record sample ``k`` at time ``t`` of the (members, entries) array ``x``
+    of ``chains``: one call each of the observables and the diagnostics for
+    all of them, then each member's row.  A trace breach ends its member
+    with that IntegrationError."""
+    first = chains[0]
+    n, mode = first.n, first.mode
+    blocks = first.rhs.blocks(x)
+    rho = blocks[:, mode.n_blocks - 1]
+    pops = populations(rho, n)
+    pair_c = pair_concurrences(rho, n)
+    diag = diagnostics(blocks, n, mode)
+    c_all = average_concurrence(pair_c, n, "all-pairs")
+    c_half = average_concurrence(pair_c, n, "half-n")
+    for j, chain in enumerate(chains):
+        if diag.trace_err[j] > TRACE_ABORT:
+            chain.error = IntegrationError(
+                f"trace deviation {diag.trace_err[j]:.3e} exceeds {TRACE_ABORT:.0e} "
                 f"at t={t:.6g}"
             )
+            continue
+        traj = chain.traj
         traj.times[k] = t
-        traj.p_ground[k] = pops.p_ground
-        traj.p_one[k] = pops.p_one
-        traj.p_two[k] = pops.p_two
-        traj.p_total[k] = pops.p_total
-        traj.p_excited[k] = pops.p_excited
-        traj.pair_concurrence[k] = pair_c
-        traj.c_avg_all_pairs[k] = average_concurrence(pair_c, n, "all-pairs")
-        traj.c_avg_half_n[k] = average_concurrence(pair_c, n, "half-n")
+        traj.p_ground[k] = pops.p_ground[j]
+        traj.p_one[k] = pops.p_one[j]
+        traj.p_two[k] = pops.p_two[j]
+        traj.p_total[k] = pops.p_total[j]
+        traj.p_excited[k] = pops.p_excited[j]
+        traj.pair_concurrence[k] = pair_c[j]
+        traj.c_avg_all_pairs[k] = c_all[j]
+        traj.c_avg_half_n[k] = c_half[j]
         if mode is not DriveMode.NONE:
-            traj.pulse_intensity[k] = self.pulse.drive_intensity(self.gamma_ref, t)
-        traj.trace_err[k] = diag.trace_err
-        traj.herm_err[k] = diag.herm_err
-        traj.zero_block_trace[k] = diag.zero_block_trace
-        traj.min_eigenvalue[k] = diag.min_eigenvalue
+            traj.pulse_intensity[k] = chain.pulse.drive_intensity(chain.gamma_ref, t)
+        traj.trace_err[k] = diag.trace_err[j]
+        traj.herm_err[k] = diag.herm_err[j]
+        traj.zero_block_trace[k] = diag.zero_block_trace[j]
+        traj.min_eigenvalue[k] = diag.min_eigenvalue[j]
         if traj.states is not None:
-            traj.states.append(rho.copy())
+            traj.states.append(rho[j].copy())
 
 
 def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
@@ -287,8 +303,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
     rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work
     dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
-    for j, chain in enumerate(chains):
-        chain.sample(0, 0.0, work[j] if stacked else work)
+    _sample(chains, 0, 0.0, work if stacked else work[None])
     step = 0
     while True:
         keep = []
@@ -324,6 +339,8 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             work = np.concatenate(parts)
         step += 1
         if step % sample_every == 0:
-            for j, chain in enumerate(chains):
-                if chain.error is None:
-                    chain.sample(step // sample_every, step * dt, work[j] if stacked else work)
+            live = [j for j, chain in enumerate(chains) if chain.error is None]
+            if live:  # members that went non-finite in this step are not sampled
+                x = work if stacked else work[None]
+                x = x if len(live) == len(chains) else x[live]
+                _sample([chains[j] for j in live], step // sample_every, step * dt, x)

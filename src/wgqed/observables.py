@@ -39,7 +39,8 @@ EIG_INVALID = -1e-8
 
 @dataclass(frozen=True)
 class PopulationRecord:
-    """Excitation-sector and per-qubit populations of one sampled state."""
+    """Excitation-sector and per-qubit populations of one sampled state, or
+    arrays of them over a stack of states (see :func:`populations`)."""
 
     p_ground: float
     p_one: float
@@ -49,14 +50,14 @@ class PopulationRecord:
 
 
 @functools.lru_cache(maxsize=None)
-def _full_index_masks(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Excitation bits of every full index, (2^n, n), and the full-index
-    masks of 0, 1 and 2 excitations."""
+def _population_masks(n: int) -> np.ndarray:
+    """(3 + n, 2^n) masks over the full index: 0, 1 and 2 excitations, then
+    the excitation bit of each qubit."""
     bits = excitation_bits(np.arange(2**n), n)
-    sectors = tuple(bits.sum(axis=1) == k for k in range(3))
-    for arr in (bits, *sectors):
-        arr.setflags(write=False)  # shared by every caller through the cache
-    return bits, sectors
+    sectors = [bits.sum(axis=1) == k for k in range(3)]
+    masks = np.concatenate((sectors, bits.T)).astype(float)
+    masks.setflags(write=False)  # shared by every caller through the cache
+    return masks
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,11 @@ def _tables(n: int) -> _BasisTables:
 
 
 def _checked_tables(m: np.ndarray, n: int) -> _BasisTables:
-    """The tables of an n-qubit state ``m``, which must be d x d on the basis."""
+    """The tables of an n-qubit state ``m``, which must be d x d on the basis
+    (or a stack of such, with leading axes)."""
     tables = _tables(n)
     d = len(tables.basis)
-    if m.shape != (d, d):
+    if m.shape[-2:] != (d, d):
         raise ValueError(
             f"a {n}-qubit state on the sector basis is {d} x {d}, got shape {m.shape}"
         )
@@ -112,14 +114,15 @@ def _checked_tables(m: np.ndarray, n: int) -> _BasisTables:
 
 def full_diagonal(m: np.ndarray, n: int) -> np.ndarray:
     """Diagonal of an n-qubit state or block on the full 2^n index, zero on
-    the states the sector basis drops.
+    the states the sector basis drops; for a (..., d, d) stack, (..., 2^n).
 
     Sums over it round exactly as sums over the zero-padded full state's
     diagonal, so traces and populations do not depend on the basis.
     """
     m = np.asarray(m)
-    diag = np.zeros(2**n, dtype=m.dtype)
-    diag[_checked_tables(m, n).basis] = m.diagonal()
+    basis = _checked_tables(m, n).basis
+    diag = np.zeros(m.shape[:-2] + (2**n,), dtype=m.dtype)
+    diag[..., basis] = m.diagonal(axis1=-2, axis2=-1)
     return diag
 
 
@@ -130,34 +133,49 @@ def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     basis index (qubit 1 is the most significant bit).  ``p_total`` is the
     full trace (the conserved total population).  For a single qubit P_2 is
     identically zero.
+
+    For a (..., d, d) stack of states every field is an array over the
+    leading axes (``p_excited`` with a last axis of qubits), each value the
+    one its state alone gives; a single state gives floats.
     """
     diag = full_diagonal(rho, n)
-    bits, sectors = _full_index_masks(n)
-    p_k = [float((diag * mask).sum().real) for mask in sectors]
-    p_exc = tuple(float((diag * bits[:, i]).sum().real) for i in range(n))
-    return PopulationRecord(
-        p_ground=p_k[0],
-        p_one=p_k[1],
-        p_two=p_k[2] if n >= 2 else 0.0,
-        p_excited=p_exc,
-        p_total=float(diag.sum().real),
-    )
+    masks = _population_masks(n)
+    # one row sum per mask, each along a contiguous 2^n row as for one state
+    sums = (diag[..., None, :] * masks).sum(axis=-1).real
+    total = diag.sum(axis=-1).real
+    p_two = sums[..., 2] if n >= 2 else np.zeros_like(total)
+    p_exc = sums[..., 3:]
+    if diag.ndim == 1:
+        return PopulationRecord(
+            p_ground=float(sums[0]),
+            p_one=float(sums[1]),
+            p_two=float(p_two),
+            p_excited=tuple(p_exc.tolist()),
+            p_total=float(total),
+        )
+    return PopulationRecord(sums[..., 0], sums[..., 1], p_two, p_exc, total)
 
 
 def pair_states(rho: np.ndarray, n: int) -> np.ndarray:
     """Reduced density matrices of every pair, stacked in ``all_pairs(n)``
-    order as (n_pairs, 4, 4).
+    order as (n_pairs, 4, 4), or (..., n_pairs, 4, 4) for a stack of states.
 
     Each uses the pair basis ordering {|g_i g_j>, |g_i e_j>, |e_i g_j>,
     |e_i e_j>} (qubit i is the most-significant factor); traces are kept.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     tables = _checked_tables(rho, n)
-    flat = rho.reshape(-1).view(np.float64)
+    lead, size = rho.shape[:-2], 32 * tables.n_pairs
+    flat = rho.reshape(-1, rho.shape[-1] ** 2).view(np.float64)
+    # one scatter-add for all states, each in bins of its own and in the
+    # order it has alone, so every bin sums in the same order
+    bins = tables.pair_dst
+    if len(flat) > 1:
+        bins = (bins + size * np.arange(len(flat))[:, None]).ravel()
     out = np.bincount(
-        tables.pair_dst, weights=flat[tables.pair_src], minlength=32 * tables.n_pairs
+        bins, weights=flat.take(tables.pair_src, axis=-1).ravel(), minlength=size * len(flat)
     )
-    return out.view(complex).reshape(tables.n_pairs, 4, 4)
+    return out.view(complex).reshape(lead + (tables.n_pairs, 4, 4))
 
 
 def spin_flip(rho4: np.ndarray) -> np.ndarray:
@@ -205,23 +223,28 @@ def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID
 
 def pair_concurrences(rho: np.ndarray, n: int) -> np.ndarray:
     """Concurrence of every unordered qubit pair, in ``all_pairs(n)`` order,
-    clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`).
+    clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`);
+    (..., n_pairs) for a (..., d, d) stack of states.
 
-    All pairs are reduced in one scatter-add and their spin-flip spectra
-    computed in one batched eigenvalue call.
+    All pairs of all states are reduced in one scatter-add and their
+    spin-flip spectra computed in one batched eigenvalue call.
     """
     return _wootters(np.linalg.eigvals(spin_flip(pair_states(rho, n))))
 
 
 def average_concurrence(pair_values: np.ndarray, n: int, norm: str = "all-pairs") -> float:
-    """Average precomputed pair concurrences under the given normalization."""
+    """Average precomputed pair concurrences under the given normalization;
+    for (..., n_pairs) values of a stack of states, an array over the
+    leading axes."""
     if norm not in PAIR_NORMS:
         raise ValueError(f"unknown pair normalization {norm!r}; expected {PAIR_NORMS}")
+    values = np.asarray(pair_values)
     if n < 2:
-        return 0.0
-    total = float(np.sum(pair_values))
-    divisor = n * (n - 1) / 2.0 if norm == "all-pairs" else n / 2.0
-    return total / divisor
+        total = np.zeros(values.shape[:-1])
+    else:
+        divisor = n * (n - 1) / 2.0 if norm == "all-pairs" else n / 2.0
+        total = values.sum(axis=-1) / divisor
+    return float(total) if total.ndim == 0 else total
 
 
 def max_concurrence(traj, norm: str = "all-pairs") -> tuple[float, float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import traceback
 import warnings
@@ -18,6 +19,13 @@ from .integrator import Trajectory, evolve, integrate
 from .observables import max_concurrence, survival_time
 
 POSITIVITY_WARN = -1e-7
+
+# Anomalies are logged here as well as issued as RuntimeWarnings, which test
+# configurations and benchmark harnesses may silence.  The NullHandler keeps
+# Python's last-resort handler from printing each record beside the warning;
+# applications attach their own handlers.
+LOG = logging.getLogger("wgqed")
+LOG.addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> tuple[Trajectory, RunSummary]:
     summary = _finish(cfg, traj, out_dir)
     message = _positivity_warning(traj, cfg.label)
     if message is not None:
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        _report(message)
     return traj, summary
 
 
@@ -144,6 +152,13 @@ def _positivity_warning(traj: Trajectory, label: str) -> str | None:
         f"(min eigenvalue {traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g}) "
         f"in {label}"
     )
+
+
+def _report(message: str) -> None:
+    """Log a positivity anomaly and issue it as a RuntimeWarning at the
+    caller of the public function."""
+    LOG.warning(message)
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | None]]:
@@ -185,14 +200,24 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
     return results
 
 
+# The cost of one RK4 step with its share of the sampling, in tenths of a
+# stored real coefficient: a fixed part (about 45 us, as much as 3,200 real
+# coefficients), plus each stored coefficient, a complex-arithmetic one at
+# 1.8 times a real one (one core, BLAS 1 thread, fitted over the preset
+# members).  Integers, so that members of equal cost tie exactly.
+STEP_WEIGHT = 32_000
+REAL_WEIGHT, COMPLEX_WEIGHT = 10, 18
+
+
 def _batches(configs, count: int) -> list[list[int]]:
     """Config indices split into ``count`` batches balanced by step count x
-    the coefficients of the member's system, which an RK4 step's cost
-    follows; longest member first, each to the least loaded batch."""
+    the cost of one step of the member's system (``STEP_WEIGHT`` and its
+    coefficients); longest member first, each to the least loaded batch."""
     cost = []
     for c in configs:
         rhs = RhsEvaluator(c.chain_params(), c.gaussian_pulse(), c.drive_mode(), c.rho21_hc)
-        cost.append(c.integrator_config().n_steps * len(rhs.system.cols))
+        weight = REAL_WEIGHT if rhs.system.real else COMPLEX_WEIGHT
+        cost.append(c.integrator_config().n_steps * (STEP_WEIGHT + weight * len(rhs.system.cols)))
     batches: list[list[int]] = [[] for _ in range(count)]
     loads = [0] * count
     for i in sorted(range(len(configs)), key=lambda i: -cost[i]):
@@ -263,5 +288,5 @@ def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exceptio
             results[i] = result
     for _, message in results:
         if message is not None:
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+            _report(message)
     return [result for result, _ in results]

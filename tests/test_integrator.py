@@ -4,8 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wgqed.hierarchy import ChainParams, DriveMode, HierarchyState
+from wgqed.hierarchy import (
+    BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
+)
 from wgqed.integrator import (
+    Diagnostics,
     IntegrationError,
     IntegratorConfig,
     Trajectory,
@@ -13,6 +16,13 @@ from wgqed.integrator import (
     evolve,
     integrate,
     rk4_step,
+)
+from wgqed.observables import (
+    average_concurrence,
+    full_diagonal,
+    pair_concurrences,
+    pair_states,
+    populations,
 )
 from wgqed.operators import sector_basis
 from wgqed.pulse import GaussianPulse
@@ -254,6 +264,26 @@ class TestIntegrate:
             list(evolve([stack[0], (HierarchyState.ground(2), ChainParams(n=2), FAR_PULSE,
                                     IntegratorConfig(**config))], DriveMode.TWO_PHOTON))
 
+    def test_trace_breach_mid_stack_leaves_the_others_exact(self):
+        # at dt = 0.5 unit rates breach the trace bound at t = 12, smaller
+        # rates do not: the middle member leaves at that sample, and its
+        # neighbours, sampled in the same pass, keep integrate's trajectory
+        config = IntegratorConfig(dt=0.5, t_end=20.0, sample_every=2)
+        pulse = GaussianPulse(5.0, 1.5)
+        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), ChainParams(n=3),
+                  ChainParams(n=3, gamma_r=0.3, gamma_l=0.1)]
+        stack = [(HierarchyState.ground(3), p, pulse, config) for p in chains]
+        outcomes = dict(evolve(stack, DriveMode.TWO_PHOTON, keep_states=True))
+        with pytest.raises(IntegrationError) as alone:
+            integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
+        assert str(alone.value).startswith("trace deviation") and str(alone.value).endswith("at t=12")
+        assert type(outcomes[1]) is IntegrationError and str(outcomes[1]) == str(alone.value)
+        for i in (0, 2):
+            want = integrate(*stack[i][:3], DriveMode.TWO_PHOTON, config, keep_states=True)
+            for f in fields(Trajectory):
+                got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
+
     def test_non_finite_member_leaves_the_stack(self):
         # rates of 1e80 overflow in the second step; the other member goes on
         config = IntegratorConfig(dt=0.5, t_end=3.0, sample_every=2)
@@ -322,6 +352,70 @@ class TestDiagnostics:
         assert diagnostics(s.blocks, 2).zero_block_trace == pytest.approx(1e-5)
         # a mode that evolves fewer blocks checks only those
         assert diagnostics(s.blocks[:1], 2, DriveMode.NONE).zero_block_trace == 0.0
+
+
+def _sampled_blocks(n, mode, delta):
+    """Blocks of an n-qubit chain after 40 driven RK4 steps, as ``mode``
+    holds them: its lower blocks, then the reported two-photon state."""
+    rhs = RhsEvaluator(ChainParams(n=n, gamma_l=0.4, delta=delta), GaussianPulse(0.5, 0.3))
+    x = rhs.entries(HierarchyState.ground(n).blocks)
+    for k in range(40):
+        x = rk4_step(x, k * 0.02, 0.02, rhs)
+    blocks = rhs.blocks(x)
+    return blocks[list(range(mode.n_blocks - 1)) + [5]]
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_stack_is_its_members_bit_for_bit(self, n, mode, members):
+        # a detuned chain (complex arithmetic), a real one and an all-zero
+        # member, whose pair states are all zero; bytes compare, so signed
+        # zeros count
+        detuned = _sampled_blocks(n, mode, 0.5)
+        blocks = np.stack([detuned, _sampled_blocks(n, mode, 0.0), np.zeros_like(detuned)])
+        blocks = blocks[:members]
+        if mode is DriveMode.TWO_PHOTON:
+            assert np.any(detuned.imag)
+        rho = blocks[:, -1]
+        pops, diag = populations(rho, n), diagnostics(blocks, n, mode)
+        stacked = {
+            "full_diagonal": full_diagonal(blocks, n),
+            "pair_states": pair_states(rho, n),
+            "pair_concurrences": pair_concurrences(rho, n),
+            "all-pairs": average_concurrence(pair_concurrences(rho, n), n, "all-pairs"),
+            "half-n": average_concurrence(pair_concurrences(rho, n), n, "half-n"),
+        }
+        for j in range(members):
+            alone = populations(rho[j], n)
+            for name in ("p_ground", "p_one", "p_two", "p_total"):
+                assert type(getattr(alone, name)) is float
+                assert np.float64(getattr(alone, name)).tobytes() == getattr(pops, name)[j].tobytes()
+            assert type(alone.p_excited) is tuple
+            assert np.array(alone.p_excited).tobytes() == pops.p_excited[j].tobytes()
+            single = diagnostics(blocks[j], n, mode)
+            # the trace checks round as abs() of each complex scalar trace
+            traces = [full_diagonal(m, n).sum() for m in blocks[j]]
+            unit = [k for k in range(len(traces)) if BLOCK_NAMES[k] in UNIT_TRACE_BLOCKS]
+            assert single.trace_err == max([0.0] + [abs(traces[k] - 1.0) for k in unit])
+            assert single.zero_block_trace == max(
+                [0.0] + [abs(traces[k]) for k in range(len(traces)) if k not in unit]
+            )
+            for f in fields(Diagnostics):
+                assert type(getattr(single, f.name)) is float
+                assert np.float64(getattr(single, f.name)).tobytes() == \
+                    getattr(diag, f.name)[j].tobytes(), f.name
+            pair_c = pair_concurrences(rho[j], n)
+            assert stacked["full_diagonal"][j].tobytes() == full_diagonal(blocks[j], n).tobytes()
+            assert stacked["pair_states"][j].tobytes() == pair_states(rho[j], n).tobytes()
+            assert stacked["pair_concurrences"][j].tobytes() == pair_c.tobytes()
+            for norm in ("all-pairs", "half-n"):
+                value = average_concurrence(pair_c, n, norm)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == stacked[norm][j].tobytes()
+        if members == 3:
+            assert not np.any(stacked["pair_states"][2])
 
 
 def test_trajectory_norm_selector():

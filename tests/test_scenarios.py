@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 from dataclasses import replace
 
@@ -208,6 +209,22 @@ class TestRunner:
                 run_many(configs, jobs=jobs)
             assert [str(w.message).rsplit(" ", 1)[1] for w in caught] == ["long", "short"]
 
+    def test_positivity_anomaly_is_logged(self, caplog):
+        # the RuntimeWarning is silenced by the pytest filter; the record is not
+        cfg = ExperimentConfig(dt=2e-3, t_end=8.0, sample_every=5, label="dip")
+        with caplog.at_level(logging.WARNING, logger="wgqed"):
+            traj, _ = run(cfg)
+            run_many([replace(cfg, label="swept")], jobs=1)
+        worst = int(np.argmin(traj.min_eigenvalue))
+        want = (
+            f"reported state dipped below positivity tolerance (min eigenvalue "
+            f"{traj.min_eigenvalue[worst]:.3e} at t={traj.times[worst]:.6g}) in "
+        )
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("wgqed", logging.WARNING, want + "dip"),
+            ("wgqed", logging.WARNING, want + "swept"),
+        ]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batched_members_write_the_files_run_writes(self, tmp_path, jobs):
         # one stack of mixed widths, rates and lengths: the width-0.5 pulse
@@ -260,6 +277,17 @@ class TestRunner:
         mixed[1] = apply_overrides(TINY, n=3, t_end=12 * TINY.t_end, label="n3")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
+        # a step's fixed cost puts a twice as long n = 3 member ahead of an
+        # n = 4 one (2,266 coefficients against 2 x 622), and a complex
+        # coefficient costs 1.8 real ones: a detuned n = 4 member (9,062)
+        # goes ahead of a 1.5 times longer real n = 5 one (1.5 x 6,574)
+        mixed = [apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
+                 apply_overrides(TINY, n=4, label="n4"), apply_overrides(TINY, label="n2")]
+        assert runner._batches(mixed, 2) == [[0], [1, 2]]
+        mixed = [apply_overrides(TINY, n=5, t_end=1.5, label="n5"),
+                 apply_overrides(TINY, n=4, delta=0.5, label="detuned"),
+                 apply_overrides(TINY, label="n2")]
+        assert runner._batches(mixed, 2) == [[1], [0, 2]]
 
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
