@@ -8,11 +8,16 @@ onto the positive cone would mask transcription errors in the equations of
 motion.  A trace error beyond 1e-6 aborts the run with the offending time.
 
 :func:`evolve` steps a group of chains that share n, step and sampling
-stride as one stack through the same RK4 step, and samples the stack in one
-pass: the observables and :func:`diagnostics` each run once on the
-(members, ...) blocks of its live members, and each member's row is written
-from the result.  A trace breach ends only its own member.
-:func:`integrate` is that loop with one member.
+stride as one stack through the same RK4 step, and samples in chunks of
+time: each sample instant only queues a copy of its live members' entries,
+and a chunk of instants is evaluated at once, one blocks scatter and one
+call each of the observables and :func:`diagnostics` on all its rows, each
+row's values the ones it gives alone.  A chunk ends when its scattered
+blocks would pass a fixed byte budget (about 170 samples of a lone n = 2
+chain, 4 at n = 5, one from n = 7 on), and before any member leaves the
+stack.  A trace breach, found when its chunk is evaluated, ends only its own
+member, with the time of the breaching sample; the member steps on for at
+most that chunk.  :func:`integrate` is that loop with one member.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ from .operators import MAX_EXCITATIONS, all_pairs
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
+
+# Bytes of scattered (rows, n_blocks, d, d) complex blocks one sampling chunk
+# may hold; a chunk holds at least one sample instant.
+_CHUNK_BYTES = 256 * 1024
 
 
 class IntegrationError(RuntimeError):
@@ -148,10 +157,7 @@ def diagnostics(
     blocks = np.asarray(blocks)
     names = BLOCK_NAMES[: blocks.shape[-3]]
     unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
-    other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
-    traces = full_diagonal(blocks, n).sum(axis=-1)
-    # |trace - 1| and |trace| rounded as abs() of one complex scalar rounds them
-    unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
+    trace_err, zero_block_trace = _trace_deviations(blocks, n)
     herm_err = np.zeros(blocks.shape[:-3])
     for k in unit:  # block by block: a gathered copy is slower from d = 64 on
         m = blocks[..., k, :, :]
@@ -161,14 +167,29 @@ def diagnostics(
     if n > MAX_EXCITATIONS:
         min_eig = np.where(min_eig > 0.0, 0.0, min_eig)
     values = dict(
-        trace_err=np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0),
+        trace_err=trace_err,
         herm_err=herm_err,
-        zero_block_trace=np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0),
+        zero_block_trace=zero_block_trace,
         min_eigenvalue=min_eig,
     )
     if blocks.ndim == 3:
         values = {name: float(value) for name, value in values.items()}
     return Diagnostics(**values)
+
+
+def _trace_deviations(blocks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest |trace - 1| of the unit-trace blocks and the largest
+    |trace| of the others, over the leading axes of (..., n_blocks, d, d)
+    blocks; each rounds as abs() of one complex scalar trace."""
+    names = BLOCK_NAMES[: blocks.shape[-3]]
+    unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
+    other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
+    traces = full_diagonal(blocks, n).sum(axis=-1)
+    unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
+    return (
+        np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0),
+        np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0),
+    )
 
 
 def integrate(
@@ -208,9 +229,15 @@ def evolve(
     one system structure (the same reachable tiles and real or complex
     arithmetic) are stepped as one stack, member by member with the same
     arithmetic as alone, so each trajectory is bit for bit the one
-    :func:`integrate` gives.  Yields ``(index into members, trajectory)`` as
-    each member reaches its t_end, or ``(index, IntegrationError)`` as it
-    breaks an invariant; a failing member leaves the stack and the others go on.
+    :func:`integrate` gives.  Samples are evaluated in chunks of time, and
+    always before a member leaves the stack.  Yields ``(index into members,
+    trajectory)`` as each member reaches its t_end, or ``(index,
+    IntegrationError)`` as it breaks an invariant; a failing member leaves
+    the stack and the others go on.  A trace breach is found only when its
+    chunk is evaluated, so the member leaves then, with the time of the
+    breaching sample, and may be yielded after members that reached their
+    t_end in the meantime.  The breach is the error it reports even when its
+    state went non-finite later in that chunk.
     """
     chains = [_Chain(i, *member, mode, rho21_hc, keep_states) for i, member in enumerate(members)]
     shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
@@ -254,45 +281,96 @@ class _Chain:
         self.gamma_ref = float(params.gamma_r[0])
 
 
-def _sample(chains: list[_Chain], k: int, t: float, x: np.ndarray) -> None:
-    """Record sample ``k`` at time ``t`` of the (members, entries) array ``x``
-    of ``chains``: one call each of the observables and the diagnostics for
-    all of them, then each member's row.  A trace breach ends its member
-    with that IntegrationError."""
-    first = chains[0]
+class _Chunk:
+    """Sample instants of a stack awaiting evaluation: the member, sample
+    index and time of each queued row, and copies of the entries rows."""
+
+    def __init__(self, chain: _Chain):
+        row_bytes = 16 * int(np.prod(chain.rhs.system.shape))
+        self.capacity = max(1, _CHUNK_BYTES // row_bytes)
+        self.owners: list[_Chain] = []
+        self.ks: list[int] = []
+        self.ts: list[float] = []
+        self.rows: list[np.ndarray] = []
+
+    def record(self, chains: list[_Chain], k: int, t: float, x: np.ndarray) -> None:
+        """Queue sample ``k`` at time ``t`` of the (members, entries) array
+        ``x`` of ``chains``, and evaluate the chunk once another instant of
+        as many rows would pass its budget.  Members with an error are not
+        sampled."""
+        live = [j for j, chain in enumerate(chains) if chain.error is None]
+        if live:
+            self.owners += [chains[j] for j in live]
+            self.ks += [k] * len(live)
+            self.ts += [t] * len(live)
+            self.rows.append(x[live])
+            if len(self.owners) + len(live) > self.capacity:
+                self.flush()
+
+    def flush(self) -> None:
+        if self.owners:
+            _sample(self.owners, self.ks, self.ts, np.concatenate(self.rows))
+            self.owners, self.ks, self.ts, self.rows = [], [], [], []
+
+
+def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray) -> None:
+    """Evaluate the (rows, entries) array ``x``, in time order, row r being
+    sample ``ks[r]`` at time ``ts[r]`` of ``owners[r]``: one blocks scatter
+    and one call each of the observables and the diagnostics for all rows,
+    then each member's rows written into its trajectory through index arrays.
+
+    The first row of a member that breaks the trace bound ends it with that
+    IntegrationError, in place of a non-finite step found after it.  Rows of
+    a member that has ended are not written; they are zeroed before the
+    observables, as its state may have grown past what they can take."""
+    first = owners[0]
     n, mode = first.n, first.mode
     blocks = first.rhs.blocks(x)
+    trace_err, _ = _trace_deviations(blocks, n)
+    breached = set()
+    for r in np.flatnonzero(trace_err > TRACE_ABORT).tolist():
+        chain = owners[r]
+        if chain not in breached:
+            breached.add(chain)
+            chain.error = IntegrationError(
+                f"trace deviation {trace_err[r]:.3e} exceeds {TRACE_ABORT:.0e} at t={ts[r]:.6g}"
+            )
+    rows_of: dict[_Chain, list[int]] = {}
+    for r, chain in enumerate(owners):
+        rows_of.setdefault(chain, []).append(r)
+    ended = [r for chain, rows in rows_of.items() if chain.error is not None for r in rows]
+    if ended:
+        blocks[ended] = 0.0
     rho = blocks[:, mode.n_blocks - 1]
     pops = populations(rho, n)
     pair_c = pair_concurrences(rho, n)
     diag = diagnostics(blocks, n, mode)
     c_all = average_concurrence(pair_c, n, "all-pairs")
     c_half = average_concurrence(pair_c, n, "half-n")
-    for j, chain in enumerate(chains):
-        if diag.trace_err[j] > TRACE_ABORT:
-            chain.error = IntegrationError(
-                f"trace deviation {diag.trace_err[j]:.3e} exceeds {TRACE_ABORT:.0e} "
-                f"at t={t:.6g}"
-            )
+    for chain, rows in rows_of.items():
+        if chain.error is not None:
             continue
-        traj = chain.traj
-        traj.times[k] = t
-        traj.p_ground[k] = pops.p_ground[j]
-        traj.p_one[k] = pops.p_one[j]
-        traj.p_two[k] = pops.p_two[j]
-        traj.p_total[k] = pops.p_total[j]
-        traj.p_excited[k] = pops.p_excited[j]
-        traj.pair_concurrence[k] = pair_c[j]
-        traj.c_avg_all_pairs[k] = c_all[j]
-        traj.c_avg_half_n[k] = c_half[j]
+        traj, k = chain.traj, np.array([ks[r] for r in rows])
+        traj.times[k] = [ts[r] for r in rows]
         if mode is not DriveMode.NONE:
-            traj.pulse_intensity[k] = chain.pulse.drive_intensity(chain.gamma_ref, t)
-        traj.trace_err[k] = diag.trace_err[j]
-        traj.herm_err[k] = diag.herm_err[j]
-        traj.zero_block_trace[k] = diag.zero_block_trace[j]
-        traj.min_eigenvalue[k] = diag.min_eigenvalue[j]
+            # one scalar call per sample: the array envelope rounds differently
+            for r in rows:
+                traj.pulse_intensity[ks[r]] = chain.pulse.drive_intensity(chain.gamma_ref, ts[r])
+        rows = np.array(rows)
+        traj.p_ground[k] = pops.p_ground[rows]
+        traj.p_one[k] = pops.p_one[rows]
+        traj.p_two[k] = pops.p_two[rows]
+        traj.p_total[k] = pops.p_total[rows]
+        traj.p_excited[k] = pops.p_excited[rows]
+        traj.pair_concurrence[k] = pair_c[rows]
+        traj.c_avg_all_pairs[k] = c_all[rows]
+        traj.c_avg_half_n[k] = c_half[rows]
+        traj.trace_err[k] = diag.trace_err[rows]
+        traj.herm_err[k] = diag.herm_err[rows]
+        traj.zero_block_trace[k] = diag.zero_block_trace[rows]
+        traj.min_eigenvalue[k] = diag.min_eigenvalue[rows]
         if traj.states is not None:
-            traj.states.append(rho[j].copy())
+            traj.states.extend(rho[rows])
 
 
 def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
@@ -303,20 +381,24 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
     rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work
     dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
-    _sample(chains, 0, 0.0, work if stacked else work[None])
+    chunk = _Chunk(chains[0])
+    chunk.record(chains, 0, 0.0, work if stacked else work[None])
     step = 0
     while True:
-        keep = []
-        for j, chain in enumerate(chains):
-            if chain.error is None and chain.n_steps > step:
-                keep.append(j)
-            else:
-                # the trajectory leaves with the member; the stack keeps no reference
-                outcome, chain.traj, chain.work = chain.error or chain.traj, None, None
-                yield chain.index, outcome
-        if not keep:
-            return
-        if len(keep) < len(chains):
+        if any(chain.error is not None or chain.n_steps <= step for chain in chains):
+            # members leave with their samples evaluated; a breach found in
+            # them ends its member here too
+            chunk.flush()
+            keep = []
+            for j, chain in enumerate(chains):
+                if chain.error is None and chain.n_steps > step:
+                    keep.append(j)
+                else:
+                    # the trajectory leaves with the member; the stack keeps no reference
+                    outcome, chain.traj, chain.work = chain.error or chain.traj, None, None
+                    yield chain.index, outcome
+            if not keep:
+                return
             chains = [chains[j] for j in keep]
             work, rhs = work[keep], rhs.take(keep)
 
@@ -339,8 +421,4 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             work = np.concatenate(parts)
         step += 1
         if step % sample_every == 0:
-            live = [j for j, chain in enumerate(chains) if chain.error is None]
-            if live:  # members that went non-finite in this step are not sampled
-                x = work if stacked else work[None]
-                x = x if len(live) == len(chains) else x[live]
-                _sample([chains[j] for j in live], step // sample_every, step * dt, x)
+            chunk.record(chains, step // sample_every, step * dt, work if stacked else work[None])

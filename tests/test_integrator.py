@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wgqed import integrator
 from wgqed.hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
 )
@@ -284,6 +285,44 @@ class TestIntegrate:
                 got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
 
+    def test_trace_breach_is_reported_after_overflow_in_its_chunk(self, monkeypatch):
+        # the unit-rate chain breaches the trace bound at t = 12 and, stepped
+        # on, goes non-finite before t_end; with the whole run in one chunk
+        # the breach is still what integrate and evolve report, and the
+        # neighbours in its stack keep integrate's trajectories bit for bit
+        monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1 << 40)
+        config = IntegratorConfig(dt=0.5, t_end=300.0, sample_every=2)
+        pulse = GaussianPulse(5.0, 1.5)
+        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), ChainParams(n=3),
+                  ChainParams(n=3, gamma_r=0.3, gamma_l=0.1)]
+        stack = [(HierarchyState.ground(3), p, pulse, config) for p in chains]
+        rhs = RhsEvaluator(chains[1], pulse, DriveMode.TWO_PHOTON)
+        x = rhs.entries(HierarchyState.ground(3).blocks)
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite"):
+                for k in range(config.n_steps):
+                    x = rk4_step(x, k * config.dt, config.dt, rhs)
+            with pytest.raises(IntegrationError) as alone:
+                integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
+            outcomes = list(evolve(stack, DriveMode.TWO_PHOTON, keep_states=True))
+        breach = "trace deviation 1.144e-05 exceeds 1e-06 at t=12"
+        assert str(alone.value) == breach
+        assert [i for i, _ in outcomes] == [1, 0, 2]
+        assert type(outcomes[0][1]) is IntegrationError and str(outcomes[0][1]) == breach
+        for i, outcome in outcomes[1:]:
+            want = integrate(*stack[i][:3], DriveMode.TWO_PHOTON, config, keep_states=True)
+            for f in fields(Trajectory):
+                got, ref = getattr(outcome, f.name), getattr(want, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
+        # yield order can shift: the breaching member leaves at the next
+        # flush, here when a shorter member reaches its t_end at t = 50, and
+        # so after it, although it breached first
+        short = (HierarchyState.ground(3), chains[0], pulse,
+                 IntegratorConfig(dt=0.5, t_end=50.0, sample_every=2))
+        outcomes = list(evolve([short, stack[1]], DriveMode.TWO_PHOTON))
+        assert [i for i, _ in outcomes] == [0, 1]
+        assert str(outcomes[1][1]) == breach
+
     def test_non_finite_member_leaves_the_stack(self):
         # rates of 1e80 overflow in the second step; the other member goes on
         config = IntegratorConfig(dt=0.5, t_end=3.0, sample_every=2)
@@ -416,6 +455,30 @@ class TestStackedSampling:
                 assert np.float64(value).tobytes() == stacked[norm][j].tobytes()
         if members == 3:
             assert not np.any(stacked["pair_states"][2])
+
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_trajectory_is_its_samples_one_at_a_time(self, n):
+        # 173 samples, a prime count: every chunk length between 2 and 172
+        # leaves a partial last chunk; each row of the trajectory is what the
+        # observables give its kept state alone
+        config = IntegratorConfig(dt=0.05, t_end=8.6, sample_every=1)
+        traj = integrate(HierarchyState.ground(n), ChainParams(n=n, gamma_l=0.4, delta=0.2),
+                         GaussianPulse(tbar=2.0, width=1.0), DriveMode.TWO_PHOTON, config,
+                         keep_states=True)
+        assert len(traj) == len(traj.states) == 173
+        assert traj.c_avg_all_pairs.max() > 0.0
+        for k, rho in enumerate(traj.states):
+            pops = populations(rho, n)
+            for name in ("p_ground", "p_one", "p_two", "p_total"):
+                assert np.float64(getattr(pops, name)).tobytes() == \
+                    getattr(traj, name)[k].tobytes(), name
+            assert np.array(pops.p_excited).tobytes() == traj.p_excited[k].tobytes()
+            pair_c = pair_concurrences(rho, n)
+            assert pair_c.tobytes() == traj.pair_concurrence[k].tobytes()
+            for norm in ("all-pairs", "half-n"):
+                value = np.float64(average_concurrence(pair_c, n, norm))
+                assert value.tobytes() == traj.c_avg(norm)[k].tobytes(), norm
 
 
 def test_trajectory_norm_selector():
