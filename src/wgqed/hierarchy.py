@@ -33,8 +33,9 @@ excited qubits, so every block lives on the sector basis of
 tiles that the evolution can reach from the initial blocks ever move (a tile
 being the entries of a block whose rows hold r excitations and columns c);
 :class:`RhsEvaluator` finds them by a closure over the drift, the jumps and
-the drive, and evolves their entries as one vector under one sparse
-real-linear system, 398 of the 4,056 block entries at n = 5 and 1,410 of
+the drive, and evolves their entries as one vector under one sparse linear
+system (real, or complex when detunings, positions or the initial blocks
+make it so), 398 of the 4,056 block entries at n = 5 and 1,410 of
 24,576 at n = 7.  The Liouvillian and the unit-envelope drive share one
 row-by-row layout, so a right-hand side call is one gather, one product and
 one row sum.
@@ -392,40 +393,34 @@ def _closure(tiles: frozenset, n: int, rows: list[tuple]) -> frozenset:
 class _Part(NamedTuple):
     """One part of the system, L0 or L1: its terms, each an entry times
     f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`), and the places
-    ``at`` of the coefficients they make up in the system's term layout.
-    With complex arithmetic ``pick`` and ``sign`` take the real and imaginary
-    parts of the term values that make up each stored coefficient; terms
-    from ``merge[k]`` on (all of them one by one when None) sum to
-    coefficient k."""
+    ``at`` of the coefficients they make up in the system's term layout;
+    terms from ``merge[k]`` on (all of them one by one when None) sum to
+    coefficient k.  Real factors give real coefficients."""
 
     p: np.ndarray
     q: np.ndarray
-    pick: np.ndarray | None
-    sign: np.ndarray | None
     merge: np.ndarray | None
     at: np.ndarray | slice
 
     def coefficients(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if self.pick is None:  # real arithmetic: real factors
-            f, g = f.real, g.real
-            coeffs = f[self.p] * f[self.q] + g[self.p] * g[self.q]
-        else:
-            value = f[self.p] * f[self.q].conj() + g[self.p] * g[self.q].conj()
-            coeffs = value.view(np.float64)[self.pick] * self.sign
+        coeffs = f[self.p] * f[self.q].conj() + g[self.p] * g[self.q].conj()
         return coeffs if self.merge is None else np.add.reduceat(coeffs, self.merge)
 
 
 class _System(NamedTuple):
     """The right-hand side of one (n, mode, rho21_hc, initial tiles,
-    arithmetic) as a sparse real-linear system x' = L0 x + g(t) L1 x on the
-    reachable entries, independent of rates, detunings, positions and pulse:
-    L0 is the Liouvillian and L1 the unit-envelope drive.
+    arithmetic) as a sparse system x' = L0 x + g(t) L1 x on the N reachable
+    entries, independent of rates, detunings, positions and pulse: L0 is the
+    Liouvillian and L1 the unit-envelope drive.
 
     The coefficients are laid out row by row, every row of L0 in order and,
     when the mode drives, every row of L1 after them, a row without drive
     terms holding one zero coefficient on its own entry: row k sums the
     coefficients from ``starts[k]`` on (up to the next start), each times
-    the entry ``cols`` names."""
+    the entry ``cols`` names.  The coefficients are real or, with complex
+    arithmetic, complex; L1 then also names columns N + e, which read
+    conj(x[e]) (an adjoint source or an X^dag term).  Real arithmetic never
+    names them, as conj(x) is x."""
 
     tiles: frozenset
     real: bool
@@ -480,7 +475,7 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
     source = flat[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
     static.append((which, source, off["jump"] + left, off["jump"] + right))
 
-    static, cols, starts = _static_part(static, index, len(flat), real)
+    static, cols, starts = _static_part(static, index, len(flat))
     parts = (static,)
 
     # Drive X = S R - R S from the source S (or its adjoint); a Hermitian
@@ -511,14 +506,15 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
         f = index[(source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)]
         live = f >= 0  # a source outside the reachable entries is zero
         copy = copy[live]
+        # an adjoint source or an X^dag term, not both, reads conj(x[e]) from
+        # column N + e; with real arithmetic it is x[e]
+        antilinear = (adjoint[copy] != conj[copy]) & (not real)
         drive, drive_cols, drive_starts = _drive_part(
             np.concatenate((at[which], at[which2]))[live],
-            f[live],
+            f[live] + len(flat) * antilinear,
             np.where(conj[copy], unit, factor[live]),
             np.where(conj[copy], factor[live], unit),
-            # an adjoint source or an X^dag term, not both, reads conj(x)
-            adjoint[copy] != conj[copy],
-            len(flat), real, len(cols),
+            len(flat), len(cols),
         )
         parts += (drive,)
         cols, starts = np.concatenate((cols, drive_cols)), np.concatenate((starts, drive_starts))
@@ -526,7 +522,7 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
 
 
 def _static_part(
-    groups: list[tuple], index: np.ndarray, size: int, real: bool
+    groups: list[tuple], index: np.ndarray, size: int
 ) -> tuple[_Part, np.ndarray, np.ndarray]:
     """L0 from term groups each ordered by target entry, laid out row by row
     without a sort: entry e's row holds the terms of each group in turn.
@@ -541,51 +537,23 @@ def _static_part(
         dest = (offset - np.cumsum(c) + c)[e] + np.arange(len(e))
         cols[dest], p[dest], q[dest] = index[source], gp, gq
         offset += c
-    if real:
-        return _Part(p, q, None, None, None, slice(0, len(cols))), cols, start
-    # On x = u + i w a term v x adds Re(v) u - Im(v) w to the real row 2e and
-    # Im(v) u + Re(v) w to the imaginary row 2e + 1; each entry's two rows
-    # hold its terms' (u, w) pairs in turn.
-    term = np.arange(len(cols))
-    entry = np.repeat(np.arange(size), total)
-    real_row = 2 * (term + start[entry])
-    imag_row = real_row + 2 * total[entry]
-    spots = np.concatenate((real_row, real_row + 1, imag_row, imag_row + 1))
-    order = np.empty_like(spots)
-    order[spots] = np.arange(len(spots))
-    interleaved = np.tile(2 * cols, 4) + np.repeat([0, 1, 0, 1], len(cols))
-    pick = np.tile(2 * term, 4) + np.repeat([0, 1, 1, 0], len(cols))
-    sign = np.repeat([1.0, -1.0, 1.0, 1.0], len(cols))
-    starts = np.stack((4 * start, 4 * start + 2 * total), axis=1).ravel()
-    part = _Part(p, q, pick[order], sign[order], None, slice(0, len(spots)))
-    return part, interleaved[order], starts
+    return _Part(p, q, None, slice(0, len(cols))), cols, start
 
 
-def _drive_part(
-    e, f, p, q, anti, size: int, real: bool, offset: int
-) -> tuple[_Part, np.ndarray, np.ndarray]:
-    """L1 from its terms (target entry, source entry, p, q, antilinear), the
+def _drive_part(e, col, p, q, size: int, offset: int) -> tuple[_Part, np.ndarray, np.ndarray]:
+    """L1 from its terms (target entry, column below 2 ``size``, p, q), the
     terms of each stored coefficient merged once (a stable sort;
     np.unique would import numpy.ma, a tenth of the set-up time), laid out
     on every row from place ``offset`` on, a row without drive terms holding
     one zero coefficient on its own entry.  Returns the part, its ``cols``
     and its ``starts``."""
-    pick = sign = None
-    if not real:
-        # as in L0, except that an antilinear term v conj(x) flips the signs
-        # of its w coefficients
-        size, k = 2 * size, len(e)
-        e = np.repeat(2 * e, 4) + np.tile([0, 0, 1, 1], k)
-        f = np.repeat(2 * f, 4) + np.tile([0, 1, 0, 1], k)
-        pick = np.repeat(2 * np.arange(k), 4) + np.tile([0, 1, 1, 0], k)
-        linear, antilinear = [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]
-        sign = np.where(np.repeat(anti, 4), np.tile(antilinear, k), np.tile(linear, k))
-    key = e.astype(np.int64) * size + f
+    width = 2 * size
+    key = e.astype(np.int64) * width + col
     order = np.argsort(key, kind="stable")
     key = key[order]
     merge = np.flatnonzero(_changes(key))
     key = key[merge]
-    rows = key // size
+    rows = key // width
     counts = np.bincount(rows, minlength=size)
     empty = counts == 0
     held = counts + empty
@@ -593,18 +561,14 @@ def _drive_part(
     # a coefficient's place is its row's start plus its rank within the row
     at = (starts - np.cumsum(counts) + counts)[rows] + np.arange(len(rows))
     cols = np.empty(int(held.sum()), dtype=np.intp)
-    cols[at] = key % size
+    cols[at] = key % width
     cols[starts[empty]] = np.flatnonzero(empty)
-    if real:
-        part = _Part(p[order], q[order], None, None, merge, at + offset)
-    else:
-        part = _Part(p, q, pick[order], sign[order], merge, at + offset)
-    return part, cols, starts + offset
+    return _Part(p[order], q[order], merge, at + offset), cols, starts + offset
 
 
 class RhsEvaluator:
-    """The right-hand side of the hierarchy as one sparse real-linear system on
-    the reachable entries of the evolved blocks.
+    """The right-hand side of the hierarchy as one sparse linear system on the
+    reachable entries of the evolved blocks.
 
     Every block evolves under the Liouvillian  A M + M A^dag + J_R M J_R^dag +
     J_L M J_L^dag  with a drift matrix A collecting the coherent, pure-decay
@@ -626,20 +590,21 @@ class RhsEvaluator:
     are the state it evolves: :meth:`entries` gathers them from blocks and
     :meth:`blocks` scatters them back.  When the operators are real
     (``is_real``) and so are the initial blocks, the entries vector is
-    float64; otherwise it is the float64 view of the complex entries, and the
-    system acts on real and imaginary parts, the adjoint sources and the
-    X^dag terms being antilinear.  A state whose closure passes three
-    excitations is refused, as the sector basis drops those states.
+    float64 and so are the coefficients; otherwise it is the float64 view of
+    the complex entries z, the coefficients are complex, and the adjoint
+    sources and the X^dag terms read conj(z).  A state whose closure passes
+    three excitations is refused, as the sector basis drops those states.
 
     The derivative is L0 x + g(t) L1 x, with L0 the Liouvillian and L1 the
     unit-envelope drive, stored together by rows: every row of L0, then every
     row of L1, a row without drive terms holding one zero coefficient.  A
-    call is one gather of the entries the coefficients name, one product
-    with the coefficients and one row sum (``np.add.reduceat``); the L1 half
-    of the row sums is then scaled by g(t) and the L0 half added to it in
-    place.  The structure (which entries, rows and columns) depends only on
-    (n, mode, rho21_hc, initial tiles, arithmetic) and is shared through a
-    cache; the coefficients are the chain's own.
+    call is one gather of the entries the coefficients name (from
+    [z, conj(z)] with complex arithmetic), one product with the coefficients
+    and one row sum (``np.add.reduceat``); the L1 half of the row sums is
+    then scaled by g(t) and the L0 half added to it in place.  The structure
+    (which entries, rows and columns) depends only on (n, mode, rho21_hc,
+    initial tiles, arithmetic) and is shared through a cache; the
+    coefficients are the chain's own.
 
     One evaluator maps the entries vector of one chain.  :meth:`stack` joins
     evaluators that share the structure into one whose coefficients carry a
@@ -673,7 +638,9 @@ class RhsEvaluator:
             tiles = frozenset(zip(b.tolist(), count[i].tolist(), count[j].tolist()))
             real = self.is_real and not np.any(held.imag)
         system = self.system = _system(n, mode, rho21_hc, tiles, real)
-        self._v = np.zeros(len(system.cols))
+        if real:
+            f, g = f.real, g.real
+        self._v = np.zeros(len(system.cols), dtype=f.dtype)
         for part in system.parts:
             self._v[part.at] = part.coefficients(f, g)
 
@@ -726,17 +693,20 @@ class RhsEvaluator:
         """Derivative of the entries vector, or of the (members, entries)
         array of a stacked evaluator."""
         system = self.system
-        terms = x.take(system.cols, axis=-1)
-        terms *= self._v
-        rows = np.add.reduceat(terms, system.starts, axis=-1)
-        if self.mode is DriveMode.NONE:
-            return rows
-        if self.pulse is not None:
-            g = self.pulse.envelope(t)
+        if system.real:
+            terms = x.take(system.cols, axis=-1)
         else:
-            g = envelopes(self._pulses, t)[:, None]
-        half = rows.shape[-1] // 2
-        out = rows[..., half:]  # L1 x, row for row after L0 x
-        out *= g
-        out += rows[..., :half]
-        return out
+            z = x.view(complex)
+            terms = np.concatenate((z, z.conj()), axis=-1).take(system.cols, axis=-1)
+        terms *= self._v
+        rows = out = np.add.reduceat(terms, system.starts, axis=-1)
+        if self.mode is not DriveMode.NONE:
+            if self.pulse is not None:
+                g = self.pulse.envelope(t)
+            else:
+                g = envelopes(self._pulses, t)[:, None]
+            half = rows.shape[-1] // 2
+            out = rows[..., half:]  # L1 x, row for row after L0 x
+            out *= g
+            out += rows[..., :half]
+        return out if system.real else out.view(np.float64)

@@ -157,13 +157,20 @@ def diagnostics(
     blocks = np.asarray(blocks)
     names = BLOCK_NAMES[: blocks.shape[-3]]
     unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
-    trace_err, zero_block_trace = _trace_deviations(blocks, n)
+    other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
+    # each trace deviation rounds as abs() of one complex scalar trace
+    traces = full_diagonal(blocks, n).sum(axis=-1)
+    unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
+    trace_err = np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0)
+    zero_block_trace = np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0)
     herm_err = np.zeros(blocks.shape[:-3])
     for k in unit:  # block by block: a gathered copy is slower from d = 64 on
         m = blocks[..., k, :, :]
         herm_err = np.maximum(herm_err, np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
     reported = blocks[..., mode.n_blocks - 1, :, :]
-    min_eig = np.linalg.eigvalsh(0.5 * (reported + reported.conj().swapaxes(-1, -2)))[..., 0]
+    # halved before the sum, so that no finite block overflows to inf, which
+    # would stop eigvalsh for the whole stack
+    min_eig = np.linalg.eigvalsh(0.5 * reported + 0.5 * reported.conj().swapaxes(-1, -2))[..., 0]
     if n > MAX_EXCITATIONS:
         min_eig = np.where(min_eig > 0.0, 0.0, min_eig)
     values = dict(
@@ -175,21 +182,6 @@ def diagnostics(
     if blocks.ndim == 3:
         values = {name: float(value) for name, value in values.items()}
     return Diagnostics(**values)
-
-
-def _trace_deviations(blocks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The largest |trace - 1| of the unit-trace blocks and the largest
-    |trace| of the others, over the leading axes of (..., n_blocks, d, d)
-    blocks; each rounds as abs() of one complex scalar trace."""
-    names = BLOCK_NAMES[: blocks.shape[-3]]
-    unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
-    other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
-    traces = full_diagonal(blocks, n).sum(axis=-1)
-    unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
-    return (
-        np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0),
-        np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0),
-    )
 
 
 def integrate(
@@ -320,20 +312,22 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
     then each member's rows written into its trajectory through index arrays.
 
     The first row of a member that breaks the trace bound ends it with that
-    IntegrationError, in place of a non-finite step found after it.  Rows of
-    a member that has ended are not written; they are zeroed before the
+    IntegrationError, in place of a non-finite step found after it; the one
+    diagnostics call finds it.  Rows of a member that has ended are not
+    written; they are zeroed after the diagnostics and before the
     observables, as its state may have grown past what they can take."""
     first = owners[0]
     n, mode = first.n, first.mode
     blocks = first.rhs.blocks(x)
-    trace_err, _ = _trace_deviations(blocks, n)
+    diag = diagnostics(blocks, n, mode)
     breached = set()
-    for r in np.flatnonzero(trace_err > TRACE_ABORT).tolist():
+    for r in np.flatnonzero(diag.trace_err > TRACE_ABORT).tolist():
         chain = owners[r]
         if chain not in breached:
             breached.add(chain)
             chain.error = IntegrationError(
-                f"trace deviation {trace_err[r]:.3e} exceeds {TRACE_ABORT:.0e} at t={ts[r]:.6g}"
+                f"trace deviation {diag.trace_err[r]:.3e} exceeds {TRACE_ABORT:.0e} "
+                f"at t={ts[r]:.6g}"
             )
     rows_of: dict[_Chain, list[int]] = {}
     for r, chain in enumerate(owners):
@@ -344,7 +338,6 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
     rho = blocks[:, mode.n_blocks - 1]
     pops = populations(rho, n)
     pair_c = pair_concurrences(rho, n)
-    diag = diagnostics(blocks, n, mode)
     c_all = average_concurrence(pair_c, n, "all-pairs")
     c_half = average_concurrence(pair_c, n, "half-n")
     for chain, rows in rows_of.items():

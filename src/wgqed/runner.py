@@ -201,12 +201,12 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
 
 
 # The cost of one RK4 step with its share of the sampling, in tenths of a
-# stored real coefficient: a fixed part (about 45 us, as much as 3,200 real
+# stored real coefficient: a fixed part (as much as 3,200 real
 # coefficients), plus each stored coefficient, a complex-arithmetic one at
-# 1.8 times a real one (one core, BLAS 1 thread, fitted over the preset
+# 1.6 times a real one (one core, BLAS 1 thread, fitted over the preset
 # members).  Integers, so that members of equal cost tie exactly.
 STEP_WEIGHT = 32_000
-REAL_WEIGHT, COMPLEX_WEIGHT = 10, 18
+REAL_WEIGHT, COMPLEX_WEIGHT = 10, 16
 
 
 def _batches(configs, count: int) -> list[list[int]]:

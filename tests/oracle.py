@@ -3,7 +3,7 @@
 Each Liouvillian term and each drive coupling is built directly from the
 single-qubit operators, exactly as the equations of motion are written.  The
 production evaluator (:class:`wgqed.hierarchy.RhsEvaluator`) assembles the
-same algebra into one sparse real-linear system on the entries it can reach;
+same algebra into one sparse linear system on the entries it can reach;
 the test suite checks the two against each other, so this module must stay
 independent of that assembly.
 

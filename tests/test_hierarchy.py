@@ -348,6 +348,38 @@ class TestFastEvaluator:
         want = hierarchy_rhs(blocks, 0.8, p, pulse, DriveMode.TWO_PHOTON)
         assert np.abs(want - real_out).max() < 1e-12
 
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize("hc", [True, False])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_complex_arithmetic_keeps_the_real_layout(self, n, hc, mode):
+        # a complex prepared state on the ground closure's tiles of a real
+        # chain: L0 is linear, so its columns and row starts are the real
+        # system's; an L1 row names the real row's columns, each as it is or
+        # + N for a term that reads conj(x), and at least one row does
+        p = ChainParams(n=n, gamma_l=0.5)
+        real = RhsEvaluator(p, PULSE, mode, hc).system
+        rng = np.random.default_rng(n)
+        size = len(real.flat)
+        blocks = np.zeros((6,) + real.shape[1:], dtype=complex)
+        blocks.reshape(-1)[real.flat] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        system = RhsEvaluator(p, PULSE, mode, hc, HierarchyState(n, blocks)).system
+        assert not system.real and system.tiles == real.tiles
+        assert np.array_equal(system.flat, real.flat)
+        assert np.array_equal(system.starts[:size], real.starts[:size])
+        if mode is DriveMode.NONE:
+            assert np.array_equal(system.cols, real.cols)
+            return
+
+        def drive_rows(s):
+            first = s.starts[size]
+            return s.cols[:first], np.split(s.cols[first:], s.starts[size + 1:] - first)
+
+        (got_static, got_rows), (want_static, want_rows) = drive_rows(system), drive_rows(real)
+        assert np.array_equal(got_static, want_static)
+        for got, want in zip(got_rows, want_rows, strict=True):
+            assert np.array_equal(np.unique(got % size), want)
+        assert np.concatenate(got_rows).max() >= size
+
     def test_complex_required_for_detuning_and_phases(self):
         for kwargs in (dict(delta=0.5), dict(spacing=1 / 8)):
             p = ChainParams(n=2, **kwargs)

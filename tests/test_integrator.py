@@ -385,6 +385,20 @@ class TestDiagnostics:
         full[[0, 2, 5]] = np.eye(8) / 8
         assert diagnostics(full, 3).min_eigenvalue == pytest.approx(1 / 8)
 
+    def test_finite_block_near_overflow_leaves_the_stack_whole(self):
+        # sampling hands diagnostics the rows of a member that has just
+        # breached the trace bound, which may have grown near the float
+        # limit; its Hermitian part must stay finite, or eigvalsh refuses
+        # the whole stack
+        blocks = np.stack([HierarchyState.ground(2).blocks] * 2)
+        blocks[1, 5] = 1e308 * np.eye(4)
+        with np.errstate(all="ignore"):
+            diag = diagnostics(blocks, 2)
+        assert diag.min_eigenvalue[1] == 1e308
+        alone = diagnostics(blocks[0], 2)
+        for f in fields(Diagnostics):
+            assert np.float64(getattr(alone, f.name)).tobytes() == getattr(diag, f.name)[0].tobytes()
+
     def test_reports_zero_block_trace(self):
         s = HierarchyState.ground(2)
         s.blocks[1][0, 0] = 1e-5

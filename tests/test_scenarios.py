@@ -278,15 +278,21 @@ class TestRunner:
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
         # a step's fixed cost puts a twice as long n = 3 member ahead of an
-        # n = 4 one (2,266 coefficients against 2 x 622), and a complex
-        # coefficient costs 1.8 real ones: a detuned n = 4 member (9,062)
-        # goes ahead of a 1.5 times longer real n = 5 one (1.5 x 6,574)
+        # n = 4 one (2,266 coefficients against 2 x 622)
         mixed = [apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
                  apply_overrides(TINY, n=4, label="n4"), apply_overrides(TINY, label="n2")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed = [apply_overrides(TINY, n=5, t_end=1.5, label="n5"),
-                 apply_overrides(TINY, n=4, delta=0.5, label="detuned"),
+        # a complex coefficient costs 1.6 real ones: a detuned n = 4 member
+        # (2,306 complex coefficients) goes ahead of a 1.2 times longer real
+        # n = 4 one (2,266), but not of a 1.3 times longer one; a 1.5 times
+        # longer real n = 5 member (6,574) goes ahead of it
+        mixed = [apply_overrides(TINY, n=4, delta=0.5, label="detuned"),
+                 apply_overrides(TINY, n=4, t_end=1.2, label="n4"),
                  apply_overrides(TINY, label="n2")]
+        assert runner._batches(mixed, 2) == [[0], [1, 2]]
+        mixed[1] = apply_overrides(TINY, n=4, t_end=1.3, label="n4")
+        assert runner._batches(mixed, 2) == [[1], [0, 2]]
+        mixed[1] = apply_overrides(TINY, n=5, t_end=1.5, label="n5")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
 
     def test_summary_csv_layout(self, tmp_path):
