@@ -33,10 +33,13 @@ excited qubits, so every block lives on the sector basis of
 tiles that the evolution can reach from the initial blocks ever move (a tile
 being the entries of a block whose rows hold r excitations and columns c);
 :class:`RhsEvaluator` finds them by a closure over the drift, the jumps and
-the drive, and evolves their entries as one vector under one sparse linear
-system (real, or complex when detunings, positions or the initial blocks
-make it so), 398 of the 4,056 block entries at n = 5 and 1,410 of
-24,576 at n = 7.  The Liouvillian and the unit-envelope drive share one
+the drive, 398 of the 4,056 block entries at n = 5 and 1,410 of 24,576 at
+n = 7.  The unit-trace blocks rho00, rho11 and rho_s are Hermitian, so only
+their upper triangles (row <= column) are stored; an entry below the
+diagonal is read as the conjugate of its stored transpose.  That leaves 273
+entries at n = 5 and 892 at n = 7, evolved as one vector under one sparse
+linear system (real, or complex when detunings, positions or the initial
+blocks make it so).  The Liouvillian and the unit-envelope drive share one
 row-by-row layout, so a right-hand side call is one gather, one product and
 one row sum.
 
@@ -409,23 +412,35 @@ class _Part(NamedTuple):
 
 class _System(NamedTuple):
     """The right-hand side of one (n, mode, rho21_hc, initial tiles,
-    arithmetic) as a sparse system x' = L0 x + g(t) L1 x on the N reachable
+    arithmetic) as a sparse system x' = L0 x + g(t) L1 x on the N stored
     entries, independent of rates, detunings, positions and pulse: L0 is the
     Liouvillian and L1 the unit-envelope drive.
+
+    The unit-trace blocks (rho00, rho11, rho_s) are Hermitian, so of their
+    reachable entries only those with row <= column are stored; a mirrored
+    entry (row > column) is the conjugate of its stored transpose
+    (``mirror`` holds their flat indices and ``mirror_of`` the stored
+    entries).  Every other reachable entry is stored.  The derivative of a
+    diagonal entry of these blocks is real; with complex arithmetic its
+    imaginary part is rounding, set to zero in the float64 view at the
+    places ``imag_diagonal`` names, so the blocks stay exactly Hermitian.
 
     The coefficients are laid out row by row, every row of L0 in order and,
     when the mode drives, every row of L1 after them, a row without drive
     terms holding one zero coefficient on its own entry: row k sums the
     coefficients from ``starts[k]`` on (up to the next start), each times
     the entry ``cols`` names.  The coefficients are real or, with complex
-    arithmetic, complex; L1 then also names columns N + e, which read
-    conj(x[e]) (an adjoint source or an X^dag term).  Real arithmetic never
-    names them, as conj(x) is x."""
+    arithmetic, complex; then a column N + e reads conj(x[e]): a term that
+    reads a mirrored entry, or an adjoint source or an X^dag term, but not
+    both.  Real arithmetic never names it, as conj(x) is x."""
 
     tiles: frozenset
     real: bool
     shape: tuple[int, int, int]  # (n_blocks, d, d)
-    flat: np.ndarray  # flat (block, row, column) index of each entry
+    flat: np.ndarray  # flat (block, row, column) index of each stored entry
+    mirror: np.ndarray  # flat index of each mirrored entry
+    mirror_of: np.ndarray  # the stored entry each mirrored one conjugates
+    imag_diagonal: np.ndarray  # float64 places of the diagonals' imaginary parts (complex)
     parts: tuple[_Part, ...]  # L0, then L1 when the mode drives
     cols: np.ndarray
     starts: np.ndarray
@@ -434,7 +449,10 @@ class _System(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool) -> _System:
     drive_rows = _drive_rows(mode, rho21_hc)
-    tiles = _closure(tiles, n, drive_rows)
+    d, nb = len(sector_basis(n)), mode.n_blocks
+    unit_blocks = [k for k, name in enumerate(BLOCK_NAMES[:nb]) if name in UNIT_TRACE_BLOCKS]
+    # a mirrored entry reads its stored transpose, so that tile is reachable too
+    tiles = _closure(tiles | {(b, c, r) for b, r, c in tiles if b in unit_blocks}, n, drive_rows)
     b, r, c = max(tiles, key=lambda tile: max(tile[1:]), default=(0, 0, 0))
     if max(r, c) > MAX_EXCITATIONS:
         raise ValueError(
@@ -442,15 +460,22 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
             f"{MAX_EXCITATIONS} excitations ({max(r, c)} in {BLOCK_NAMES[b]}), which the "
             f"sector basis drops"
         )
-    d, nb = len(sector_basis(n)), mode.n_blocks
     count = excitation_bits(sector_basis(n), n).sum(axis=1)
     occupied = np.zeros((nb, MAX_EXCITATIONS + 1, MAX_EXCITATIONS + 1), dtype=bool)
     for tile in tiles:
         occupied[tile] = True
-    flat = np.flatnonzero(occupied[:, count[:, None], count]).astype(_INDEX)
+    reached = np.flatnonzero(occupied[:, count[:, None], count]).astype(_INDEX)
+    blocks, i, j = (x.astype(_INDEX) for x in np.unravel_index(reached, (nb, d, d)))
+    mirrored = np.isin(blocks, unit_blocks) & (i > j)
+    flat, mirror = reached[~mirrored], reached[mirrored]
+    size = len(flat)
     index = np.full(nb * d * d, -1, dtype=_INDEX)
-    index[flat] = np.arange(len(flat), dtype=_INDEX)
-    blocks, i, j = (x.astype(_INDEX) for x in np.unravel_index(flat, (nb, d, d)))
+    index[flat] = np.arange(size, dtype=_INDEX)
+    mirror_of = index[(blocks[mirrored] * d + j[mirrored]) * d + i[mirrored]]
+    # a read of a mirrored entry is conj(x[e]) of its stored transpose e
+    index[mirror] = mirror_of + size * (not real)
+    blocks, i, j = blocks[~mirrored], i[~mirrored], j[~mirrored]
+    imag_diagonal = 2 * np.flatnonzero(np.isin(blocks, unit_blocks) & (i == j)) + 1
     a, low, high = _patterns(n)
     off = _factor_offsets(n)
     unit = off["unit"]
@@ -459,9 +484,9 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
     # column) from k to l.  The Liouvillian A M + M A^dag + J M J^dag (J = J_R,
     # J_L) acts on every block, the jumps only on the entries whose tile
     # (b, r + 1, c + 1) is reachable; no two of its terms share a source.
-    # Every entry has its diagonal term (0 for |g><g|), so every row of L0
-    # is stored, in order.
-    entries = np.arange(len(flat), dtype=_INDEX)
+    # Every stored entry has its diagonal term (0 for |g><g|), so every row
+    # of L0 is stored, in order.
+    entries = np.arange(size, dtype=_INDEX)
     static = [(entries, flat, off["diag_left"] + i, off["diag_right"] + j)]
     which, pos = _row_terms(i, a)
     static.append((which, flat[which] + (a.col - a.row)[pos] * d, off["a"] + pos, unit))
@@ -475,7 +500,7 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
     source = flat[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
     static.append((which, source, off["jump"] + left, off["jump"] + right))
 
-    static, cols, starts = _static_part(static, index, len(flat))
+    static, cols, starts = _static_part(static, index, size)
     parts = (static,)
 
     # Drive X = S R - R S from the source S (or its adjoint); a Hermitian
@@ -503,22 +528,33 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
         sj = np.concatenate((low.col[pos], xj[which2]))
         factor = np.concatenate((right[copy[: len(which)]] + pos, left[copy[len(which) :]] + pos2))
         flip = adjoint[copy]
-        f = index[(source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)]
-        live = f >= 0  # a source outside the reachable entries is zero
-        copy = copy[live]
+        read = (source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)
+        live = index[read] >= 0  # a source outside the reachable entries is zero
+        copy, read = copy[live], read[live]
         # an adjoint source or an X^dag term, not both, reads conj(x[e]) from
-        # column N + e; with real arithmetic it is x[e]
+        # column N + e, and conj(conj(x[e])) = x[e] for a mirrored source;
+        # with real arithmetic every term reads x[e]
         antilinear = (adjoint[copy] != conj[copy]) & (not real)
         drive, drive_cols, drive_starts = _drive_part(
             np.concatenate((at[which], at[which2]))[live],
-            f[live] + len(flat) * antilinear,
+            read + len(index) * antilinear,
+            (index[read] + size * antilinear) % (2 * size),
             np.where(conj[copy], unit, factor[live]),
             np.where(conj[copy], factor[live], unit),
-            len(flat), len(cols),
+            size, len(cols),
         )
         parts += (drive,)
         cols, starts = np.concatenate((cols, drive_cols)), np.concatenate((starts, drive_starts))
-    return _read_only(_System(tiles, real, (nb, d, d), flat, parts, cols, starts))
+    # the gather clips its columns, so one outside the gathered entries
+    # would read a wrong entry instead of failing
+    width = size * (1 if real else 2)
+    if len(cols) and not (cols.min() >= 0 and cols.max() < width):
+        raise ValueError(f"system columns span [{cols.min()}, {cols.max()}], outside the "
+                         f"{width} gathered entries")
+    return _read_only(
+        _System(tiles, real, (nb, d, d), flat, mirror, mirror_of, imag_diagonal, parts, cols,
+                starts)
+    )
 
 
 def _static_part(
@@ -540,20 +576,22 @@ def _static_part(
     return _Part(p, q, None, slice(0, len(cols))), cols, start
 
 
-def _drive_part(e, col, p, q, size: int, offset: int) -> tuple[_Part, np.ndarray, np.ndarray]:
-    """L1 from its terms (target entry, column below 2 ``size``, p, q), the
-    terms of each stored coefficient merged once (a stable sort;
-    np.unique would import numpy.ma, a tenth of the set-up time), laid out
-    on every row from place ``offset`` on, a row without drive terms holding
-    one zero coefficient on its own entry.  Returns the part, its ``cols``
-    and its ``starts``."""
-    width = 2 * size
-    key = e.astype(np.int64) * width + col
+def _drive_part(
+    e, read, col, p, q, size: int, offset: int
+) -> tuple[_Part, np.ndarray, np.ndarray]:
+    """L1 from its terms (target entry, what it reads, column below 2
+    ``size``, p, q), the terms of a row that read the same (flat source
+    position, antilinear or not) merged once into one stored coefficient,
+    the coefficients of a row in the order of what they read (a stable
+    sort; np.unique would import numpy.ma, a tenth of the set-up time), laid
+    out on every row from place ``offset`` on, a row without drive terms
+    holding one zero coefficient on its own entry.  Terms that read a
+    mirrored entry and its stored transpose name one column but stay apart.
+    Returns the part, its ``cols`` and its ``starts``."""
+    key = e.astype(np.int64) * (int(read.max(initial=0)) + 1) + read
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    merge = np.flatnonzero(_changes(key))
-    key = key[merge]
-    rows = key // width
+    merge = np.flatnonzero(_changes(key[order]))
+    rows = e[order[merge]]
     counts = np.bincount(rows, minlength=size)
     empty = counts == 0
     held = counts + empty
@@ -561,14 +599,14 @@ def _drive_part(e, col, p, q, size: int, offset: int) -> tuple[_Part, np.ndarray
     # a coefficient's place is its row's start plus its rank within the row
     at = (starts - np.cumsum(counts) + counts)[rows] + np.arange(len(rows))
     cols = np.empty(int(held.sum()), dtype=np.intp)
-    cols[at] = key % width
+    cols[at] = col[order[merge]]
     cols[starts[empty]] = np.flatnonzero(empty)
     return _Part(p[order], q[order], merge, at + offset), cols, starts + offset
 
 
 class RhsEvaluator:
     """The right-hand side of the hierarchy as one sparse linear system on the
-    reachable entries of the evolved blocks.
+    stored reachable entries of the evolved blocks.
 
     Every block evolves under the Liouvillian  A M + M A^dag + J_R M J_R^dag +
     J_L M J_L^dag  with a drift matrix A collecting the coherent, pure-decay
@@ -586,25 +624,33 @@ class RhsEvaluator:
     initial blocks occupy (the ground state by default, or those of
     ``state0``), the evaluator closes them under the drift, the jumps and the
     drive rows (``system.tiles``), and every entry outside that closure stays
-    exactly zero.  The entries of the closure, in (block, row, column) order,
-    are the state it evolves: :meth:`entries` gathers them from blocks and
-    :meth:`blocks` scatters them back.  When the operators are real
+    exactly zero.  The stored entries of the closure, in (block, row, column)
+    order, are the state it evolves: every entry of rho10, rho20 and rho21,
+    and the upper triangle (row <= column) of each Hermitian unit-trace
+    block rho00, rho11 and rho_s.  :meth:`entries` gathers them from blocks,
+    refusing a unit-trace block that is not exactly Hermitian, and
+    :meth:`blocks` scatters them back, each entry below the diagonal the
+    conjugate of its stored transpose.  When the operators are real
     (``is_real``) and so are the initial blocks, the entries vector is
     float64 and so are the coefficients; otherwise it is the float64 view of
     the complex entries z, the coefficients are complex, and the adjoint
-    sources and the X^dag terms read conj(z).  A state whose closure passes
-    three excitations is refused, as the sector basis drops those states.
+    sources, the X^dag terms and the reads below the diagonal read conj(z)
+    (all but a read that is both, which reads z).  A state whose closure
+    passes three excitations is refused, as the sector basis drops those
+    states.
 
     The derivative is L0 x + g(t) L1 x, with L0 the Liouvillian and L1 the
     unit-envelope drive, stored together by rows: every row of L0, then every
     row of L1, a row without drive terms holding one zero coefficient.  A
     call is one gather of the entries the coefficients name (from
-    [z, conj(z)] with complex arithmetic), one product with the coefficients
-    and one row sum (``np.add.reduceat``); the L1 half of the row sums is
-    then scaled by g(t) and the L0 half added to it in place.  The structure
-    (which entries, rows and columns) depends only on (n, mode, rho21_hc,
-    initial tiles, arithmetic) and is shared through a cache; the
-    coefficients are the chain's own.
+    [z, conj(z)] with complex arithmetic) into the evaluator's own buffer,
+    one product with the coefficients and one row sum (``np.add.reduceat``);
+    the L1 half of the row sums is then scaled by g(t) and the L0 half added
+    to it in place.  With complex arithmetic the imaginary parts of the
+    unit-trace blocks' diagonal rows, rounding only, are then set to zero.
+    The structure (which entries, rows and columns) depends only on (n,
+    mode, rho21_hc, initial tiles, arithmetic) and is shared through a
+    cache; the coefficients are the chain's own.
 
     One evaluator maps the entries vector of one chain.  :meth:`stack` joins
     evaluators that share the structure into one whose coefficients carry a
@@ -643,6 +689,14 @@ class RhsEvaluator:
         self._v = np.zeros(len(system.cols), dtype=f.dtype)
         for part in system.parts:
             self._v[part.at] = part.coefficients(f, g)
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """The evaluator's own gather buffers, shaped for its coefficients:
+        the gathered terms and, with complex arithmetic, [z, conj(z)]."""
+        self._terms = np.empty_like(self._v)
+        if not self.system.real:
+            self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.flat),), complex)
 
     @classmethod
     def stack(cls, members) -> "RhsEvaluator":
@@ -660,6 +714,7 @@ class RhsEvaluator:
             _pulses=[m.pulse for m in members],
             _v=np.stack([m._v for m in members]),
         )
+        out._allocate()
         return out
 
     def take(self, keep) -> "RhsEvaluator":
@@ -670,34 +725,55 @@ class RhsEvaluator:
             _pulses=[self._pulses[k] for k in keep],
             _v=self._v[keep],
         )
+        out._allocate()
         return out
 
     def entries(self, blocks: np.ndarray) -> np.ndarray:
         """The entries vector of blocks on the sector basis (the evolved
-        prefix of ``HierarchyState.blocks``, or all of them)."""
-        x = np.asarray(blocks).reshape(-1)[self.system.flat]
-        if self.system.real:
+        prefix of ``HierarchyState.blocks``, or all of them): the stored
+        entries, the upper triangles of the unit-trace blocks among them.
+        An evolved unit-trace block that is not exactly its conjugate
+        transpose is refused, as its lower triangle would be dropped."""
+        blocks = np.asarray(blocks)
+        system = self.system
+        for k, name in enumerate(BLOCK_NAMES[: system.shape[0]]):
+            if name in UNIT_TRACE_BLOCKS:
+                m = blocks[k]
+                err = np.abs(m - m.conj().T).max()
+                if not err == 0.0:
+                    raise ValueError(
+                        f"{name} is not Hermitian: largest |M - M^dag| is {err:.3e}; only "
+                        f"the upper triangle of a unit-trace block is evolved"
+                    )
+        x = blocks.reshape(-1)[system.flat]
+        if system.real:
             return np.ascontiguousarray(x.real)
         return x.astype(complex).view(np.float64)
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
-        """The complex (n_blocks, d, d) blocks of one entries vector, zero
+        """The complex (n_blocks, d, d) blocks of one entries vector, the
+        mirrored entries the conjugates of their stored transposes, zero
         outside the reachable entries; (members, n_blocks, d, d) for a
         (members, entries) array."""
         system = self.system
+        z = x if system.real else x.view(complex)
         out = np.zeros(x.shape[:-1] + (np.prod(system.shape),), dtype=complex)
-        out[..., system.flat] = x if system.real else x.view(complex)
+        out[..., system.flat] = z
+        out[..., system.mirror] = np.conjugate(z.take(system.mirror_of, axis=-1))
         return out.reshape(x.shape[:-1] + system.shape)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Derivative of the entries vector, or of the (members, entries)
         array of a stacked evaluator."""
         system = self.system
+        terms = self._terms
         if system.real:
-            terms = x.take(system.cols, axis=-1)
+            x.take(system.cols, axis=-1, out=terms, mode="clip")
         else:
-            z = x.view(complex)
-            terms = np.concatenate((z, z.conj()), axis=-1).take(system.cols, axis=-1)
+            z, both = x.view(complex), self._both
+            both[..., : z.shape[-1]] = z
+            np.conjugate(z, out=both[..., z.shape[-1] :])
+            both.take(system.cols, axis=-1, out=terms, mode="clip")
         terms *= self._v
         rows = out = np.add.reduceat(terms, system.starts, axis=-1)
         if self.mode is not DriveMode.NONE:
@@ -709,4 +785,8 @@ class RhsEvaluator:
             out = rows[..., half:]  # L1 x, row for row after L0 x
             out *= g
             out += rows[..., :half]
-        return out if system.real else out.view(np.float64)
+        if system.real:
+            return out
+        out = out.view(np.float64)
+        out.T[system.imag_diagonal] = 0.0  # faster than out[..., imag_diagonal]
+        return out

@@ -148,7 +148,12 @@ def diagnostics(
     trace of the zero-trace blocks, and the smallest eigenvalue of the
     reported system state.  Every value is that of the zero-padded full
     blocks: for n > MAX_EXCITATIONS the dropped states count as exact zero
-    eigenvalues.
+    eigenvalues.  The evaluator stores only the upper triangles of the
+    unit-trace blocks and keeps their diagonals real, so on blocks it
+    scatters ``herm_err`` is 0.0 by construction: it checks that scatter
+    (:meth:`~wgqed.hierarchy.RhsEvaluator.blocks`), while the test suite
+    checks on its term-by-term oracle that the equations keep those blocks
+    Hermitian.
 
     For (..., n_blocks, d, d) blocks of several chains every field is an
     array over the leading axes, each value the one its chain alone gives;

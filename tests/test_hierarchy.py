@@ -16,7 +16,8 @@ from oracle import (
     tile_mask,
 )
 from wgqed.hierarchy import (
-    BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator, sector_operators,
+    BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
+    sector_operators,
 )
 from wgqed.operators import sector_basis
 from wgqed.pulse import GaussianPulse
@@ -36,6 +37,15 @@ def block(blocks, name):
 def random_hermitian(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return a + a.conj().T
+
+
+def random_prepared_state(rng, n):
+    """``random_state`` with Hermitian unit-trace blocks, the only ones the
+    evaluator takes: rho00, rho11 and rho_s from ``random_hermitian``."""
+    s = random_state(rng, n)
+    for name in UNIT_TRACE_BLOCKS:
+        s[BLOCK_NAMES.index(name)] = random_hermitian(rng, 2**n)
+    return s
 
 
 PULSE = GaussianPulse(tbar=1.0, width=0.7)
@@ -290,6 +300,28 @@ class TestHierarchyRhs:
         assert np.allclose(block(with_hc, "rho21") - block(without, "rho21"), x21.conj().T)
         assert np.allclose(block(with_hc, "rho_s"), block(without, "rho_s"))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    def test_unit_trace_derivatives_are_hermitian(self, n, mode):
+        # the evaluator stores only the upper triangles of rho00, rho11 and
+        # rho_s, so their hermiticity is checked here on the equations: the
+        # oracle's full derivative of Hermitian unit-trace blocks (the others
+        # general) is Hermitian
+        rng = np.random.default_rng(30 + n)
+        cases = [
+            dict(),
+            dict(gamma_r=[0.4 + 0.3 * k for k in range(n)], gamma_l=0.0),  # chiral
+            dict(gamma_l=0.6, delta=[0.3 * k - 0.2 for k in range(n)]),  # detuned
+            dict(spacing=1 / 16),
+        ]
+        for kwargs in cases:
+            p = ChainParams(n=n, **kwargs)
+            for hc in (True, False):
+                out = hierarchy_rhs(random_prepared_state(rng, n), 0.9, p, PULSE, mode, hc)
+                for name in UNIT_TRACE_BLOCKS:
+                    m = block(out, name)
+                    assert np.abs(m - m.conj().T).max() < 1e-13
+
     def test_one_photon_mode_freezes_upper_blocks(self):
         rng = np.random.default_rng(12)
         p = ChainParams(n=2)
@@ -306,9 +338,10 @@ class TestFastEvaluator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("mode", list(DriveMode))
     def test_matches_reference(self, n, mode):
-        # random full-space states for n <= 3; for n = 4, 5 random states on
-        # the tiles a ground-start run occupies, which the oracle keeps (see
-        # test_sector.py), compared on the sector basis
+        # random full-space states with Hermitian unit-trace blocks for
+        # n <= 3; for n = 4, 5 such states on the tiles a ground-start run
+        # occupies, which the oracle keeps (see test_sector.py), compared on
+        # the sector basis
         rng = np.random.default_rng(n * 13 + 1)
         cases = [
             dict(),
@@ -320,7 +353,7 @@ class TestFastEvaluator:
         for kwargs in cases:
             p = ChainParams(n=n, **kwargs)
             for hc in (True, False):
-                s = random_state(rng, n)
+                s = random_prepared_state(rng, n)
                 if n > 3:
                     s *= tile_mask(ground_tiles(mode, hc), n)
                 want = hierarchy_rhs(s, 0.9, p, PULSE, mode, rho21_hc=hc)
@@ -331,17 +364,19 @@ class TestFastEvaluator:
 
     def test_real_dtype_path_matches_complex(self):
         # real operators and real blocks step the float64 entries; blocks with
-        # an imaginary part step the float64 view of the complex entries
+        # an imaginary part step the float64 view of the complex entries.
+        # Of the 96 block entries, the 6 below the diagonal of each of the
+        # three unit-trace blocks are not stored.
         p = ChainParams(n=2)
         pulse = GaussianPulse(tbar=1.0, width=0.5)
         rng = np.random.default_rng(21)
-        blocks = rng.standard_normal((6, 4, 4))
+        prepared = random_prepared_state(rng, 2)
+        blocks = prepared.real
         real = RhsEvaluator(p, pulse, state0=HierarchyState(2, blocks))
-        imag = HierarchyState(2, blocks + 1j * rng.standard_normal(blocks.shape))
-        promoted = RhsEvaluator(p, pulse, state0=imag)
+        promoted = RhsEvaluator(p, pulse, state0=HierarchyState(2, prepared))
         assert real.is_real and promoted.is_real
         x, y = real.entries(blocks), promoted.entries(blocks)
-        assert x.dtype == y.dtype == np.float64 and (len(x), len(y)) == (96, 192)
+        assert x.dtype == y.dtype == np.float64 and (len(x), len(y)) == (78, 156)
         real_out = real.blocks(real(0.8, x))
         complex_out = promoted.blocks(promoted(0.8, y))
         assert np.abs(complex_out - real_out).max() < 1e-13
@@ -353,21 +388,26 @@ class TestFastEvaluator:
     @pytest.mark.parametrize("n", [2, 4])
     def test_complex_arithmetic_keeps_the_real_layout(self, n, hc, mode):
         # a complex prepared state on the ground closure's tiles of a real
-        # chain: L0 is linear, so its columns and row starts are the real
-        # system's; an L1 row names the real row's columns, each as it is or
-        # + N for a term that reads conj(x), and at least one row does
+        # chain: its row starts are the real system's and every column is a
+        # real one, as it is or + N for a term that reads conj(x): in L0 a
+        # read of a mirrored entry, term for term, and in L1 also the
+        # antilinear terms, which stay apart from the linear ones, so an L1
+        # row names the set of the real row's columns, and at least one row
+        # names one + N
         p = ChainParams(n=n, gamma_l=0.5)
         real = RhsEvaluator(p, PULSE, mode, hc).system
         rng = np.random.default_rng(n)
         size = len(real.flat)
         blocks = np.zeros((6,) + real.shape[1:], dtype=complex)
-        blocks.reshape(-1)[real.flat] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        blocks.reshape(-1)[real.flat] = z
+        blocks.reshape(-1)[real.mirror] = z[real.mirror_of].conj()
         system = RhsEvaluator(p, PULSE, mode, hc, HierarchyState(n, blocks)).system
         assert not system.real and system.tiles == real.tiles
         assert np.array_equal(system.flat, real.flat)
         assert np.array_equal(system.starts[:size], real.starts[:size])
         if mode is DriveMode.NONE:
-            assert np.array_equal(system.cols, real.cols)
+            assert np.array_equal(system.cols % size, real.cols)
             return
 
         def drive_rows(s):
@@ -375,10 +415,76 @@ class TestFastEvaluator:
             return s.cols[:first], np.split(s.cols[first:], s.starts[size + 1:] - first)
 
         (got_static, got_rows), (want_static, want_rows) = drive_rows(system), drive_rows(real)
-        assert np.array_equal(got_static, want_static)
+        assert np.array_equal(got_static % size, want_static)
         for got, want in zip(got_rows, want_rows, strict=True):
-            assert np.array_equal(np.unique(got % size), want)
+            assert np.array_equal(np.unique(got % size), np.unique(want))
         assert np.concatenate(got_rows).max() >= size
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize(
+        "kwargs, real", [(dict(), True), (dict(), False), (dict(delta=0.3, spacing=1 / 8), False)]
+    )
+    def test_entries_and_blocks_round_trip_bit_for_bit(self, n, kwargs, real):
+        # Hermitian unit-trace blocks, the others general, on the ground
+        # closure's tiles, real (real arithmetic) or complex: entries keeps
+        # the upper triangles and blocks writes each mirrored entry as the
+        # conjugate of its stored transpose
+        rng = np.random.default_rng(40 + n)
+        basis = sector_basis(n)
+        mask = tile_mask(ground_tiles(DriveMode.TWO_PHOTON), n)[:, basis[:, None], basis]
+        prepared = random_prepared_state(rng, n)[:, basis[:, None], basis]
+        b = np.where(mask, prepared.real if real else prepared, 0.0).astype(complex)
+        fast = RhsEvaluator(ChainParams(n=n, **kwargs), PULSE, state0=HierarchyState(n, b))
+        assert fast.system.real is real
+        x = fast.entries(b)
+        assert fast.blocks(x).tobytes() == b.tobytes()
+        # a stack of entries vectors scatters the same way
+        assert fast.blocks(np.stack([x, x]))[1].tobytes() == b.tobytes()
+
+    def test_refuses_blocks_that_are_not_hermitian(self):
+        # a unit-trace block that is not its conjugate transpose would lose
+        # its lower triangle; the error names it and its largest |M - M^dag|
+        p = ChainParams(n=2, delta=0.2)
+        s = HierarchyState.ground(2)
+        s.blocks[BLOCK_NAMES.index("rho11"), 1, 2] = 0.25
+        fast = RhsEvaluator(p, PULSE, state0=s)
+        with pytest.raises(ValueError, match=r"rho11 is not Hermitian.* 2\.500e-01"):
+            fast.entries(s.blocks)
+        s = HierarchyState.ground(2)
+        s.blocks[BLOCK_NAMES.index("rho_s"), 3, 3] = 1e-300j
+        with pytest.raises(ValueError, match=r"rho_s is not Hermitian.* 2\.000e-300"):
+            fast.entries(s.blocks)
+        # a block the mode does not evolve is not read; nor is a cross block
+        s.blocks[BLOCK_NAMES.index("rho10"), 1, 0] = 0.5
+        one = RhsEvaluator(p, PULSE, DriveMode.ONE_PHOTON, state0=s)
+        assert len(one.entries(s.blocks)) == 2 * len(one.system.flat)
+
+    def test_accepts_ground_and_hermitian_prepared_states(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 2, 3):
+            for s in (HierarchyState.ground(n), HierarchyState(n, random_prepared_state(rng, n))):
+                fast = RhsEvaluator(ChainParams(n=n), PULSE, state0=s)
+                x = fast.entries(s.blocks)
+                assert np.array_equal(fast.blocks(x), s.blocks)
+
+    def test_system_refuses_columns_outside_the_gather(self, monkeypatch):
+        # the gather clips its columns, so a system that names one past the
+        # gathered entries is refused when it is built
+        from wgqed import hierarchy
+
+        static_part = hierarchy._static_part
+
+        def shifted(groups, index, size):
+            part, cols, starts = static_part(groups, index, size)
+            cols[-1] = bad
+            return part, cols, starts
+
+        monkeypatch.setattr(hierarchy, "_static_part", shifted)
+        build = hierarchy._system.__wrapped__
+        tiles = frozenset({(0, 0, 0)})  # one stored entry
+        for bad, real, width in ((1, True, 1), (2, False, 2), (-1, False, 2)):
+            with pytest.raises(ValueError, match=f"outside the {width} gathered entries"):
+                build(2, DriveMode.NONE, True, tiles, real)
 
     def test_complex_required_for_detuning_and_phases(self):
         for kwargs in (dict(delta=0.5), dict(spacing=1 / 8)):
@@ -386,7 +492,8 @@ class TestFastEvaluator:
             fast = RhsEvaluator(p, PULSE, DriveMode.TWO_PHOTON)
             assert not fast.is_real
             x = fast.entries(HierarchyState.ground(2).blocks.real)
-            assert x.dtype == np.float64 and len(x) == 2 * 25
+            # 22 of the 25 reachable entries are stored
+            assert x.dtype == np.float64 and len(x) == 2 * 22
 
     @pytest.mark.parametrize("mode", [DriveMode.TWO_PHOTON, DriveMode.ONE_PHOTON, DriveMode.NONE])
     @pytest.mark.parametrize("hc", [True, False])
@@ -401,7 +508,8 @@ class TestFastEvaluator:
         for n in (3, 5):
             state0 = HierarchyState.ground(n)
             if mode is DriveMode.NONE:
-                state0.blocks[0] = rng.standard_normal(state0.blocks[0].shape)
+                a = rng.standard_normal(state0.blocks[0].shape)
+                state0.blocks[0] = a + a.T
             members = [
                 RhsEvaluator(
                     ChainParams(n=n, gamma_r=r, gamma_l=0.5, **kwargs), pulse, mode, hc, state0

@@ -232,6 +232,20 @@ class TestIntegrate:
         for idx in (1, 3, 4):
             assert np.abs(blocks[idx]).max() < 1e-14
 
+    def test_refuses_a_state0_that_is_not_hermitian(self):
+        # only the upper triangles of the unit-trace blocks are evolved, so a
+        # prepared state whose rho_s is not Hermitian is refused, not folded
+        state = decayed_single_qubit_state()
+        state.blocks[BLOCK_NAMES.index("rho_s"), 0, 1] = 0.125
+        params, config = ChainParams(n=1), IntegratorConfig(dt=1e-3, t_end=0.01)
+        message = r"rho_s is not Hermitian: largest \|M - M\^dag\| is 1\.250e-01"
+        with pytest.raises(ValueError, match=message):
+            integrate(state, params, FAR_PULSE, DriveMode.TWO_PHOTON, config)
+        members = [(s, params, FAR_PULSE, config) for s in (decayed_single_qubit_state(), state)]
+        with pytest.raises(ValueError, match=message):
+            list(evolve(members, DriveMode.TWO_PHOTON))
+        assert state.blocks[BLOCK_NAMES.index("rho_s"), 0, 1] == 0.125  # never written
+
     def test_evolve_steps_a_stack_as_its_members(self):
         # members of different rates, pulses and lengths stepped as one stack
         # give each member's own trajectory bit for bit, and a member that

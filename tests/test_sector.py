@@ -104,11 +104,14 @@ def test_evaluator_operators_are_the_restricted_dense_ones(n, kwargs):
 @pytest.mark.parametrize("mode", list(DriveMode))
 @pytest.mark.parametrize("rho21_hc", [True, False])
 def test_ground_closure_is_the_occupancy_table(n, mode, rho21_hc):
-    # 398 entries at n = 5 and 1,410 at n = 7 for the default equations
+    # 398 reachable entries at n = 5 and 1,410 at n = 7 for the default
+    # equations, of which 273 and 892 are stored: the others lie below the
+    # diagonal of a unit-trace block
     fast = RhsEvaluator(ChainParams(n=n), PULSE, mode, rho21_hc)
     assert fast.system.tiles == ground_tiles(mode, rho21_hc)
     if mode is DriveMode.TWO_PHOTON and rho21_hc and n in (5, 7):
-        assert len(fast.entries(HierarchyState.ground(n).blocks)) == {5: 398, 7: 1410}[n]
+        stored = len(fast.entries(HierarchyState.ground(n).blocks))
+        assert (stored, stored + len(fast.system.mirror)) == {5: (273, 398), 7: (892, 1410)}[n]
 
 
 @pytest.mark.parametrize("n", [4, 5])
