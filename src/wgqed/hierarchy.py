@@ -37,9 +37,15 @@ the drive, 398 of the 4,056 block entries at n = 5 and 1,410 of 24,576 at
 n = 7.  The unit-trace blocks rho00, rho11 and rho_s are Hermitian, so only
 their upper triangles (row <= column) are stored; an entry below the
 diagonal is read as the conjugate of its stored transpose.  That leaves 273
-entries at n = 5 and 892 at n = 7, evolved as one vector under one sparse
-linear system (real, or complex when detunings, positions or the initial
-blocks make it so).  The Liouvillian and the unit-envelope drive share one
+entries at n = 5 and 892 at n = 7.  When the operators and the initial
+blocks are unchanged by every permutation of the qubits (equal rates both
+ways, one detuning and one position for all), so are the blocks at every
+time, and an entry depends only on its block and on how many qubits its row
+excites, its column excites and both share: its orbit.  Such a chain
+evolves one stored entry per orbit, 15 at n = 2, 19 at n = 3 and 22 from
+n = 4 on.  The evolved entries form one vector under one sparse linear
+system (real, or complex when detunings, positions or the initial blocks
+make it so).  The Liouvillian and the unit-envelope drive share one
 row-by-row layout, so a right-hand side call is one gather, one product and
 one row sum.
 
@@ -235,6 +241,51 @@ def _sector_moves(n: int) -> _Moves:
     return _read_only(_Moves(excited, low, hop))
 
 
+@functools.lru_cache(maxsize=None)
+def _qubit_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sector-basis index maps of swapping qubits 1 and 2 and of moving
+    every qubit one place along the cycle of all n, which together generate
+    every permutation of the qubits."""
+    basis = sector_basis(n)
+    bits = excitation_bits(basis, n)
+    masks = 1 << np.arange(n - 1, -1, -1)
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    return _read_only(tuple(
+        np.searchsorted(basis, bits[:, order] @ masks) for order in (swap, np.roll(np.arange(n), 1))
+    ))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_leads(n: int) -> np.ndarray:
+    """For each entry of a flattened (d, d) block on the n-qubit sector basis,
+    the flat place of the first entry of its orbit under the permutations of
+    the qubits.  The orbit of the entry (A, B), A and B read as sets of
+    excited qubits, is named by |A|, |B| and |A & B|."""
+    basis = sector_basis(n)
+    count = excitation_bits(basis, n).sum(axis=1)
+    both = excitation_bits((basis[:, None] & basis).ravel(), n).sum(axis=1)
+    base = MAX_EXCITATIONS + 1
+    return _read_only(_first((count[:, None] + base * count).ravel() + base**2 * both))
+
+
+def _first(keys: np.ndarray) -> np.ndarray:
+    """For each place of ``keys`` (small non-negative integers), the first
+    place that holds the same key."""
+    first = np.full(int(keys.max(initial=0)) + 1, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    return first[keys]
+
+
+def _orbit_spreads(blocks: np.ndarray, n: int) -> list[float]:
+    """Per block, the largest |difference| between an entry and the first
+    entry of its orbit: 0.0 for each block of a state that every permutation
+    of the qubits leaves unchanged, NaN where an entry is not finite.  Block
+    by block, so that no copy of the whole stack is made."""
+    lead = _orbit_leads(n)
+    return [float(np.abs(m - m[lead]).max()) for m in blocks.reshape(len(blocks), -1)]
+
+
 def sector_operators(params: ChainParams) -> tuple[np.ndarray, ...]:
     """The drift A, the collective jumps J_R and J_L and the strong and weak
     collective raising operators of a chain, dense (d, d) complex on the
@@ -412,9 +463,9 @@ class _Part(NamedTuple):
 
 class _System(NamedTuple):
     """The right-hand side of one (n, mode, rho21_hc, initial tiles,
-    arithmetic) as a sparse system x' = L0 x + g(t) L1 x on the N stored
-    entries, independent of rates, detunings, positions and pulse: L0 is the
-    Liouvillian and L1 the unit-envelope drive.
+    arithmetic, symmetry) as a sparse system x' = L0 x + g(t) L1 x on the N
+    stored entries, independent of rates, detunings, positions and pulse: L0
+    is the Liouvillian and L1 the unit-envelope drive.
 
     The unit-trace blocks (rho00, rho11, rho_s) are Hermitian, so of their
     reachable entries only those with row <= column are stored; a mirrored
@@ -432,14 +483,28 @@ class _System(NamedTuple):
     the entry ``cols`` names.  The coefficients are real or, with complex
     arithmetic, complex; then a column N + e reads conj(x[e]): a term that
     reads a mirrored entry, or an adjoint source or an X^dag term, but not
-    both.  Real arithmetic never names it, as conj(x) is x."""
+    both.  Real arithmetic never names it, as conj(x) is x.
+
+    A ``symmetric`` system is that of a chain whose operators and initial
+    blocks every permutation of the qubits leaves unchanged.  Then so are
+    the blocks at every time, and the entry (block, A, B), A and B read as
+    sets of excited qubits, depends only on the block, |A|, |B| and
+    |A & B|: its orbit.  Such a system evolves one entry per orbit of the
+    stored entries, the first (``reps``, K of them): row k is the row of
+    entry ``reps[k]`` of the full system, in L0 and in L1, its terms in the
+    same order, none merged, each reading the orbit of what it read (column
+    ``orbit[e]`` for entry e, K + ``orbit[e]`` for conj(x[e])).  Any other
+    system evolves every stored entry, each its own orbit."""
 
     tiles: frozenset
     real: bool
+    symmetric: bool
     shape: tuple[int, int, int]  # (n_blocks, d, d)
     flat: np.ndarray  # flat (block, row, column) index of each stored entry
     mirror: np.ndarray  # flat index of each mirrored entry
     mirror_of: np.ndarray  # the stored entry each mirrored one conjugates
+    orbit: np.ndarray  # the evolved entry each stored entry equals
+    reps: np.ndarray  # the stored entry each evolved entry is
     imag_diagonal: np.ndarray  # float64 places of the diagonals' imaginary parts (complex)
     parts: tuple[_Part, ...]  # L0, then L1 when the mode drives
     cols: np.ndarray
@@ -447,7 +512,11 @@ class _System(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool) -> _System:
+def _system(
+    n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool, symmetric: bool
+) -> _System:
+    if symmetric:
+        return _read_only(_orbit_quotient(_system(n, mode, rho21_hc, tiles, real, False), n))
     drive_rows = _drive_rows(mode, rho21_hc)
     d, nb = len(sector_basis(n)), mode.n_blocks
     unit_blocks = [k for k, name in enumerate(BLOCK_NAMES[:nb]) if name in UNIT_TRACE_BLOCKS]
@@ -551,10 +620,52 @@ def _system(n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: boo
     if len(cols) and not (cols.min() >= 0 and cols.max() < width):
         raise ValueError(f"system columns span [{cols.min()}, {cols.max()}], outside the "
                          f"{width} gathered entries")
+    identity = np.arange(size, dtype=np.intp)
     return _read_only(
-        _System(tiles, real, (nb, d, d), flat, mirror, mirror_of, imag_diagonal, parts, cols,
-                starts)
+        _System(tiles, real, False, (nb, d, d), flat, mirror, mirror_of, identity, identity,
+                imag_diagonal, parts, cols, starts)
     )
+
+
+def _orbit_quotient(full: _System, n: int) -> _System:
+    """``full`` on the first stored entry of each orbit (see :class:`_System`)."""
+    size, area = len(full.flat), full.shape[1] * full.shape[2]
+    block, entry = np.divmod(full.flat, area)
+    lead = _first(block * area + _orbit_leads(n)[entry])
+    reps = np.flatnonzero(lead == np.arange(size))
+    orbit = np.searchsorted(reps, lead)
+    # the representatives' rows, L0 and then L1, with all their places
+    rows = np.concatenate([reps + k * size for k in range(len(full.parts))])
+    bounds = np.append(full.starts, len(full.cols))
+    counts = bounds[rows + 1] - bounds[rows]
+    starts = np.cumsum(counts) - counts
+    kept = np.repeat(bounds[rows] - starts, counts) + np.arange(counts.sum())
+    place = np.full(len(full.cols), -1)
+    place[kept] = np.arange(len(kept))
+    diagonal = np.zeros(size, dtype=bool)
+    diagonal[full.imag_diagonal // 2] = True
+    return full._replace(
+        symmetric=True,
+        orbit=orbit,
+        reps=reps,
+        imag_diagonal=2 * np.flatnonzero(diagonal[reps]) + 1,
+        parts=tuple(_kept_part(part, place) for part in full.parts),
+        cols=np.concatenate((orbit, orbit + len(reps)))[full.cols[kept]],
+        starts=starts,
+    )
+
+
+def _kept_part(part: _Part, place: np.ndarray) -> _Part:
+    """``part`` with the coefficients whose places ``place`` maps to new ones
+    (the others to -1), each summed from its own terms in their order."""
+    at = np.arange(len(place))[part.at]
+    first = np.arange(len(part.p)) if part.merge is None else part.merge
+    counts = np.diff(first, append=len(part.p))
+    keep = np.flatnonzero(place[at] >= 0)
+    first, counts = first[keep], counts[keep]
+    merge = np.cumsum(counts) - counts
+    terms = np.repeat(first - merge, counts) + np.arange(counts.sum())
+    return _Part(part.p[terms], part.q[terms], merge, place[at[keep]])
 
 
 def _static_part(
@@ -649,8 +760,19 @@ class RhsEvaluator:
     to it in place.  With complex arithmetic the imaginary parts of the
     unit-trace blocks' diagonal rows, rounding only, are then set to zero.
     The structure (which entries, rows and columns) depends only on (n,
-    mode, rho21_hc, initial tiles, arithmetic) and is shared through a
-    cache; the coefficients are the chain's own.
+    mode, rho21_hc, initial tiles, arithmetic, symmetry) and is shared
+    through a cache; the coefficients are the chain's own.
+
+    When each of the operators is exactly unchanged by the basis permutations
+    of swapping qubits 1 and 2 and of the cycle of all n qubits, which
+    generate every permutation, and so are the initial blocks, the system is
+    symmetric (``system.symmetric``): it evolves the first stored entry of
+    each orbit (block, |A|, |B|, |A & B|) of the stored entries (A and B the
+    sets of excited qubits of the row and the column), and :meth:`blocks`
+    writes each orbit's value into all its entries.  :meth:`entries` of a
+    symmetric system refuses blocks that are not exactly constant on the
+    orbits; an evaluator built from such a ``state0`` keeps every stored
+    entry.
 
     One evaluator maps the entries vector of one chain.  :meth:`stack` joins
     evaluators that share the structure into one whose coefficients carry a
@@ -668,13 +790,15 @@ class RhsEvaluator:
     ) -> None:
         self.pulse = pulse
         self.mode = mode
-        n, n_blocks = params.n, mode.n_blocks
-        f, g = _factors(sector_operators(params), n)
+        self.n = n = params.n
+        n_blocks = mode.n_blocks
+        ops = sector_operators(params)
+        f, g = _factors(ops, n)
         self.is_real = not (np.any(f.imag) or np.any(g.imag))
         if state0 is None:
             unit = [BLOCK_NAMES.index(name) for name in UNIT_TRACE_BLOCKS]
             tiles = frozenset((b, 0, 0) for b in unit if b < n_blocks)
-            real = self.is_real
+            real, symmetric = self.is_real, True
         else:
             if state0.n != n:
                 raise ValueError("state and parameters disagree on the chain length")
@@ -683,7 +807,11 @@ class RhsEvaluator:
             b, i, j = np.nonzero(held)
             tiles = frozenset(zip(b.tolist(), count[i].tolist(), count[j].tolist()))
             real = self.is_real and not np.any(held.imag)
-        system = self.system = _system(n, mode, rho21_hc, tiles, real)
+            symmetric = all(spread == 0.0 for spread in _orbit_spreads(held, n))
+        symmetric = symmetric and all(
+            np.array_equal(op[np.ix_(p, p)], op) for p in _qubit_permutations(n) for op in ops
+        )
+        system = self.system = _system(n, mode, rho21_hc, tiles, real, symmetric)
         if real:
             f, g = f.real, g.real
         self._v = np.zeros(len(system.cols), dtype=f.dtype)
@@ -696,7 +824,7 @@ class RhsEvaluator:
         the gathered terms and, with complex arithmetic, [z, conj(z)]."""
         self._terms = np.empty_like(self._v)
         if not self.system.real:
-            self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.flat),), complex)
+            self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.reps),), complex)
 
     @classmethod
     def stack(cls, members) -> "RhsEvaluator":
@@ -704,7 +832,8 @@ class RhsEvaluator:
         structure.  Its ``pulse`` is None: each member keeps its own envelope."""
         if len({id(m.system) for m in members}) > 1:
             raise ValueError(
-                "stacked evaluators must share mode, rho21_hc, basis, initial tiles and arithmetic"
+                "stacked evaluators must share mode, rho21_hc, basis, initial tiles, arithmetic "
+                "and symmetry"
             )
         out = cls.__new__(cls)
         out.__dict__.update(
@@ -731,12 +860,15 @@ class RhsEvaluator:
     def entries(self, blocks: np.ndarray) -> np.ndarray:
         """The entries vector of blocks on the sector basis (the evolved
         prefix of ``HierarchyState.blocks``, or all of them): the stored
-        entries, the upper triangles of the unit-trace blocks among them.
-        An evolved unit-trace block that is not exactly its conjugate
-        transpose is refused, as its lower triangle would be dropped."""
+        entries, the upper triangles of the unit-trace blocks among them,
+        one per orbit on a symmetric system.  An evolved unit-trace block
+        that is not exactly its conjugate transpose is refused, as its lower
+        triangle would be dropped, and so, on a symmetric system, is an
+        evolved block that is not exactly constant on the orbits."""
         blocks = np.asarray(blocks)
         system = self.system
-        for k, name in enumerate(BLOCK_NAMES[: system.shape[0]]):
+        names = BLOCK_NAMES[: system.shape[0]]
+        for k, name in enumerate(names):
             if name in UNIT_TRACE_BLOCKS:
                 m = blocks[k]
                 err = np.abs(m - m.conj().T).max()
@@ -745,18 +877,25 @@ class RhsEvaluator:
                         f"{name} is not Hermitian: largest |M - M^dag| is {err:.3e}; only "
                         f"the upper triangle of a unit-trace block is evolved"
                     )
-        x = blocks.reshape(-1)[system.flat]
+        if system.symmetric:
+            for name, spread in zip(names, _orbit_spreads(blocks[: len(names)], self.n)):
+                if not spread == 0.0:
+                    raise ValueError(
+                        f"{name} is not symmetric under permutations of the qubits: largest "
+                        f"spread on an orbit is {spread:.3e}; only one entry per orbit is evolved"
+                    )
+        x = blocks.reshape(-1)[system.flat[system.reps]]
         if system.real:
             return np.ascontiguousarray(x.real)
         return x.astype(complex).view(np.float64)
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
-        """The complex (n_blocks, d, d) blocks of one entries vector, the
-        mirrored entries the conjugates of their stored transposes, zero
-        outside the reachable entries; (members, n_blocks, d, d) for a
-        (members, entries) array."""
+        """The complex (n_blocks, d, d) blocks of one entries vector, each
+        stored entry the evolved entry of its orbit, the mirrored entries the
+        conjugates of their stored transposes, zero outside the reachable
+        entries; (members, n_blocks, d, d) for a (members, entries) array."""
         system = self.system
-        z = x if system.real else x.view(complex)
+        z = (x if system.real else x.view(complex)).take(system.orbit, axis=-1)
         out = np.zeros(x.shape[:-1] + (np.prod(system.shape),), dtype=complex)
         out[..., system.flat] = z
         out[..., system.mirror] = np.conjugate(z.take(system.mirror_of, axis=-1))

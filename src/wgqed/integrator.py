@@ -223,10 +223,10 @@ def evolve(
     ``members`` is a sequence of ``(state0, params, pulse, config)``; the
     chains share n, and the configs share dt and sample_every, while rates,
     positions, pulses and t_end may differ.  Members whose evaluators share
-    one system structure (the same reachable tiles and real or complex
-    arithmetic) are stepped as one stack, member by member with the same
-    arithmetic as alone, so each trajectory is bit for bit the one
-    :func:`integrate` gives.  Samples are evaluated in chunks of time, and
+    one system structure (the same reachable tiles, real or complex
+    arithmetic, and symmetry under permutations of the qubits) are stepped
+    as one stack, member by member with the same arithmetic as alone, so
+    each trajectory is bit for bit the one :func:`integrate` gives.  Samples are evaluated in chunks of time, and
     always before a member leaves the stack.  Yields ``(index into members,
     trajectory)`` as each member reaches its t_end, or ``(index,
     IntegrationError)`` as it breaks an invariant; a failing member leaves

@@ -170,7 +170,7 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
     trip back from a worker process.
     """
     results: list = [None] * len(configs)
-    # evolve() steps each group, split by real or complex arithmetic, as one stack
+    # evolve() steps each group, split by arithmetic and symmetry, as stacks
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.n, cfg.mode, cfg.rho21_hc, cfg.dt, cfg.sample_every), []).append(i)

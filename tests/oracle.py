@@ -26,12 +26,16 @@ production code's tile closure.
 :func:`partial_trace_to_pair` is the reference for the batched pair
 reduction, :func:`wootters_concurrence` for the batched concurrences, and the
 excitation-sector projectors are the reference for the masked diagonal sums
-that :func:`wgqed.observables.populations` uses.
+that :func:`wgqed.observables.populations` uses.  :func:`symmetrized` makes
+states that every permutation of the qubits leaves unchanged, and
+:func:`one_photon_amplitudes` is the one-excitation amplitude ODE that the
+one-photon hierarchy reduces to, at any n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -380,3 +384,52 @@ def hierarchy_rhs(
         out[i21] += drive(block["rho11"], strong, include_hc=rho21_hc)
         out[i_s] += drive(dagger(block["rho21"]), strong, include_hc=True)
     return out
+
+
+def symmetrized(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The mean of full-space (..., 2^n, 2^n) blocks over every permutation
+    of the qubits.  On blocks of small integers every permutation leaves
+    the mean exactly unchanged: an entry and its images sum the same
+    integers, without rounding, before one division."""
+    lead = blocks.ndim - 2
+    tensor = blocks.reshape(blocks.shape[:lead] + (2,) * (2 * n))
+    perms = list(itertools.permutations(range(n)))
+    total = sum(
+        tensor.transpose(
+            tuple(range(lead)) + tuple(lead + p for p in perm) + tuple(lead + n + p for p in perm)
+        )
+        for perm in perms
+    )
+    return (total / len(perms)).reshape(blocks.shape)
+
+
+def one_photon_amplitudes(
+    params: ChainParams, pulse: GaussianPulse, dt: float, n_steps: int
+) -> np.ndarray:
+    """The amplitudes b_i of the one-excitation states |e_i>, one column per
+    qubit, after each of ``n_steps`` RK4 steps of ``dt`` from b = 0 (row 0
+    is t = 0).  They solve db/dt = A_1 b - g(t) r, with A_1 the drift on the
+    one-excitation states and r_i = sqrt(gamma_iR) exp(i 2 pi d_i).  From
+    the ground state the one-photon hierarchy keeps rho10 = |b><g| and
+    rho11 = |b><b| + (1 - |b|^2) |g><g|, so P_e,i = |b_i|^2."""
+    n = params.n
+    a1 = np.diag([-(1j * params.delta[i - 1] + decay_rate(params, i)) for i in range(1, n + 1)])
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        weight, phase = pair_coupling(params, i, j)
+        a1[i - 1, j - 1] = -weight * phase
+    r = np.sqrt(params.gamma_r) * np.exp(1j * 2.0 * np.pi * params.positions)
+
+    def rhs(t: float, b: np.ndarray) -> np.ndarray:
+        return a1 @ b - pulse.envelope(t) * r
+
+    b = np.zeros(n, dtype=complex)
+    out = [b]
+    for step in range(n_steps):
+        t = step * dt
+        k1 = rhs(t, b)
+        k2 = rhs(t + 0.5 * dt, b + (0.5 * dt) * k1)
+        k3 = rhs(t + 0.5 * dt, b + (0.5 * dt) * k2)
+        k4 = rhs(t + dt, b + dt * k3)
+        b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(b)
+    return np.array(out)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from oracle import (
     lowering_operator,
     pure_decay_term,
     raising_operator,
+    symmetrized,
     tile_mask,
 )
 from wgqed.hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
     sector_operators,
 )
+from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.operators import sector_basis
 from wgqed.pulse import GaussianPulse
 
@@ -46,6 +50,18 @@ def random_prepared_state(rng, n):
     for name in UNIT_TRACE_BLOCKS:
         s[BLOCK_NAMES.index(name)] = random_hermitian(rng, 2**n)
     return s
+
+
+def random_symmetric_state(rng, n):
+    """Random full-space blocks that every permutation of the qubits leaves
+    exactly unchanged, with Hermitian unit-trace blocks: small integers
+    (Hermitian where they must be) averaged over the permutations."""
+    d = 2**n
+    s = rng.integers(-9, 10, (6, d, d)) + 1j * rng.integers(-9, 10, (6, d, d))
+    for name in UNIT_TRACE_BLOCKS:
+        k = BLOCK_NAMES.index(name)
+        s[k] = s[k] + s[k].conj().T
+    return symmetrized(s, n)
 
 
 PULSE = GaussianPulse(tbar=1.0, width=0.7)
@@ -484,35 +500,45 @@ class TestFastEvaluator:
         tiles = frozenset({(0, 0, 0)})  # one stored entry
         for bad, real, width in ((1, True, 1), (2, False, 2), (-1, False, 2)):
             with pytest.raises(ValueError, match=f"outside the {width} gathered entries"):
-                build(2, DriveMode.NONE, True, tiles, real)
+                build(2, DriveMode.NONE, True, tiles, real, False)
 
     def test_complex_required_for_detuning_and_phases(self):
-        for kwargs in (dict(delta=0.5), dict(spacing=1 / 8)):
+        # 22 of the 25 reachable entries are stored; a uniform detuning keeps
+        # the chain symmetric, so it evolves one entry per orbit, 15
+        for kwargs, evolved in ((dict(delta=0.5), 15), (dict(spacing=1 / 8), 22)):
             p = ChainParams(n=2, **kwargs)
             fast = RhsEvaluator(p, PULSE, DriveMode.TWO_PHOTON)
-            assert not fast.is_real
+            assert not fast.is_real and len(fast.system.flat) == 22
             x = fast.entries(HierarchyState.ground(2).blocks.real)
-            # 22 of the 25 reachable entries are stored
-            assert x.dtype == np.float64 and len(x) == 2 * 22
+            assert x.dtype == np.float64 and len(x) == 2 * evolved
 
     @pytest.mark.parametrize("mode", [DriveMode.TWO_PHOTON, DriveMode.ONE_PHOTON, DriveMode.NONE])
     @pytest.mark.parametrize("hc", [True, False])
     @pytest.mark.parametrize("real", [True, False])
-    def test_stack_is_its_members_bit_for_bit(self, mode, hc, real):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_stack_is_its_members_bit_for_bit(self, mode, hc, real, symmetric):
         # one member's pulse has underflowed to exactly 0 at t = 30 while the
         # others still drive.  Rows without drive terms hold a zero
         # coefficient; DriveMode.NONE has no drive rows at all, and evolves
-        # rho00 on every tile from a prepared state.
-        kwargs = dict() if real else dict(delta=0.3, spacing=1 / 8)
+        # rho00 on every tile from a prepared state.  Symmetric members
+        # (equal rates both ways, a uniform detuning, a symmetric state)
+        # evolve one entry per orbit.
+        kwargs = dict() if real else dict(delta=0.3)
+        if not (real or symmetric):
+            kwargs["spacing"] = 1 / 8
         rng = np.random.default_rng(5)
         for n in (3, 5):
             state0 = HierarchyState.ground(n)
-            if mode is DriveMode.NONE:
+            if mode is DriveMode.NONE and symmetric:
+                basis = sector_basis(n)
+                state0.blocks[0] = random_symmetric_state(rng, n)[0, basis[:, None], basis].real
+            elif mode is DriveMode.NONE:
                 a = rng.standard_normal(state0.blocks[0].shape)
                 state0.blocks[0] = a + a.T
             members = [
                 RhsEvaluator(
-                    ChainParams(n=n, gamma_r=r, gamma_l=0.5, **kwargs), pulse, mode, hc, state0
+                    ChainParams(n=n, gamma_r=r, gamma_l=r if symmetric else 0.5, **kwargs),
+                    pulse, mode, hc, state0,
                 )
                 for r, pulse in [
                     (1.0, GaussianPulse(5.0, 0.5)),
@@ -522,6 +548,9 @@ class TestFastEvaluator:
             ]
             stack = RhsEvaluator.stack(members)
             assert stack.is_real is real and stack.mode is mode and stack.pulse is None
+            system = stack.system
+            assert system.symmetric is symmetric
+            assert (len(system.reps) < len(system.flat)) is symmetric
             x = rng.standard_normal((3, len(members[0].entries(state0.blocks))))
             x[:, 0] = -0.0
             for t in (0.7, 30.0, 200.0):
@@ -544,3 +573,89 @@ class TestFastEvaluator:
             RhsEvaluator.stack([real, RhsEvaluator(ChainParams(n=2, delta=0.5), PULSE)])
         with pytest.raises(ValueError, match="share"):
             RhsEvaluator.stack([real, RhsEvaluator(ChainParams(n=3), PULSE)])
+
+
+class TestOrbitQuotient:
+    """A chain and initial blocks that every permutation of the qubits leaves
+    unchanged evolve one stored entry per orbit (block, |A|, |B|, |A & B|)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize("hc", [True, False])
+    @pytest.mark.parametrize("kwargs, real", [(dict(), True), (dict(), False),
+                                              (dict(delta=0.3), False)])
+    def test_matches_reference(self, n, mode, hc, kwargs, real):
+        # symmetric states, real or complex, on a resonant or a uniformly
+        # detuned chain; for n = 4 on the tiles a ground-start run occupies,
+        # or undriven on every tile of at most 3 excitations
+        rng = np.random.default_rng(n)
+        p = ChainParams(n=n, **kwargs)
+        basis = sector_basis(n)
+        s = random_symmetric_state(rng, n)
+        if real:
+            s = s.real.astype(complex)
+        if n > 3:
+            tiles = ground_tiles(mode, hc)
+            if mode is DriveMode.NONE:
+                tiles = {(0, r, c) for r in range(4) for c in range(4)}
+            s *= tile_mask(tiles, n)
+        want = hierarchy_rhs(s, 0.9, p, PULSE, mode, rho21_hc=hc)
+        s, want = (m[:, basis[:, None], basis] for m in (s, want))
+        fast = RhsEvaluator(p, PULSE, mode, rho21_hc=hc, state0=HierarchyState(n, s))
+        system = fast.system
+        assert system.symmetric and system.real is real
+        assert len(system.reps) < len(system.flat)
+        got = fast.blocks(fast(0.9, fast.entries(s)))
+        assert np.abs(want[: mode.n_blocks] - got).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(gamma_l=0.2), dict(spacing=1 / 8), dict(delta=(0, 0, 0.3)),
+         dict(gamma_r=(1.0, 1.0, 0.9), gamma_l=(1.0, 1.0, 0.9))],
+    )
+    def test_asymmetric_chains_keep_every_entry(self, kwargs):
+        # a chiral chain, a spacing, one detuned qubit, one different rate
+        system = RhsEvaluator(ChainParams(n=3, **kwargs), PULSE).system
+        symmetric = RhsEvaluator(ChainParams(n=3), PULSE).system
+        identity = np.arange(len(system.flat))
+        assert not system.symmetric and symmetric.symmetric
+        assert np.array_equal(system.reps, identity) and np.array_equal(system.orbit, identity)
+        assert system.tiles == symmetric.tiles and np.array_equal(system.flat, symmetric.flat)
+
+    def test_asymmetric_states_keep_every_entry_or_are_refused(self):
+        # on a symmetric chain: qubit 1 excited, and a Hermitian rho_s whose
+        # stored entries are constant on the orbits while its mirrored ones
+        # are not (0.5j above the diagonal, -0.5j below).  Each one's own
+        # evaluator keeps every entry, and the ground state's, one per
+        # orbit, refuses it rather than averaging it.
+        p = ChainParams(n=2)
+        excited = HierarchyState.ground(2)
+        for name in UNIT_TRACE_BLOCKS:
+            block(excited.blocks, name)[[0, 2], [0, 2]] = 0.75, 0.25  # |eg><eg|
+        coherent = HierarchyState.ground(2)
+        block(coherent.blocks, "rho_s")[1, 2] = 0.5j  # |ge><eg|
+        block(coherent.blocks, "rho_s")[2, 1] = -0.5j
+        quotient = RhsEvaluator(p, PULSE)
+        assert quotient.system.symmetric
+        for s, name, spread in ((excited, "rho00", 0.25), (coherent, "rho_s", 1.0)):
+            own = RhsEvaluator(p, PULSE, state0=s)
+            assert not own.system.symmetric
+            assert np.array_equal(own.blocks(own.entries(s.blocks)), s.blocks)
+            message = (f"{name} is not symmetric under permutations of the qubits: largest "
+                       f"spread on an orbit is {spread:.3e}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                quotient.entries(s.blocks)
+
+    @pytest.mark.parametrize(
+        "n, kwargs", [(3, dict(delta=0.5)), (4, dict()), (4, dict(gamma_r=0.1, gamma_l=0.1))]
+    )
+    def test_exchangeable_qubits_sample_alike_bit_for_bit(self, n, kwargs):
+        # every qubit's population and every pair's concurrence are one
+        # value, as each orbit is one evolved entry
+        traj = integrate(HierarchyState.ground(n), ChainParams(n=n, **kwargs),
+                         GaussianPulse(5.0, 1.5), DriveMode.TWO_PHOTON,
+                         IntegratorConfig(dt=0.01, t_end=10.0, sample_every=10))
+        assert traj.p_excited.max() > 1e-3
+        assert np.array_equal(traj.p_excited, np.repeat(traj.p_excited[:, :1], n, axis=1))
+        pairs = traj.pair_concurrence
+        assert np.array_equal(pairs, np.repeat(pairs[:, :1], pairs.shape[1], axis=1))

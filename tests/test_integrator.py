@@ -250,13 +250,16 @@ class TestIntegrate:
         # members of different rates, pulses and lengths stepped as one stack
         # give each member's own trajectory bit for bit, and a member that
         # breaks the trace bound leaves with the error integrate raises; the
-        # width-0.5 pulse underflows to 0 from t = 24.5 while the width-3 one drives
+        # width-0.5 pulse underflows to 0 from t = 24.5 while the width-3 one
+        # drives.  All three are symmetric chains, one system: evolve stacks
+        # symmetric and asymmetric members apart.
         config = dict(dt=0.5, sample_every=2)
         members = [
             (ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), GaussianPulse(5.0, 0.5), 30.0),
             (ChainParams(n=3), GaussianPulse(5.0, 1.5), 20.0),
-            (ChainParams(n=3, gamma_r=0.3, gamma_l=0.1), GaussianPulse(5.0, 3.0), 28.0),
+            (ChainParams(n=3, gamma_r=0.3, gamma_l=0.3), GaussianPulse(5.0, 3.0), 28.0),
         ]
+        assert len({id(RhsEvaluator(p, g).system) for p, g, _ in members}) == 1
         stack = [
             (HierarchyState.ground(3), p, g, IntegratorConfig(t_end=t, **config))
             for p, g, t in members

@@ -262,37 +262,46 @@ class TestRunner:
         batches = runner._batches(configs, 2)
         lengths = [sorted(configs[i].t_end for i in batch) for batch in batches]
         assert lengths == [[25.0] * 3 + [50.0] * 3] * 2
-        # fig4: the n = 5 member (4,359 coefficients) goes first, and the
-        # n = 3 (478) and n = 4 (1,599) ones share the other batch
+        # fig4's chains are symmetric: the n = 5 member (399 coefficients)
+        # goes first, and the n = 3 (164) and n = 4 (285) ones share the
+        # other batch
         fig4 = expand_preset("fig4")
         assert [cfg.n for cfg in fig4] == [3, 4, 5]
         assert runner._batches(fig4, 2) == [[2], [0, 1]]
-        # an n = 5 member outweighs a twice as long n = 3 one (478
-        # coefficients), but not a twelve times longer one: the cube of the
-        # basis (26^3 against 8^3) would still put the n = 5 member first
+        # a step's fixed cost puts a twice as long symmetric n = 3 member
+        # ahead of a symmetric n = 5 one
         mixed = [apply_overrides(TINY, n=5, label="n5"),
                  apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
                  apply_overrides(TINY, n=3, label="n3b")]
+        assert runner._batches(mixed, 2) == [[1], [0, 2]]
+        # the chains below are asymmetric (gamma_l 0.5) and evolve every
+        # stored entry.  An n = 5 member outweighs a twice as long n = 3 one
+        # (478 coefficients), but not a twelve times longer one: the cube of
+        # the basis (26^3 against 8^3) would still put the n = 5 member first
+        tiny = apply_overrides(TINY, gamma_l=(0.5,))
+        mixed = [apply_overrides(tiny, n=5, label="n5"),
+                 apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
+                 apply_overrides(tiny, n=3, label="n3b")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed[1] = apply_overrides(TINY, n=3, t_end=12 * TINY.t_end, label="n3")
+        mixed[1] = apply_overrides(tiny, n=3, t_end=12 * TINY.t_end, label="n3")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
         # a step's fixed cost puts a twice as long n = 3 member ahead of an
         # n = 4 one (1,599 coefficients against 2 x 478)
-        mixed = [apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
-                 apply_overrides(TINY, n=4, label="n4"), apply_overrides(TINY, label="n2")]
+        mixed = [apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
+                 apply_overrides(tiny, n=4, label="n4"), apply_overrides(tiny, label="n2")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
         # a complex coefficient costs 1.6 real ones: a detuned n = 4 member
         # (1,639 complex coefficients) goes ahead of a 1.2 times longer real
         # n = 4 one (1,599), but not of a 1.3 times longer one; a 1.5 times
         # longer real n = 5 member (4,359) goes ahead of it
-        mixed = [apply_overrides(TINY, n=4, delta=0.5, label="detuned"),
-                 apply_overrides(TINY, n=4, t_end=1.2, label="n4"),
-                 apply_overrides(TINY, label="n2")]
+        mixed = [apply_overrides(tiny, n=4, delta=0.5, label="detuned"),
+                 apply_overrides(tiny, n=4, t_end=1.2, label="n4"),
+                 apply_overrides(tiny, label="n2")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed[1] = apply_overrides(TINY, n=4, t_end=1.3, label="n4")
+        mixed[1] = apply_overrides(tiny, n=4, t_end=1.3, label="n4")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        mixed[1] = apply_overrides(TINY, n=5, t_end=1.5, label="n5")
+        mixed[1] = apply_overrides(tiny, n=5, t_end=1.5, label="n5")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
 
     def test_summary_csv_layout(self, tmp_path):

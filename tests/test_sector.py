@@ -20,6 +20,7 @@ from oracle import (
     ground_tiles,
     hierarchy_rhs,
     number_operator,
+    one_photon_amplitudes,
     partial_trace_to_pair,
     tile_mask,
 )
@@ -106,12 +107,35 @@ def test_evaluator_operators_are_the_restricted_dense_ones(n, kwargs):
 def test_ground_closure_is_the_occupancy_table(n, mode, rho21_hc):
     # 398 reachable entries at n = 5 and 1,410 at n = 7 for the default
     # equations, of which 273 and 892 are stored: the others lie below the
-    # diagonal of a unit-trace block
-    fast = RhsEvaluator(ChainParams(n=n), PULSE, mode, rho21_hc)
-    assert fast.system.tiles == ground_tiles(mode, rho21_hc)
-    if mode is DriveMode.TWO_PHOTON and rho21_hc and n in (5, 7):
-        stored = len(fast.entries(HierarchyState.ground(n).blocks))
-        assert (stored, stored + len(fast.system.mirror)) == {5: (273, 398), 7: (892, 1410)}[n]
+    # diagonal of a unit-trace block.  An asymmetric chain evolves every
+    # stored entry, a symmetric one the 22 orbits of them at both n.
+    for params, evolved in ((ChainParams(n=n, gamma_l=0.5), None), (ChainParams(n=n), 22)):
+        fast = RhsEvaluator(params, PULSE, mode, rho21_hc)
+        system = fast.system
+        assert system.tiles == ground_tiles(mode, rho21_hc)
+        assert system.symmetric is (evolved is not None)
+        if mode is DriveMode.TWO_PHOTON and rho21_hc and n in (5, 7):
+            stored, reachable = {5: (273, 398), 7: (892, 1410)}[n]
+            assert (len(system.flat), len(system.flat) + len(system.mirror)) == (stored, reachable)
+            assert len(fast.entries(HierarchyState.ground(n).blocks)) == (evolved or stored)
+
+
+@pytest.mark.parametrize("n", [3, 7, 10])
+@pytest.mark.parametrize("kwargs, reduced", [(dict(), True), (dict(gamma_l=0.2), False)])
+def test_one_photon_populations_follow_the_amplitude_ode(n, kwargs, reduced):
+    # one photon from the ground state puts P_e,i = |b_i|^2, b from the
+    # n-dimensional amplitude ODE, an oracle past the dense one's n = 5: on
+    # a symmetric chain (one entry per orbit) and a chiral one (every
+    # entry).  The oracle steps 4 times finer; the difference is the
+    # hierarchy's RK4 error, at most 1.7e-10 here.
+    params, pulse = ChainParams(n=n, **kwargs), GaussianPulse(5.0, 1.5)
+    config = IntegratorConfig(dt=0.01, t_end=12.0, sample_every=25)
+    assert RhsEvaluator(params, pulse, DriveMode.ONE_PHOTON).system.symmetric is reduced
+    traj = integrate(HierarchyState.ground(n), params, pulse, DriveMode.ONE_PHOTON, config)
+    b = one_photon_amplitudes(params, pulse, config.dt / 4, 4 * config.n_steps)
+    want = np.abs(b[:: 4 * config.sample_every]) ** 2
+    assert want.max() > 3e-3  # the photon did excite the chain
+    assert np.abs(traj.p_excited - want).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", [4, 5])
