@@ -22,6 +22,8 @@ most that chunk.  :func:`integrate` is that loop with one member.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
@@ -29,10 +31,10 @@ import numpy as np
 
 from .hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
-    _require_integer,
+    _require_integer, _sector_moves,
 )
 from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
-from .operators import MAX_EXCITATIONS, all_pairs
+from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
@@ -138,8 +140,42 @@ def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarra
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _adapted_basis(n: int) -> np.ndarray:
+    """(d, c) real orthonormal columns on the n-qubit sector basis that hold
+    one copy of each spin multiplet it meets, c <= 10 at every n.
+
+    A state that every permutation of the qubits leaves unchanged acts on
+    each multiplet of total spin n/2 - k as the same matrix on every copy
+    (Schur-Weyl duality), so its spectrum on the sector basis is that of its
+    compression onto these columns.  Copy k is spanned by the normalized
+    J+^(m-k) w_k, m = k ... min(3, n - k), from the lowest-weight state
+    w_k = prod_{j<=k} (s+_{2j-1} - s+_{2j}) |g...g> of k singlets."""
+    basis = sector_basis(n)
+    d = len(basis)
+    masks = 1 << np.arange(n - 1, -1, -1)
+    # J+ on the sector basis, the transpose of the lowering moves
+    image, state, _ = _sector_moves(n).low
+    up = np.zeros((d, d))
+    up[state, image] = 1.0
+    columns = []
+    for k in range(min(MAX_EXCITATIONS, n // 2) + 1):
+        # integer entries, exact in float64, so each column is normalized
+        # by one correctly rounded square root
+        v = np.zeros(d)
+        for choice in itertools.product((0, 1), repeat=k):
+            state = sum(int(masks[2 * j + s]) for j, s in enumerate(choice))
+            v[np.searchsorted(basis, state)] += (-1.0) ** sum(choice)
+        for _ in range(k, min(MAX_EXCITATIONS, n - k) + 1):
+            columns.append(v / np.sqrt(v @ v))
+            v = up @ v
+    out = np.stack(columns, axis=1)
+    out.setflags(write=False)  # shared by every caller through the cache
+    return out
+
+
 def diagnostics(
-    blocks: np.ndarray, n: int, mode: DriveMode = DriveMode.TWO_PHOTON
+    blocks: np.ndarray, n: int, mode: DriveMode = DriveMode.TWO_PHOTON, symmetric: bool = False
 ) -> Diagnostics:
     """Conservation checks on the evolved (mode.n_blocks, d, d) block stack of
     an n-qubit chain on the sector basis.
@@ -154,6 +190,12 @@ def diagnostics(
     (:meth:`~wgqed.hierarchy.RhsEvaluator.blocks`), while the test suite
     checks on its term-by-term oracle that the equations keep those blocks
     Hermitian.
+
+    A ``symmetric`` reported state, one that every permutation of the
+    qubits leaves exactly unchanged, has the spectrum of its at most
+    10 x 10 compression onto one copy of each spin multiplet
+    (:func:`_adapted_basis`), and from n = 3 on its smallest eigenvalue is
+    taken from that; it agrees with the d x d spectrum's to rounding.
 
     For (..., n_blocks, d, d) blocks of several chains every field is an
     array over the leading axes, each value the one its chain alone gives;
@@ -173,6 +215,9 @@ def diagnostics(
         m = blocks[..., k, :, :]
         herm_err = np.maximum(herm_err, np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
     reported = blocks[..., mode.n_blocks - 1, :, :]
+    if symmetric and n > 2:  # up to n = 2 the copies span the whole basis
+        v = _adapted_basis(n)
+        reported = v.T @ reported @ v
     # halved before the sum, so that no finite block overflows to inf, which
     # would stop eigvalsh for the whole stack
     min_eig = np.linalg.eigvalsh(0.5 * reported + 0.5 * reported.conj().swapaxes(-1, -2))[..., 0]
@@ -315,6 +360,12 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
     sample ``ks[r]`` at time ``ts[r]`` of ``owners[r]``: one blocks scatter
     and one call each of the observables and the diagnostics for all rows,
     then each member's rows written into its trajectory through index arrays.
+    The owners share one system.  When it is symmetric, every permutation
+    of the qubits leaves every state unchanged, so every pair has the same
+    concurrence: only pair (1, 2) is reduced and solved, and its value is
+    repeated, bit for bit what all pairs give.  From n = 3 on the smallest
+    eigenvalue then comes from one copy of each spin multiplet, at most
+    10 x 10 at any n, and agrees with the d x d one to rounding.
 
     The first row of a member that breaks the trace bound ends it with that
     IntegrationError, in place of a non-finite step found after it; the one
@@ -322,9 +373,9 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
     written; they are zeroed after the diagnostics and before the
     observables, as its state may have grown past what they can take."""
     first = owners[0]
-    n, mode = first.n, first.mode
+    n, mode, symmetric = first.n, first.mode, first.rhs.system.symmetric
     blocks = first.rhs.blocks(x)
-    diag = diagnostics(blocks, n, mode)
+    diag = diagnostics(blocks, n, mode, symmetric)
     breached = set()
     for r in np.flatnonzero(diag.trace_err > TRACE_ABORT).tolist():
         chain = owners[r]
@@ -342,7 +393,7 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
         blocks[ended] = 0.0
     rho = blocks[:, mode.n_blocks - 1]
     pops = populations(rho, n)
-    pair_c = pair_concurrences(rho, n)
+    pair_c = pair_concurrences(rho, n, symmetric)
     c_all = average_concurrence(pair_c, n, "all-pairs")
     c_half = average_concurrence(pair_c, n, "half-n")
     for chain, rows in rows_of.items():

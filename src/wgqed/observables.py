@@ -67,7 +67,7 @@ class _BasisTables:
     basis: np.ndarray  # computational index of each basis state
     pair_src: np.ndarray  # flat float64-view indices into the state
     pair_dst: np.ndarray  # flat float64-view indices into the (n_pairs, 4, 4) stack
-    n_pairs: int
+    pair_stops: np.ndarray  # where each pair's indices end in pair_src and pair_dst
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,7 +81,7 @@ def _tables(n: int) -> _BasisTables:
     # Entry (a, b) of the reduced state of pair p sums rho[r, c] over kept
     # (r, c) that agree on every other qubit, with a and b the pair bits of r
     # and c.  Every such c is r with its two pair bits replaced.
-    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    src, dst, stops = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], []
     for p, (i, j) in enumerate(all_pairs(n)):
         mi, mj = masks[i - 1], masks[j - 1]
         rest = basis & ~(mi | mj)
@@ -91,13 +91,14 @@ def _tables(n: int) -> _BasisTables:
             kept = c >= 0
             src.append(np.flatnonzero(kept) * d + c[kept])
             dst.append(16 * p + 4 * a[kept] + b)
-    src, dst = np.concatenate(src), np.concatenate(dst)
+        stops.append(2 * sum(map(len, src)))
+    src, dst, stops = np.concatenate(src), np.concatenate(dst), np.array(stops, dtype=int)
     # real and imaginary parts are scattered in one pass over the float64 view
     pair_src = np.stack([2 * src, 2 * src + 1], axis=1).ravel()
     pair_dst = np.stack([2 * dst, 2 * dst + 1], axis=1).ravel()
-    for arr in (basis, pair_src, pair_dst):
+    for arr in (basis, pair_src, pair_dst, stops):
         arr.setflags(write=False)  # shared by every caller through the cache
-    return _BasisTables(basis, pair_src, pair_dst, n * (n - 1) // 2)
+    return _BasisTables(basis, pair_src, pair_dst, stops)
 
 
 def _checked_tables(m: np.ndarray, n: int) -> _BasisTables:
@@ -156,26 +157,32 @@ def populations(rho: np.ndarray, n: int) -> PopulationRecord:
     return PopulationRecord(sums[..., 0], sums[..., 1], p_two, p_exc, total)
 
 
-def pair_states(rho: np.ndarray, n: int) -> np.ndarray:
+def pair_states(rho: np.ndarray, n: int, count: int | None = None) -> np.ndarray:
     """Reduced density matrices of every pair, stacked in ``all_pairs(n)``
-    order as (n_pairs, 4, 4), or (..., n_pairs, 4, 4) for a stack of states.
+    order as (n_pairs, 4, 4), or (..., n_pairs, 4, 4) for a stack of states;
+    of the first ``count`` pairs only, when given.
 
     Each uses the pair basis ordering {|g_i g_j>, |g_i e_j>, |e_i g_j>,
     |e_i e_j>} (qubit i is the most-significant factor); traces are kept.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     tables = _checked_tables(rho, n)
-    lead, size = rho.shape[:-2], 32 * tables.n_pairs
+    if count is None:
+        count = len(tables.pair_stops)
+    stop = tables.pair_stops[count - 1] if count else 0
+    lead, size = rho.shape[:-2], 32 * count
     flat = rho.reshape(-1, rho.shape[-1] ** 2).view(np.float64)
     # one scatter-add for all states, each in bins of its own and in the
-    # order it has alone, so every bin sums in the same order
-    bins = tables.pair_dst
+    # order it has alone, so every bin sums in the same order; a pair's bins
+    # sum in the same order whether the pairs before it are reduced or not
+    bins = tables.pair_dst[:stop]
     if len(flat) > 1:
         bins = (bins + size * np.arange(len(flat))[:, None]).ravel()
     out = np.bincount(
-        bins, weights=flat.take(tables.pair_src, axis=-1).ravel(), minlength=size * len(flat)
+        bins, weights=flat.take(tables.pair_src[:stop], axis=-1).ravel(),
+        minlength=size * len(flat),
     )
-    return out.view(complex).reshape(lead + (tables.n_pairs, 4, 4))
+    return out.view(complex).reshape(lead + (count, 4, 4))
 
 
 def spin_flip(rho4: np.ndarray) -> np.ndarray:
@@ -221,15 +228,22 @@ def concurrence_pair(rho4: np.ndarray, invalid_below: float | None = EIG_INVALID
     return float(_wootters(eigs))
 
 
-def pair_concurrences(rho: np.ndarray, n: int) -> np.ndarray:
+def pair_concurrences(rho: np.ndarray, n: int, symmetric: bool = False) -> np.ndarray:
     """Concurrence of every unordered qubit pair, in ``all_pairs(n)`` order,
     clamping negative spin-flip eigenvalues (see :func:`concurrence_pair`);
     (..., n_pairs) for a (..., d, d) stack of states.
 
     All pairs of all states are reduced in one scatter-add and their
-    spin-flip spectra computed in one batched eigenvalue call.
+    spin-flip spectra computed in one batched eigenvalue call.  A
+    ``symmetric`` state, one that every permutation of the qubits leaves
+    exactly unchanged, has one reduced state for every pair: then only pair
+    (1, 2) is reduced, in the same order of additions, and its value
+    repeated, so the result is bit for bit the one of all pairs.
     """
-    return _wootters(np.linalg.eigvals(spin_flip(pair_states(rho, n))))
+    n_pairs = n * (n - 1) // 2
+    count = min(1, n_pairs) if symmetric else n_pairs
+    c = _wootters(np.linalg.eigvals(spin_flip(pair_states(rho, n, count))))
+    return c if count == n_pairs else np.repeat(c, n_pairs, axis=-1)
 
 
 def average_concurrence(pair_values: np.ndarray, n: int, norm: str = "all-pairs") -> float:

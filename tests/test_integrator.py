@@ -25,7 +25,7 @@ from wgqed.observables import (
     pair_states,
     populations,
 )
-from wgqed.operators import sector_basis
+from wgqed.operators import excitation_bits, sector_basis
 from wgqed.pulse import GaussianPulse
 
 FAR_PULSE = GaussianPulse(tbar=1e9, width=1.5)
@@ -510,6 +510,108 @@ class TestStackedSampling:
             for norm in ("all-pairs", "half-n"):
                 value = np.float64(average_concurrence(pair_c, n, norm))
                 assert value.tobytes() == traj.c_avg(norm)[k].tobytes(), norm
+
+
+def _symmetric_run(n, delta, mode):
+    """A symmetric chain's trajectory and sampled states: resonant (real
+    arithmetic) or uniformly detuned (complex)."""
+    traj = integrate(HierarchyState.ground(n), ChainParams(n=n, delta=delta),
+                     GaussianPulse(5.0, 1.5), mode,
+                     IntegratorConfig(dt=0.02, t_end=12.0, sample_every=25), keep_states=True)
+    assert RhsEvaluator(ChainParams(n=n, delta=delta), FAR_PULSE, mode).system.symmetric
+    return traj, np.array(traj.states)
+
+
+def _orbit_constant_states(rng, n, rows):
+    """Random Hermitian (rows, d, d) states of unit spectral norm on the
+    sector basis whose entry (A, B) depends only on |A|, |B| and |A & B|,
+    so that every permutation of the qubits leaves them exactly unchanged;
+    unlike a ground-start run they fill every spin multiplet."""
+    bits = excitation_bits(sector_basis(n), n)
+    count = bits.sum(axis=1)
+    table = rng.standard_normal((rows, 4, 4, 4)) + 1j * rng.standard_normal((rows, 4, 4, 4))
+    m = table[:, count[:, None], count, bits @ bits.T]
+    m = 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
+    return m / np.linalg.norm(m, 2, axis=(-2, -1))[:, None, None]
+
+
+def _clamped_minimum(states, n):
+    """The smallest eigenvalue of each state's Hermitian part on the whole
+    sector basis, at most 0.0 when the basis drops states (n > 3)."""
+    low = np.linalg.eigvalsh(0.5 * states + 0.5 * states.conj().swapaxes(-1, -2))[:, 0]
+    return np.minimum(low, 0.0) if n > 3 else low
+
+
+class TestSymmetricSampling:
+    """A symmetric chain reduces pair (1, 2) alone and takes the smallest
+    eigenvalue from one copy of each spin multiplet."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_one_pair_is_every_pair_bit_for_bit(self, n, delta):
+        # one-photon states are entangled at every n, two-photon ones at
+        # small n
+        modes = (DriveMode.ONE_PHOTON, DriveMode.TWO_PHOTON)
+        states = np.concatenate([_symmetric_run(n, delta, mode)[1] for mode in modes])
+        assert bool(np.any(states.imag)) is (delta != 0.0)
+        one = pair_concurrences(states, n, symmetric=True)
+        assert one.max() > 1e-3
+        assert one.tobytes() == pair_concurrences(states, n).tobytes()
+        assert pair_concurrences(states[0], n, symmetric=True).tobytes() == one[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_leading_pairs_reduce_as_among_all_pairs(self, n):
+        # on any state, symmetric or not: pair (1, 2)'s bins sum in the
+        # same order alone
+        rng = np.random.default_rng(n)
+        d = len(sector_basis(n))
+        rho = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        every = pair_states(rho, n)
+        for count in range(len(every[0]) + 1):
+            assert pair_states(rho, n, count).tobytes() == every[:, :count].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_adapted_basis_is_orthonormal_and_small(self, n):
+        v = integrator._adapted_basis(n)
+        d, c = v.shape
+        assert d == len(sector_basis(n)) and c <= 10
+        # spin n/2 - k meets m = k ... min(3, n - k) excitations, k <= min(3, n/2)
+        assert c == sum(min(3, n - k) - k + 1 for k in range(min(3, n // 2) + 1))
+        assert np.abs(v.T @ v - np.eye(c)).max() < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_adapted_minimum_eigenvalue_is_the_full_one(self, n, delta):
+        # on a symmetric chain's sampled states, which leave the positive
+        # cone, and on their negations, whose smallest eigenvalue is minus
+        # the largest
+        traj, states = _symmetric_run(n, delta, DriveMode.TWO_PHOTON)
+        if n > 1:
+            assert traj.min_eigenvalue.min() < -1e-3
+        assert np.abs(traj.min_eigenvalue - _clamped_minimum(states, n)).max() <= 1e-15
+        negated = diagnostics(-states[:, None], n, DriveMode.NONE, symmetric=True)
+        assert np.abs(negated.min_eigenvalue - _clamped_minimum(-states, n)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_adapted_minimum_eigenvalue_on_every_multiplet(self, n):
+        # unit-norm states spread over every spin multiplet; both signs
+        states = _orbit_constant_states(np.random.default_rng(n), n, 6)
+        for sign in (1.0, -1.0):
+            got = diagnostics(sign * states[:, None], n, DriveMode.NONE, symmetric=True)
+            assert np.abs(got.min_eigenvalue - _clamped_minimum(sign * states, n)).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stack_is_its_members_bit_for_bit(self, n):
+        blocks = _orbit_constant_states(np.random.default_rng(n), n, 3)[:, None]
+        stacked = diagnostics(blocks, n, DriveMode.NONE, symmetric=True)
+        pair_c = pair_concurrences(blocks[:, 0], n, symmetric=True)
+        for j in range(3):
+            alone = diagnostics(blocks[j], n, DriveMode.NONE, symmetric=True)
+            for f in fields(Diagnostics):
+                assert np.float64(getattr(alone, f.name)).tobytes() == \
+                    getattr(stacked, f.name)[j].tobytes(), f.name
+            assert pair_concurrences(blocks[j, 0], n, symmetric=True).tobytes() == \
+                pair_c[j].tobytes()
 
 
 def test_trajectory_norm_selector():

@@ -24,12 +24,14 @@ from oracle import (
     partial_trace_to_pair,
     tile_mask,
 )
+from wgqed.config import apply_overrides
 from wgqed.hierarchy import (
     BLOCK_NAMES, ChainParams, DriveMode, HierarchyState, RhsEvaluator, sector_operators,
 )
 from wgqed.integrator import IntegratorConfig, diagnostics, integrate, rk4_step
-from wgqed.observables import average_concurrence, concurrence_pair
+from wgqed.observables import average_concurrence, concurrence_pair, pair_states
 from wgqed.operators import all_pairs, excitation_bits, sector_basis
+from wgqed.presets import PRESETS, expand_preset
 from wgqed.pulse import GaussianPulse
 
 # the whole pulse (mean 1, width 0.3) lies inside the window [0, 2]
@@ -83,6 +85,33 @@ def test_selection_rule_is_exact(rho21_hc):
     assert bool(reached > 1e-6) is rho21_hc
 
 
+# the entries of a pair state in {gg, ge, eg, ee} outside its X shape
+OFF_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_preset_members_keep_the_selection_rule_exactly(preset):
+    # from the ground state every reported tile (r, c) has r - c even, and
+    # rho_s never reaches the (3, 3) tile, so every pair state is an X
+    # state; exact 0.0 on every sample through the pulse
+    for cfg in expand_preset(preset):
+        cfg = apply_overrides(cfg, dt=0.05, t_end=8.0, sample_every=4)
+        n, mode = cfg.n, cfg.drive_mode()
+        assert mode is DriveMode.TWO_PHOTON  # the reported block is rho_s
+        traj = integrate(HierarchyState.ground(n), cfg.chain_params(), cfg.gaussian_pulse(),
+                         mode, cfg.integrator_config(), cfg.rho21_hc, keep_states=True)
+        states = np.array(traj.states)
+        # the pulse did pass: one excitation, and two where there are two qubits
+        assert traj.p_one.max() > 1e-3 and (n == 1 or traj.p_two.max() > 1e-6), cfg.label
+        count = excitation_bits(sector_basis(n), n).sum(axis=1)
+        odd = (count[:, None] - count) % 2 == 1
+        assert np.all(states[:, odd] == 0.0), cfg.label
+        three = count == 3
+        assert np.all(states[:, three][:, :, three] == 0.0), cfg.label
+        if n > 1:
+            assert np.all(pair_states(states, n)[..., OFF_X[0], OFF_X[1]] == 0.0), cfg.label
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "kwargs",
@@ -121,21 +150,51 @@ def test_ground_closure_is_the_occupancy_table(n, mode, rho21_hc):
 
 
 @pytest.mark.parametrize("n", [3, 7, 10])
-@pytest.mark.parametrize("kwargs, reduced", [(dict(), True), (dict(gamma_l=0.2), False)])
+@pytest.mark.parametrize(
+    "kwargs, reduced",
+    [(dict(), True), (dict(gamma_l=0.2), False), (dict(delta=0.2), True),
+     (dict(delta=lambda n: np.linspace(0.0, 0.4, n)), False)],
+)
 def test_one_photon_populations_follow_the_amplitude_ode(n, kwargs, reduced):
-    # one photon from the ground state puts P_e,i = |b_i|^2, b from the
-    # n-dimensional amplitude ODE, an oracle past the dense one's n = 5: on
-    # a symmetric chain (one entry per orbit) and a chiral one (every
-    # entry).  The oracle steps 4 times finer; the difference is the
-    # hierarchy's RK4 error, at most 1.7e-10 here.
+    # one photon from the ground state puts P_e,i = |b_i|^2 and
+    # C_ij = 2 |b_i b_j|, b from the n-dimensional amplitude ODE, an oracle
+    # past the dense one's n = 5: on a symmetric chain (one entry per orbit,
+    # one pair's spectrum), a chiral one, a uniformly detuned one (symmetric,
+    # complex) and a non-uniformly detuned one (every entry, every pair).
+    # The oracle steps 4 times finer; the difference is the hierarchy's RK4
+    # error, at most 1.7e-10 in P_e.  A pair's concurrence is
+    # 2 min(sqrt(P_i P_j), |rho_(ge,eg)|), which divides that error by
+    # sqrt(P_i P_j): 6.1e-9 on the chiral chain.  pair_concurrences clamps
+    # to [0, 1], so concurrences compare only where |b|^2 <= 1, as it is on
+    # these chains at every sample.
+    kwargs = {key: value(n) if callable(value) else value for key, value in kwargs.items()}
     params, pulse = ChainParams(n=n, **kwargs), GaussianPulse(5.0, 1.5)
     config = IntegratorConfig(dt=0.01, t_end=12.0, sample_every=25)
     assert RhsEvaluator(params, pulse, DriveMode.ONE_PHOTON).system.symmetric is reduced
     traj = integrate(HierarchyState.ground(n), params, pulse, DriveMode.ONE_PHOTON, config)
     b = one_photon_amplitudes(params, pulse, config.dt / 4, 4 * config.n_steps)
-    want = np.abs(b[:: 4 * config.sample_every]) ** 2
+    b = b[:: 4 * config.sample_every]
+    want = np.abs(b) ** 2
     assert want.max() > 3e-3  # the photon did excite the chain
     assert np.abs(traj.p_excited - want).max() < 1e-9
+    assert (want.sum(axis=1) <= 1.0).all()
+    pair_c = np.array([2 * np.abs(b[:, i - 1] * b[:, j - 1]) for i, j in all_pairs(n)]).T
+    assert pair_c.max() > 1e-3
+    assert np.abs(traj.pair_concurrence - pair_c).max() < 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="verbatim drive raises with e^{+i 2 pi d_i}: in the gauge that maps positions to "
+    "spacing 0 it carries e^{+i 4 pi d_i}, orthogonal to (1, ..., 1) at spacing 1/4, so the "
+    "whole drive feeds the non-decaying dark states of the drift and |b|^2 grows to 21",
+)
+def test_one_photon_norm_stays_below_one_at_quarter_spacing():
+    # one photon puts at most one excitation into the chain: P_1 = |b|^2 <= 1
+    config = IntegratorConfig(dt=0.01, t_end=12.0, sample_every=25)
+    traj = integrate(HierarchyState.ground(4), ChainParams(n=4, spacing=1 / 4),
+                     GaussianPulse(5.0, 1.5), DriveMode.ONE_PHOTON, config)
+    assert traj.p_one.max() <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("n", [4, 5])
