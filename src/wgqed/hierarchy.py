@@ -627,6 +627,30 @@ def _system(
     )
 
 
+class _SampleTables(NamedTuple):
+    """Where sampling reads the entries vector of one system: indices into
+    [z, conj(z), 0], z its K evolved entries (:meth:`RhsEvaluator.sampled`)."""
+
+    diagonal: np.ndarray  # (n_blocks, 2^n): each block's diagonal on the full index
+    reported: np.ndarray  # (d, d): the reported block, the last evolved one
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_tables(
+    n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool, symmetric: bool
+) -> _SampleTables:
+    system = _system(n, mode, rho21_hc, tiles, real, symmetric)
+    nb, d, _ = system.shape
+    size = len(system.reps)
+    index = np.full(nb * d * d, 2 * size)
+    index[system.flat] = system.orbit
+    index[system.mirror] = size + system.orbit[system.mirror_of]
+    index = index.reshape(nb, d, d)
+    diagonal = np.full((nb, 2**n), 2 * size)
+    diagonal[:, sector_basis(n)] = index.diagonal(axis1=1, axis2=2)
+    return _read_only(_SampleTables(diagonal, index[-1].copy()))
+
+
 def _orbit_quotient(full: _System, n: int) -> _System:
     """``full`` on the first stored entry of each orbit (see :class:`_System`)."""
     size, area = len(full.flat), full.shape[1] * full.shape[2]
@@ -811,7 +835,8 @@ class RhsEvaluator:
         symmetric = symmetric and all(
             np.array_equal(op[np.ix_(p, p)], op) for p in _qubit_permutations(n) for op in ops
         )
-        system = self.system = _system(n, mode, rho21_hc, tiles, real, symmetric)
+        self._key = (n, mode, rho21_hc, tiles, real, symmetric)
+        system = self.system = _system(*self._key)
         if real:
             f, g = f.real, g.real
         self._v = np.zeros(len(system.cols), dtype=f.dtype)
@@ -900,6 +925,24 @@ class RhsEvaluator:
         out[..., system.flat] = z
         out[..., system.mirror] = np.conjugate(z.take(system.mirror_of, axis=-1))
         return out.reshape(x.shape[:-1] + system.shape)
+
+    def sampled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What sampling reads of one entries vector, bit for bit
+        :func:`~wgqed.observables.full_diagonal` of :meth:`blocks` and its
+        last block, without building the others: the complex diagonals of
+        the evolved blocks on the full 2^n index, (n_blocks, 2^n), and the
+        complex reported block, (d, d), each one ``take``; with a leading
+        axis for a (members, entries) array.  Its index tables are built per
+        system on first use."""
+        tables = _sample_tables(*self._key)
+        z = x if self.system.real else x.view(complex)
+        size = z.shape[-1]
+        both = np.zeros(z.shape[:-1] + (2 * size + 1,), dtype=complex)
+        both[..., :size] = z
+        # conjugated in the entries' own arithmetic, as in blocks(): a real
+        # entry's mirror gets +0.0, not -0.0, as its imaginary part
+        both[..., size:-1] = np.conjugate(z)
+        return both.take(tables.diagonal, axis=-1), both.take(tables.reported, axis=-1)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Derivative of the entries vector, or of the (members, entries)

@@ -10,14 +10,16 @@ motion.  A trace error beyond 1e-6 aborts the run with the offending time.
 :func:`evolve` steps a group of chains that share n, step and sampling
 stride as one stack through the same RK4 step, and samples in chunks of
 time: each sample instant only queues a copy of its live members' entries,
-and a chunk of instants is evaluated at once, one blocks scatter and one
-call each of the observables and :func:`diagnostics` on all its rows, each
-row's values the ones it gives alone.  A chunk ends when its scattered
-blocks would pass a fixed byte budget (about 170 samples of a lone n = 2
-chain, 4 at n = 5, one from n = 7 on), and before any member leaves the
-stack.  A trace breach, found when its chunk is evaluated, ends only its own
-member, with the time of the breaching sample; the member steps on for at
-most that chunk.  :func:`integrate` is that loop with one member.
+and a chunk of instants is evaluated at once, each row's values the ones it
+gives alone.  A chunk reads its rows straight from the entries, one gather
+of every evolved block's diagonal and one of the reported block alone, and
+makes one call each of the observables and :func:`diagnostics` on all its
+rows.  It ends when those would pass a fixed byte budget (about 400 samples
+of a lone n = 2 chain, 18 at n = 5, 3 at n = 7, one from n = 8 on), and
+before any member leaves the stack.  A trace breach, found when its chunk
+is evaluated, ends only its own member, with the time of the breaching
+sample; the member steps on for at most that chunk.  :func:`integrate` is
+that loop with one member.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ from .hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
     _require_integer, _sector_moves,
 )
-from .observables import average_concurrence, full_diagonal, pair_concurrences, populations
+from .observables import average_concurrence, pair_concurrences, populations
 from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
 from .pulse import GaussianPulse
 
 TRACE_ABORT = 1e-6
 
-# Bytes of scattered (rows, n_blocks, d, d) complex blocks one sampling chunk
-# may hold; a chunk holds at least one sample instant.
+# Bytes of complex (d, d) reported blocks and (n_blocks, 2^n) diagonals that
+# one sampling chunk may hold; a chunk holds at least one sample instant.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -175,21 +177,24 @@ def _adapted_basis(n: int) -> np.ndarray:
 
 
 def diagnostics(
-    blocks: np.ndarray, n: int, mode: DriveMode = DriveMode.TWO_PHOTON, symmetric: bool = False
+    diagonals: np.ndarray, reported: np.ndarray, n: int, symmetric: bool = False
 ) -> Diagnostics:
-    """Conservation checks on the evolved (mode.n_blocks, d, d) block stack of
-    an n-qubit chain on the sector basis.
+    """Conservation checks on the evolved blocks of an n-qubit chain, from
+    their (n_blocks, 2^n) diagonals on the full index
+    (:func:`~wgqed.observables.full_diagonal`, zero on the states the sector
+    basis drops) and the reported system state, (d, d) on the sector basis.
 
     Trace/hermiticity deviations of the unit-trace blocks, worst residual
     trace of the zero-trace blocks, and the smallest eigenvalue of the
     reported system state.  Every value is that of the zero-padded full
     blocks: for n > MAX_EXCITATIONS the dropped states count as exact zero
     eigenvalues.  The evaluator stores only the upper triangles of the
-    unit-trace blocks and keeps their diagonals real, so on blocks it
-    scatters ``herm_err`` is 0.0 by construction: it checks that scatter
-    (:meth:`~wgqed.hierarchy.RhsEvaluator.blocks`), while the test suite
-    checks on its term-by-term oracle that the equations keep those blocks
-    Hermitian.
+    unit-trace blocks and keeps their diagonals real, and a mirrored entry
+    is by construction the exact conjugate of its stored transpose, so on
+    the blocks it evolves only a diagonal entry can break hermiticity:
+    ``herm_err`` is the largest |d - conj(d)| over the unit-trace blocks'
+    diagonals, 0.0 by construction, while the test suite checks on its
+    term-by-term oracle that the equations keep those blocks Hermitian.
 
     A ``symmetric`` reported state, one that every permutation of the
     qubits leaves exactly unchanged, has the spectrum of its at most
@@ -197,24 +202,21 @@ def diagnostics(
     (:func:`_adapted_basis`), and from n = 3 on its smallest eigenvalue is
     taken from that; it agrees with the d x d spectrum's to rounding.
 
-    For (..., n_blocks, d, d) blocks of several chains every field is an
-    array over the leading axes, each value the one its chain alone gives;
-    one chain gives floats.
+    For (..., n_blocks, 2^n) diagonals and (..., d, d) states of several
+    chains every field is an array over the leading axes, each value the one
+    its chain alone gives; one chain gives floats.
     """
-    blocks = np.asarray(blocks)
-    names = BLOCK_NAMES[: blocks.shape[-3]]
+    diagonals, reported = np.asarray(diagonals), np.asarray(reported)
+    names = BLOCK_NAMES[: diagonals.shape[-2]]
     unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
     other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]
     # each trace deviation rounds as abs() of one complex scalar trace
-    traces = full_diagonal(blocks, n).sum(axis=-1)
+    traces = diagonals.sum(axis=-1)
     unit_traces, other_traces = traces.take(unit, axis=-1), traces.take(other, axis=-1)
     trace_err = np.hypot(unit_traces.real - 1.0, unit_traces.imag).max(axis=-1, initial=0.0)
     zero_block_trace = np.hypot(other_traces.real, other_traces.imag).max(axis=-1, initial=0.0)
-    herm_err = np.zeros(blocks.shape[:-3])
-    for k in unit:  # block by block: a gathered copy is slower from d = 64 on
-        m = blocks[..., k, :, :]
-        herm_err = np.maximum(herm_err, np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
-    reported = blocks[..., mode.n_blocks - 1, :, :]
+    unit_diagonals = diagonals.take(unit, axis=-2)
+    herm_err = np.abs(unit_diagonals - unit_diagonals.conj()).max(axis=(-2, -1))
     if symmetric and n > 2:  # up to n = 2 the copies span the whole basis
         v = _adapted_basis(n)
         reported = v.T @ reported @ v
@@ -229,7 +231,7 @@ def diagnostics(
         zero_block_trace=zero_block_trace,
         min_eigenvalue=min_eig,
     )
-    if blocks.ndim == 3:
+    if diagonals.ndim == 2:
         values = {name: float(value) for name, value in values.items()}
     return Diagnostics(**values)
 
@@ -328,7 +330,9 @@ class _Chunk:
     index and time of each queued row, and copies of the entries rows."""
 
     def __init__(self, chain: _Chain):
-        row_bytes = 16 * int(np.prod(chain.rhs.system.shape))
+        n_blocks, d, _ = chain.rhs.system.shape
+        # what a row materializes: its reported block and padded diagonals
+        row_bytes = 16 * (d * d + n_blocks * 2**chain.n)
         self.capacity = max(1, _CHUNK_BYTES // row_bytes)
         self.owners: list[_Chain] = []
         self.ks: list[int] = []
@@ -357,25 +361,31 @@ class _Chunk:
 
 def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray) -> None:
     """Evaluate the (rows, entries) array ``x``, in time order, row r being
-    sample ``ks[r]`` at time ``ts[r]`` of ``owners[r]``: one blocks scatter
-    and one call each of the observables and the diagnostics for all rows,
-    then each member's rows written into its trajectory through index arrays.
-    The owners share one system.  When it is symmetric, every permutation
-    of the qubits leaves every state unchanged, so every pair has the same
-    concurrence: only pair (1, 2) is reduced and solved, and its value is
-    repeated, bit for bit what all pairs give.  From n = 3 on the smallest
-    eigenvalue then comes from one copy of each spin multiplet, at most
-    10 x 10 at any n, and agrees with the d x d one to rounding.
+    sample ``ks[r]`` at time ``ts[r]`` of ``owners[r]``, then write each
+    member's rows into its trajectory through index arrays.  The owners
+    share one system, and the rows are read straight from the entries
+    (:meth:`~wgqed.hierarchy.RhsEvaluator.sampled`): the gathered diagonals
+    of every evolved block, for the traces and ``herm_err``, and the
+    reported block alone, for the smallest eigenvalue, the observables and
+    ``keep_states``; then one call each of the diagnostics and the
+    observables for all rows.  When the system is
+    symmetric, every permutation of the qubits leaves every state
+    unchanged, so every pair has the same concurrence: only pair (1, 2) is
+    reduced and solved, and its value is repeated, bit for bit what all
+    pairs give.  From n = 3 on the smallest eigenvalue then comes from one
+    copy of each spin multiplet, at most 10 x 10 at any n, and agrees with
+    the d x d one to rounding.
 
     The first row of a member that breaks the trace bound ends it with that
     IntegrationError, in place of a non-finite step found after it; the one
     diagnostics call finds it.  Rows of a member that has ended are not
-    written; they are zeroed after the diagnostics and before the
-    observables, as its state may have grown past what they can take."""
+    written; their reported blocks are zeroed after the diagnostics and
+    before the observables, as its state may have grown past what they can
+    take."""
     first = owners[0]
     n, mode, symmetric = first.n, first.mode, first.rhs.system.symmetric
-    blocks = first.rhs.blocks(x)
-    diag = diagnostics(blocks, n, mode, symmetric)
+    diagonals, rho = first.rhs.sampled(x)
+    diag = diagnostics(diagonals, rho, n, symmetric)
     breached = set()
     for r in np.flatnonzero(diag.trace_err > TRACE_ABORT).tolist():
         chain = owners[r]
@@ -390,8 +400,7 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
         rows_of.setdefault(chain, []).append(r)
     ended = [r for chain, rows in rows_of.items() if chain.error is not None for r in rows]
     if ended:
-        blocks[ended] = 0.0
-    rho = blocks[:, mode.n_blocks - 1]
+        rho[ended] = 0.0
     pops = populations(rho, n)
     pair_c = pair_concurrences(rho, n, symmetric)
     c_all = average_concurrence(pair_c, n, "all-pairs")

@@ -23,6 +23,7 @@ from wgqed.hierarchy import (
     sector_operators,
 )
 from wgqed.integrator import IntegratorConfig, integrate
+from wgqed.observables import full_diagonal
 from wgqed.operators import sector_basis
 from wgqed.pulse import GaussianPulse
 
@@ -456,6 +457,11 @@ class TestFastEvaluator:
         assert fast.blocks(x).tobytes() == b.tobytes()
         # a stack of entries vectors scatters the same way
         assert fast.blocks(np.stack([x, x]))[1].tobytes() == b.tobytes()
+        # sampling gathers the diagonals and scatters the reported block alone
+        diagonals, reported = fast.sampled(np.stack([x, x]))
+        assert diagonals[1].tobytes() == full_diagonal(b, n).tobytes()
+        assert reported[1].tobytes() == b[-1].tobytes()
+        assert fast.sampled(x)[0].tobytes() == diagonals[0].tobytes()
 
     def test_refuses_blocks_that_are_not_hermitian(self):
         # a unit-trace block that is not its conjugate transpose would lose
@@ -605,8 +611,13 @@ class TestOrbitQuotient:
         system = fast.system
         assert system.symmetric and system.real is real
         assert len(system.reps) < len(system.flat)
-        got = fast.blocks(fast(0.9, fast.entries(s)))
+        x = fast(0.9, fast.entries(s))
+        got = fast.blocks(x)
         assert np.abs(want[: mode.n_blocks] - got).max() < 1e-13
+        # sampling reads each orbit's value into every entry of it
+        diagonals, reported = fast.sampled(x)
+        assert diagonals.tobytes() == full_diagonal(got, n).tobytes()
+        assert reported.tobytes() == got[-1].tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -31,6 +31,14 @@ from wgqed.pulse import GaussianPulse
 FAR_PULSE = GaussianPulse(tbar=1e9, width=1.5)
 
 
+def _diagnose(blocks, n, mode=DriveMode.TWO_PHOTON, symmetric=False):
+    """:func:`diagnostics` of a (..., n_blocks, d, d) block stack on the
+    sector basis, its reported state the last block ``mode`` evolves."""
+    blocks = np.asarray(blocks)
+    reported = blocks[..., mode.n_blocks - 1, :, :]
+    return diagnostics(full_diagonal(blocks, n), reported, n, symmetric)
+
+
 def decayed_single_qubit_state(p_excited=0.7):
     s = HierarchyState.ground(1)
     prepared = np.diag([1.0 - p_excited, p_excited]).astype(complex)
@@ -374,33 +382,40 @@ class TestIntegrate:
 
 class TestDiagnostics:
     def test_initial_state_clean(self):
-        d = diagnostics(HierarchyState.ground(3).blocks, 3)
+        d = _diagnose(HierarchyState.ground(3).blocks, 3)
         assert d.trace_err == 0.0
         assert d.herm_err == 0.0
         assert d.zero_block_trace == 0.0
         assert abs(d.min_eigenvalue) < 1e-15
 
     def test_detects_corruption(self):
+        # an evolved state can break hermiticity only on a unit-trace block's
+        # diagonal: a mirrored entry is the conjugate of its stored transpose
         s = HierarchyState.ground(2)
-        s.blocks[5][0, 1] = 0.1  # non-hermitian entry
-        d = diagnostics(s.blocks, 2)
-        assert d.herm_err == pytest.approx(0.1)
+        s.blocks[5][1, 1] = 0.1j
+        d = _diagnose(s.blocks, 2)
+        assert d.herm_err == pytest.approx(0.2)
+        # an off-diagonal corruption never reaches sampling: entries() refuses it
+        s = HierarchyState.ground(2)
+        s.blocks[5][0, 1] = 0.1
+        with pytest.raises(ValueError, match="rho_s is not Hermitian"):
+            RhsEvaluator(ChainParams(n=2), FAR_PULSE, state0=s).entries(s.blocks)
 
     def test_sector_basis_counts_dropped_zero_eigenvalues(self):
         # a full-rank state on the 15-state basis of 4 qubits is rank 15 of 16
         blocks = np.zeros((6, 15, 15), dtype=complex)
         blocks[[0, 2, 5]] = np.eye(15) / 15
-        assert diagnostics(blocks, 4).min_eigenvalue == 0.0
-        assert diagnostics(blocks, 4).trace_err < 1e-15
+        assert _diagnose(blocks, 4).min_eigenvalue == 0.0
+        assert _diagnose(blocks, 4).trace_err < 1e-15
         # 64 states are the sector basis of 7 qubits, not the full space of 6
         blocks = np.zeros((6, 64, 64), dtype=complex)
         blocks[[0, 2, 5]] = np.eye(64) / 64
-        assert diagnostics(blocks, 7).min_eigenvalue == 0.0
+        assert _diagnose(blocks, 7).min_eigenvalue == 0.0
         with pytest.raises(ValueError, match="42 x 42"):
-            diagnostics(blocks, 6)  # the sector basis of 6 qubits has 42 states
+            _diagnose(blocks, 6)  # the sector basis of 6 qubits has 42 states
         full = HierarchyState.ground(3).blocks
         full[[0, 2, 5]] = np.eye(8) / 8
-        assert diagnostics(full, 3).min_eigenvalue == pytest.approx(1 / 8)
+        assert _diagnose(full, 3).min_eigenvalue == pytest.approx(1 / 8)
 
     def test_finite_block_near_overflow_leaves_the_stack_whole(self):
         # sampling hands diagnostics the rows of a member that has just
@@ -410,18 +425,18 @@ class TestDiagnostics:
         blocks = np.stack([HierarchyState.ground(2).blocks] * 2)
         blocks[1, 5] = 1e308 * np.eye(4)
         with np.errstate(all="ignore"):
-            diag = diagnostics(blocks, 2)
+            diag = _diagnose(blocks, 2)
         assert diag.min_eigenvalue[1] == 1e308
-        alone = diagnostics(blocks[0], 2)
+        alone = _diagnose(blocks[0], 2)
         for f in fields(Diagnostics):
             assert np.float64(getattr(alone, f.name)).tobytes() == getattr(diag, f.name)[0].tobytes()
 
     def test_reports_zero_block_trace(self):
         s = HierarchyState.ground(2)
         s.blocks[1][0, 0] = 1e-5
-        assert diagnostics(s.blocks, 2).zero_block_trace == pytest.approx(1e-5)
+        assert _diagnose(s.blocks, 2).zero_block_trace == pytest.approx(1e-5)
         # a mode that evolves fewer blocks checks only those
-        assert diagnostics(s.blocks[:1], 2, DriveMode.NONE).zero_block_trace == 0.0
+        assert _diagnose(s.blocks[:1], 2, DriveMode.NONE).zero_block_trace == 0.0
 
 
 def _sampled_blocks(n, mode, delta):
@@ -449,7 +464,7 @@ class TestStackedSampling:
         if mode is DriveMode.TWO_PHOTON:
             assert np.any(detuned.imag)
         rho = blocks[:, -1]
-        pops, diag = populations(rho, n), diagnostics(blocks, n, mode)
+        pops, diag = populations(rho, n), _diagnose(blocks, n, mode)
         stacked = {
             "full_diagonal": full_diagonal(blocks, n),
             "pair_states": pair_states(rho, n),
@@ -464,7 +479,7 @@ class TestStackedSampling:
                 assert np.float64(getattr(alone, name)).tobytes() == getattr(pops, name)[j].tobytes()
             assert type(alone.p_excited) is tuple
             assert np.array(alone.p_excited).tobytes() == pops.p_excited[j].tobytes()
-            single = diagnostics(blocks[j], n, mode)
+            single = _diagnose(blocks[j], n, mode)
             # the trace checks round as abs() of each complex scalar trace
             traces = [full_diagonal(m, n).sum() for m in blocks[j]]
             unit = [k for k in range(len(traces)) if BLOCK_NAMES[k] in UNIT_TRACE_BLOCKS]
@@ -589,7 +604,7 @@ class TestSymmetricSampling:
         if n > 1:
             assert traj.min_eigenvalue.min() < -1e-3
         assert np.abs(traj.min_eigenvalue - _clamped_minimum(states, n)).max() <= 1e-15
-        negated = diagnostics(-states[:, None], n, DriveMode.NONE, symmetric=True)
+        negated = _diagnose(-states[:, None], n, DriveMode.NONE, symmetric=True)
         assert np.abs(negated.min_eigenvalue - _clamped_minimum(-states, n)).max() <= 1e-15
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -597,21 +612,151 @@ class TestSymmetricSampling:
         # unit-norm states spread over every spin multiplet; both signs
         states = _orbit_constant_states(np.random.default_rng(n), n, 6)
         for sign in (1.0, -1.0):
-            got = diagnostics(sign * states[:, None], n, DriveMode.NONE, symmetric=True)
+            got = _diagnose(sign * states[:, None], n, DriveMode.NONE, symmetric=True)
             assert np.abs(got.min_eigenvalue - _clamped_minimum(sign * states, n)).max() < 1e-14
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_stack_is_its_members_bit_for_bit(self, n):
         blocks = _orbit_constant_states(np.random.default_rng(n), n, 3)[:, None]
-        stacked = diagnostics(blocks, n, DriveMode.NONE, symmetric=True)
+        stacked = _diagnose(blocks, n, DriveMode.NONE, symmetric=True)
         pair_c = pair_concurrences(blocks[:, 0], n, symmetric=True)
         for j in range(3):
-            alone = diagnostics(blocks[j], n, DriveMode.NONE, symmetric=True)
+            alone = _diagnose(blocks[j], n, DriveMode.NONE, symmetric=True)
             for f in fields(Diagnostics):
                 assert np.float64(getattr(alone, f.name)).tobytes() == \
                     getattr(stacked, f.name)[j].tobytes(), f.name
             assert pair_concurrences(blocks[j, 0], n, symmetric=True).tobytes() == \
                 pair_c[j].tobytes()
+
+
+def _scattered_sample(rhs, x, mode):
+    """The sampled values of the (rows, entries) array ``x`` from the whole
+    scattered block stack: :meth:`RhsEvaluator.blocks`, its padded
+    diagonals, d x d hermiticity scans of the unit-trace blocks, and the
+    smallest eigenvalue and the observables of its reported block."""
+    n, symmetric = rhs.n, rhs.system.symmetric
+    blocks = rhs.blocks(x)
+    herm_err = np.zeros(len(x))
+    for k, name in enumerate(BLOCK_NAMES[: mode.n_blocks]):
+        if name in UNIT_TRACE_BLOCKS:
+            scan = np.abs(blocks[:, k] - blocks[:, k].conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            herm_err = np.maximum(herm_err, scan)
+    diag = _diagnose(blocks, n, mode, symmetric)
+    rho = blocks[:, mode.n_blocks - 1]
+    pops, pair_c = populations(rho, n), pair_concurrences(rho, n, symmetric)
+    return dict(
+        p_ground=pops.p_ground, p_one=pops.p_one, p_two=pops.p_two, p_total=pops.p_total,
+        p_excited=pops.p_excited, pair_concurrence=pair_c,
+        c_avg_all_pairs=average_concurrence(pair_c, n, "all-pairs"),
+        c_avg_half_n=average_concurrence(pair_c, n, "half-n"),
+        trace_err=diag.trace_err, herm_err=herm_err, zero_block_trace=diag.zero_block_trace,
+        min_eigenvalue=diag.min_eigenvalue, states=rho,
+    )
+
+
+def _sampled_rows(rhs, state0, config):
+    """The entries rows a lone chain samples, stepped as :func:`integrate`
+    steps them."""
+    x, rows = rhs.entries(state0.blocks), []
+    for step in range(config.n_steps + 1):
+        if step % config.sample_every == 0:
+            rows.append(x)
+        if step < config.n_steps:
+            x = rk4_step(x, step * config.dt, config.dt, rhs)
+    return np.stack(rows)
+
+
+def _prepared_symmetric_state(n):
+    """Half ground state, half the one-excitation W state, in rho00: every
+    permutation of the qubits leaves it unchanged, and without a drive it
+    decays."""
+    s = HierarchyState.ground(n)
+    one = excitation_bits(sector_basis(n), n).sum(axis=1) == 1
+    s.blocks[0, 0, 0] = 0.5
+    s.blocks[0][np.ix_(one, one)] = 0.5 / n
+    return s
+
+
+_CHAINS = {
+    "symmetric-real": dict(),
+    "symmetric-complex": dict(delta=0.2),
+    "asymmetric-real": dict(gamma_l=0.5),
+    "asymmetric-complex": dict(gamma_l=0.5, delta=0.2),
+}
+
+
+class TestEntriesSampling:
+    """Sampling gathers the diagonals and scatters only the reported block
+    from the entries, bit for bit what the whole scattered stack gives."""
+
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize("chain", list(_CHAINS))
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_trajectory_is_the_scattered_blocks_bit_for_bit(self, n, chain, mode):
+        params, pulse = ChainParams(n=n, **_CHAINS[chain]), GaussianPulse(1.0, 0.5)
+        undriven = mode is DriveMode.NONE
+        state0 = _prepared_symmetric_state(n) if undriven else HierarchyState.ground(n)
+        config = IntegratorConfig(dt=0.05, t_end=3.0, sample_every=2)
+        traj = integrate(state0, params, pulse, mode, config, keep_states=True)
+        rhs = RhsEvaluator(params, pulse, mode, state0=state0)
+        assert rhs.system.symmetric is chain.startswith("symmetric")
+        assert rhs.system.real is chain.endswith("real")
+        want = _scattered_sample(rhs, _sampled_rows(rhs, state0, config), mode)
+        assert want["p_excited"].max() > 1e-3
+        for name, value in want.items():
+            assert np.asarray(getattr(traj, name)).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("chain", ["symmetric-real", "asymmetric-complex"])
+    def test_ended_rows_leave_the_others_exact(self, chain):
+        # the second member's rows grow by 1e200 from its second sample on,
+        # which breaches the trace bound and ends it; its reported blocks are
+        # zeroed before the observables, whose spin-flip products would
+        # overflow on them, and the first member's rows, interleaved with
+        # them, are what the scattered blocks give
+        n, mode = 3, DriveMode.TWO_PHOTON
+        params, pulse = ChainParams(n=n, **_CHAINS[chain]), GaussianPulse(1.0, 0.5)
+        config = IntegratorConfig(dt=0.05, t_end=1.0, sample_every=5)
+        chains = [
+            integrator._Chain(j, HierarchyState.ground(n), params, pulse, config, mode, True, True)
+            for j in range(2)
+        ]
+        rows = _sampled_rows(chains[0].rhs, HierarchyState.ground(n), config)[:3]
+        grown = rows * np.array([1.0, 1e200, 1e200])[:, None]
+        integrator._sample(
+            [chains[0], chains[1]] * 3, [0, 0, 1, 1, 2, 2], [0.0, 0.0, 0.25, 0.25, 0.5, 0.5],
+            np.stack([rows, grown], axis=1).reshape(6, -1),
+        )
+        assert str(chains[1].error).endswith("exceeds 1e-06 at t=0.25")
+        assert not chains[1].traj.p_total.any() and not chains[1].traj.states
+        want = _scattered_sample(chains[0].rhs, rows, mode)
+        for name, value in want.items():
+            got = np.asarray(getattr(chains[0].traj, name))[:3]
+            assert got.tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("chain", ["symmetric-real", "asymmetric-complex"])
+    def test_chunk_budget_leaves_the_bytes(self, monkeypatch, chain):
+        # one row per chunk, or the whole run in one chunk, for a stack of
+        # two members of different rates, pulses and lengths
+        n = 4
+        params = {
+            "symmetric-real": [ChainParams(n=n), ChainParams(n=n, gamma_r=0.3, gamma_l=0.3)],
+            "asymmetric-complex": [ChainParams(n=n, gamma_l=0.5, delta=0.2),
+                                   ChainParams(n=n, gamma_r=1.5, gamma_l=0.3, delta=0.2)],
+        }[chain]
+        members = [
+            (HierarchyState.ground(n), p, GaussianPulse(1.0, width),
+             IntegratorConfig(dt=0.05, t_end=t_end, sample_every=3))
+            for p, width, t_end in zip(params, (0.5, 1.0), (4.0, 3.0))
+        ]
+        assert len({id(RhsEvaluator(p, g).system) for _, p, g, _ in members}) == 1
+        outcomes = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(integrator, "_CHUNK_BYTES", budget)
+            outcomes.append(dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True)))
+        for i in range(len(members)):
+            for f in fields(Trajectory):
+                one, whole = (np.asarray(getattr(o[i], f.name)) for o in outcomes)
+                assert one.tobytes() == whole.tobytes(), f.name
 
 
 def test_trajectory_norm_selector():
