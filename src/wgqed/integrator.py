@@ -35,7 +35,7 @@ from .hierarchy import (
     BLOCK_NAMES, UNIT_TRACE_BLOCKS, ChainParams, DriveMode, HierarchyState, RhsEvaluator,
     _require_integer, _sector_moves,
 )
-from .observables import average_concurrence, pair_concurrences, populations
+from .observables import _checked_tables, average_concurrence, pair_concurrences, populations
 from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
 from .pulse import GaussianPulse
 
@@ -204,9 +204,18 @@ def diagnostics(
 
     For (..., n_blocks, 2^n) diagonals and (..., d, d) states of several
     chains every field is an array over the leading axes, each value the one
-    its chain alone gives; one chain gives floats.
+    its chain alone gives; one chain gives floats.  Any other shape raises a
+    ``ValueError`` naming n and the expected size.
     """
     diagonals, reported = np.asarray(diagonals), np.asarray(reported)
+    _checked_tables(reported, n)
+    if diagonals.ndim < 2 or diagonals.shape[-1] != 2**n or \
+            diagonals.shape[:-2] != reported.shape[:-2]:
+        raise ValueError(
+            f"the block diagonals of a {n}-qubit chain are (..., n_blocks, {2**n}) "
+            f"with the leading axes of the reported state {reported.shape}, "
+            f"got shape {diagonals.shape}"
+        )
     names = BLOCK_NAMES[: diagonals.shape[-2]]
     unit = [k for k, name in enumerate(names) if name in UNIT_TRACE_BLOCKS]
     other = [k for k, name in enumerate(names) if name not in UNIT_TRACE_BLOCKS]

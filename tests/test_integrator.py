@@ -411,8 +411,15 @@ class TestDiagnostics:
         blocks = np.zeros((6, 64, 64), dtype=complex)
         blocks[[0, 2, 5]] = np.eye(64) / 64
         assert _diagnose(blocks, 7).min_eigenvalue == 0.0
+        # the sector basis of 6 qubits has 42 states: its 2^6 = 64 wide
+        # diagonals pass, its 64 x 64 reported state does not
         with pytest.raises(ValueError, match="42 x 42"):
-            _diagnose(blocks, 6)  # the sector basis of 6 qubits has 42 states
+            diagnostics(blocks.diagonal(axis1=-2, axis2=-1), blocks[-1], 6)
+        small = np.zeros((6, 42, 42), dtype=complex)
+        with pytest.raises(ValueError, match="64"):
+            diagnostics(small.diagonal(axis1=-2, axis2=-1), small[-1], 6)
+        with pytest.raises(ValueError, match="leading axes"):
+            diagnostics(full_diagonal(np.stack([small] * 2), 6), small[-1], 6)
         full = HierarchyState.ground(3).blocks
         full[[0, 2, 5]] = np.eye(8) / 8
         assert _diagnose(full, 3).min_eigenvalue == pytest.approx(1 / 8)
