@@ -444,69 +444,71 @@ def _closure(tiles: frozenset, n: int, rows: list[tuple]) -> frozenset:
     return frozenset(reached)
 
 
-class _Part(NamedTuple):
-    """One part of the system, L0 or L1: its terms, each an entry times
-    f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`), and the places
-    ``at`` of the coefficients they make up in the system's term layout;
-    terms from ``merge[k]`` on (all of them one by one when None) sum to
-    coefficient k.  Real factors give real coefficients."""
+class _Terms(NamedTuple):
+    """The terms of the system's coefficients, each an entry times
+    f[p] conj(f[q]) + g[p] conj(g[q]) (:func:`_factors`): the terms from
+    ``merge[k]`` on (up to the next) sum to the coefficient at place
+    ``at[k]`` of the system's layout, and a one-term sum is its term bit for
+    bit.  Real factors give real coefficients."""
 
     p: np.ndarray
     q: np.ndarray
-    merge: np.ndarray | None
-    at: np.ndarray | slice
+    merge: np.ndarray
+    at: np.ndarray
 
     def coefficients(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         coeffs = f[self.p] * f[self.q].conj() + g[self.p] * g[self.q].conj()
-        return coeffs if self.merge is None else np.add.reduceat(coeffs, self.merge)
+        return np.add.reduceat(coeffs, self.merge)
 
 
 class _System(NamedTuple):
     """The right-hand side of one (n, mode, rho21_hc, initial tiles,
-    arithmetic, symmetry) as a sparse system x' = L0 x + g(t) L1 x on the N
-    stored entries, independent of rates, detunings, positions and pulse: L0
-    is the Liouvillian and L1 the unit-envelope drive.
+    arithmetic, symmetry) as a sparse system x' = L0 x + g(t) L1 x on the K
+    evolved entries z, independent of rates, detunings, positions and pulse:
+    L0 is the Liouvillian and L1 the unit-envelope drive.
 
     The unit-trace blocks (rho00, rho11, rho_s) are Hermitian, so of their
     reachable entries only those with row <= column are stored; a mirrored
-    entry (row > column) is the conjugate of its stored transpose
-    (``mirror`` holds their flat indices and ``mirror_of`` the stored
-    entries).  Every other reachable entry is stored.  The derivative of a
-    diagonal entry of these blocks is real; with complex arithmetic its
-    imaginary part is rounding, set to zero in the float64 view at the
-    places ``imag_diagonal`` names, so the blocks stay exactly Hermitian.
+    entry (row > column) is the conjugate of its stored transpose.  Every
+    other reachable entry is stored.  ``read`` places every entry of the
+    (n_blocks, d, d) blocks in [z, conj(z), 0]: an evolved entry reads its
+    own place e, a mirrored entry K plus its stored transpose's place, and
+    any other entry 2K, the zero.  ``diagonal`` holds the same places for
+    each block's diagonal, padded with 2K to the full 2^n index.  The
+    derivative of a diagonal entry of the unit-trace blocks is real; with
+    complex arithmetic its imaginary part is rounding, set to zero in the
+    float64 view at the places ``imag_diagonal`` names, so the blocks stay
+    exactly Hermitian.
 
     The coefficients are laid out row by row, every row of L0 in order and,
     when the mode drives, every row of L1 after them, a row without drive
     terms holding one zero coefficient on its own entry: row k sums the
     coefficients from ``starts[k]`` on (up to the next start), each times
     the entry ``cols`` names.  The coefficients are real or, with complex
-    arithmetic, complex; then a column N + e reads conj(x[e]): a term that
+    arithmetic, complex; then a column K + e reads conj(z[e]): a term that
     reads a mirrored entry, or an adjoint source or an X^dag term, but not
-    both.  Real arithmetic never names it, as conj(x) is x.
+    both.  Real arithmetic never names it, as conj(z) is z.
 
     A ``symmetric`` system is that of a chain whose operators and initial
     blocks every permutation of the qubits leaves unchanged.  Then so are
     the blocks at every time, and the entry (block, A, B), A and B read as
     sets of excited qubits, depends only on the block, |A|, |B| and
-    |A & B|: its orbit.  Such a system evolves one entry per orbit of the
-    stored entries, the first (``reps``, K of them): row k is the row of
-    entry ``reps[k]`` of the full system, in L0 and in L1, its terms in the
-    same order, none merged, each reading the orbit of what it read (column
-    ``orbit[e]`` for entry e, K + ``orbit[e]`` for conj(x[e])).  Any other
-    system evolves every stored entry, each its own orbit."""
+    |A & B|: its orbit.  Such a system evolves the first stored entry of
+    each orbit: row k is that entry's row of the full system, in L0 and in
+    L1, its terms in the same order, none merged, and the full system's
+    ``read``, ``diagonal`` and ``cols`` are mapped through the slots
+    [orbit, K + orbit, 2K], so that each reads the orbit of what it read.
+    Any other system evolves every stored entry, each its own orbit."""
 
     tiles: frozenset
     real: bool
     symmetric: bool
     shape: tuple[int, int, int]  # (n_blocks, d, d)
-    flat: np.ndarray  # flat (block, row, column) index of each stored entry
-    mirror: np.ndarray  # flat index of each mirrored entry
-    mirror_of: np.ndarray  # the stored entry each mirrored one conjugates
-    orbit: np.ndarray  # the evolved entry each stored entry equals
-    reps: np.ndarray  # the stored entry each evolved entry is
+    stored: np.ndarray  # flat (block, row, column) place of each evolved entry
+    read: np.ndarray  # (n_blocks, d, d) places in [z, conj(z), 0]
+    diagonal: np.ndarray  # (n_blocks, 2^n) places of the diagonals, padded
     imag_diagonal: np.ndarray  # float64 places of the diagonals' imaginary parts (complex)
-    parts: tuple[_Part, ...]  # L0, then L1 when the mode drives
+    terms: _Terms  # L0 then, when the mode drives, L1
     cols: np.ndarray
     starts: np.ndarray
 
@@ -536,13 +538,16 @@ def _system(
     reached = np.flatnonzero(occupied[:, count[:, None], count]).astype(_INDEX)
     blocks, i, j = (x.astype(_INDEX) for x in np.unravel_index(reached, (nb, d, d)))
     mirrored = np.isin(blocks, unit_blocks) & (i > j)
-    flat, mirror = reached[~mirrored], reached[mirrored]
-    size = len(flat)
-    index = np.full(nb * d * d, -1, dtype=_INDEX)
-    index[flat] = np.arange(size, dtype=_INDEX)
-    mirror_of = index[(blocks[mirrored] * d + j[mirrored]) * d + i[mirrored]]
-    # a read of a mirrored entry is conj(x[e]) of its stored transpose e
-    index[mirror] = mirror_of + size * (not real)
+    stored = reached[~mirrored]
+    size = len(stored)
+    read = np.full(nb * d * d, 2 * size, dtype=_INDEX)
+    read[stored] = np.arange(size, dtype=_INDEX)
+    read[reached[mirrored]] = size + read[(blocks[mirrored] * d + j[mirrored]) * d + i[mirrored]]
+    # the gathered column of each entry: z[e], or conj(z[e]) from [z, conj(z)]
+    # with complex arithmetic (real arithmetic reads z[e] for both); -1 for
+    # an entry that is not reachable
+    width = size * (1 if real else 2)
+    columns = np.remainder(read, width, out=np.full_like(read, -1), where=read < 2 * size)
     blocks, i, j = blocks[~mirrored], i[~mirrored], j[~mirrored]
     imag_diagonal = 2 * np.flatnonzero(np.isin(blocks, unit_blocks) & (i == j)) + 1
     a, low, high = _patterns(n)
@@ -556,21 +561,20 @@ def _system(
     # Every stored entry has its diagonal term (0 for |g><g|), so every row
     # of L0 is stored, in order.
     entries = np.arange(size, dtype=_INDEX)
-    static = [(entries, flat, off["diag_left"] + i, off["diag_right"] + j)]
+    static = [(entries, stored, off["diag_left"] + i, off["diag_right"] + j)]
     which, pos = _row_terms(i, a)
-    static.append((which, flat[which] + (a.col - a.row)[pos] * d, off["a"] + pos, unit))
+    static.append((which, stored[which] + (a.col - a.row)[pos] * d, off["a"] + pos, unit))
     which, pos = _row_terms(j, a)
-    static.append((which, flat[which] + (a.col - a.row)[pos], unit, off["a"] + pos))
+    static.append((which, stored[which] + (a.col - a.row)[pos], unit, off["a"] + pos))
     above = np.pad(occupied, ((0, 0), (0, 1), (0, 1)))[:, 1:, 1:]
     fed = np.flatnonzero(above[blocks, count[i], count[j]])
     first, left = _row_terms(i[fed], low)
     second, right = _row_terms(j[fed[first]], low)
     left, which = left[second], fed[first[second]]
-    source = flat[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
+    source = stored[which] + (low.col - low.row)[left] * d + (low.col - low.row)[right]
     static.append((which, source, off["jump"] + left, off["jump"] + right))
 
-    static, cols, starts = _static_part(static, index, size)
-    parts = (static,)
+    terms, cols, starts = _static_part(static, columns, size)
 
     # Drive X = S R - R S from the source S (or its adjoint); a Hermitian
     # target also gets X^dag, whose (i, j) term is the conjugate of X's (j, i).
@@ -597,108 +601,88 @@ def _system(
         sj = np.concatenate((low.col[pos], xj[which2]))
         factor = np.concatenate((right[copy[: len(which)]] + pos, left[copy[len(which) :]] + pos2))
         flip = adjoint[copy]
-        read = (source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)
-        live = index[read] >= 0  # a source outside the reachable entries is zero
-        copy, read = copy[live], read[live]
-        # an adjoint source or an X^dag term, not both, reads conj(x[e]) from
-        # column N + e, and conj(conj(x[e])) = x[e] for a mirrored source;
-        # with real arithmetic every term reads x[e]
+        src = (source[copy] * d + np.where(flip, sj, si)) * d + np.where(flip, si, sj)
+        live = columns[src] >= 0  # a source outside the reachable entries is zero
+        copy, src = copy[live], src[live]
+        # an adjoint source or an X^dag term, not both, reads conj(z[e]) from
+        # column K + e, and conj(conj(z[e])) = z[e] for a mirrored source;
+        # with real arithmetic every term reads z[e]
         antilinear = (adjoint[copy] != conj[copy]) & (not real)
         drive, drive_cols, drive_starts = _drive_part(
             np.concatenate((at[which], at[which2]))[live],
-            read + len(index) * antilinear,
-            (index[read] + size * antilinear) % (2 * size),
+            src + read.size * antilinear,
+            (columns[src] + size * antilinear) % (2 * size),
             np.where(conj[copy], unit, factor[live]),
             np.where(conj[copy], factor[live], unit),
             size, len(cols),
         )
-        parts += (drive,)
+        terms = _Terms(*(np.concatenate(both, dtype=_INDEX) for both in zip(terms, drive)))
         cols, starts = np.concatenate((cols, drive_cols)), np.concatenate((starts, drive_starts))
     # the gather clips its columns, so one outside the gathered entries
     # would read a wrong entry instead of failing
-    width = size * (1 if real else 2)
     if len(cols) and not (cols.min() >= 0 and cols.max() < width):
         raise ValueError(f"system columns span [{cols.min()}, {cols.max()}], outside the "
                          f"{width} gathered entries")
-    identity = np.arange(size, dtype=np.intp)
+    read = read.reshape(nb, d, d)
+    diagonal = np.full((nb, 2**n), 2 * size, dtype=_INDEX)
+    diagonal[:, sector_basis(n)] = read.diagonal(axis1=1, axis2=2)
     return _read_only(
-        _System(tiles, real, False, (nb, d, d), flat, mirror, mirror_of, identity, identity,
-                imag_diagonal, parts, cols, starts)
+        _System(tiles, real, False, (nb, d, d), stored, read, diagonal, imag_diagonal, terms,
+                cols, starts)
     )
-
-
-class _SampleTables(NamedTuple):
-    """Where sampling reads the entries vector of one system: indices into
-    [z, conj(z), 0], z its K evolved entries (:meth:`RhsEvaluator.sampled`)."""
-
-    diagonal: np.ndarray  # (n_blocks, 2^n): each block's diagonal on the full index
-    reported: np.ndarray  # (d, d): the reported block, the last evolved one
-
-
-@functools.lru_cache(maxsize=None)
-def _sample_tables(
-    n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool, symmetric: bool
-) -> _SampleTables:
-    system = _system(n, mode, rho21_hc, tiles, real, symmetric)
-    nb, d, _ = system.shape
-    size = len(system.reps)
-    index = np.full(nb * d * d, 2 * size)
-    index[system.flat] = system.orbit
-    index[system.mirror] = size + system.orbit[system.mirror_of]
-    index = index.reshape(nb, d, d)
-    diagonal = np.full((nb, 2**n), 2 * size)
-    diagonal[:, sector_basis(n)] = index.diagonal(axis1=1, axis2=2)
-    return _read_only(_SampleTables(diagonal, index[-1].copy()))
 
 
 def _orbit_quotient(full: _System, n: int) -> _System:
     """``full`` on the first stored entry of each orbit (see :class:`_System`)."""
-    size, area = len(full.flat), full.shape[1] * full.shape[2]
-    block, entry = np.divmod(full.flat, area)
+    size, area = len(full.stored), full.shape[1] * full.shape[2]
+    block, entry = np.divmod(full.stored, area)
     lead = _first(block * area + _orbit_leads(n)[entry])
     reps = np.flatnonzero(lead == np.arange(size))
     orbit = np.searchsorted(reps, lead)
-    # the representatives' rows, L0 and then L1, with all their places
-    rows = np.concatenate([reps + k * size for k in range(len(full.parts))])
+    # the place in the quotient's [z, conj(z), 0] of each place in the full one's
+    slots = np.concatenate((orbit, len(reps) + orbit, [2 * len(reps)])).astype(_INDEX)
+    # the representatives' rows, L0 and then L1 (the mask repeated over
+    # every row), with all their places
+    rows = np.flatnonzero(np.resize(lead == np.arange(size), len(full.starts)))
     bounds = np.append(full.starts, len(full.cols))
     counts = bounds[rows + 1] - bounds[rows]
     starts = np.cumsum(counts) - counts
     kept = np.repeat(bounds[rows] - starts, counts) + np.arange(counts.sum())
     place = np.full(len(full.cols), -1)
     place[kept] = np.arange(len(kept))
-    diagonal = np.zeros(size, dtype=bool)
-    diagonal[full.imag_diagonal // 2] = True
+    on_diagonal = np.zeros(size, dtype=bool)
+    on_diagonal[full.imag_diagonal // 2] = True
     return full._replace(
         symmetric=True,
-        orbit=orbit,
-        reps=reps,
-        imag_diagonal=2 * np.flatnonzero(diagonal[reps]) + 1,
-        parts=tuple(_kept_part(part, place) for part in full.parts),
-        cols=np.concatenate((orbit, orbit + len(reps)))[full.cols[kept]],
+        stored=full.stored[reps],
+        read=slots[full.read],
+        diagonal=slots[full.diagonal],
+        imag_diagonal=2 * np.flatnonzero(on_diagonal[reps]) + 1,
+        terms=_kept_terms(full.terms, place),
+        cols=slots[full.cols[kept]].astype(np.intp),
         starts=starts,
     )
 
 
-def _kept_part(part: _Part, place: np.ndarray) -> _Part:
-    """``part`` with the coefficients whose places ``place`` maps to new ones
+def _kept_terms(terms: _Terms, place: np.ndarray) -> _Terms:
+    """``terms`` of the coefficients whose places ``place`` maps to new ones
     (the others to -1), each summed from its own terms in their order."""
-    at = np.arange(len(place))[part.at]
-    first = np.arange(len(part.p)) if part.merge is None else part.merge
-    counts = np.diff(first, append=len(part.p))
-    keep = np.flatnonzero(place[at] >= 0)
-    first, counts = first[keep], counts[keep]
+    counts = np.diff(terms.merge, append=len(terms.p))
+    keep = np.flatnonzero(place[terms.at] >= 0)
+    first, counts = terms.merge[keep], counts[keep]
     merge = np.cumsum(counts) - counts
-    terms = np.repeat(first - merge, counts) + np.arange(counts.sum())
-    return _Part(part.p[terms], part.q[terms], merge, place[at[keep]])
+    kept = np.repeat(first - merge, counts) + np.arange(counts.sum())
+    return _Terms(terms.p[kept], terms.q[kept], merge, place[terms.at[keep]])
 
 
 def _static_part(
-    groups: list[tuple], index: np.ndarray, size: int
-) -> tuple[_Part, np.ndarray, np.ndarray]:
+    groups: list[tuple], columns: np.ndarray, size: int
+) -> tuple[_Terms, np.ndarray, np.ndarray]:
     """L0 from term groups each ordered by target entry, laid out row by row
     without a sort: entry e's row holds the terms of each group in turn.
     Every entry has its diagonal term, so every row holds at least one.
-    Returns the part, its ``cols`` and its ``starts``."""
+    Each term is its own coefficient.  Returns the terms, their ``cols``
+    (the ``columns`` of their source entries) and their ``starts``."""
     counts = [np.bincount(group[0], minlength=size) for group in groups]
     total = sum(counts)
     start = np.cumsum(total) - total
@@ -706,14 +690,15 @@ def _static_part(
     offset = start.copy()
     for (e, source, gp, gq), c in zip(groups, counts):
         dest = (offset - np.cumsum(c) + c)[e] + np.arange(len(e))
-        cols[dest], p[dest], q[dest] = index[source], gp, gq
+        cols[dest], p[dest], q[dest] = columns[source], gp, gq
         offset += c
-    return _Part(p, q, None, slice(0, len(cols))), cols, start
+    each = np.arange(len(cols), dtype=_INDEX)
+    return _Terms(p, q, each, each), cols, start
 
 
 def _drive_part(
-    e, read, col, p, q, size: int, offset: int
-) -> tuple[_Part, np.ndarray, np.ndarray]:
+    e, source, col, p, q, size: int, offset: int
+) -> tuple[_Terms, np.ndarray, np.ndarray]:
     """L1 from its terms (target entry, what it reads, column below 2
     ``size``, p, q), the terms of a row that read the same (flat source
     position, antilinear or not) merged once into one stored coefficient,
@@ -722,8 +707,9 @@ def _drive_part(
     out on every row from place ``offset`` on, a row without drive terms
     holding one zero coefficient on its own entry.  Terms that read a
     mirrored entry and its stored transpose name one column but stay apart.
-    Returns the part, its ``cols`` and its ``starts``."""
-    key = e.astype(np.int64) * (int(read.max(initial=0)) + 1) + read
+    The terms follow L0's, one to each of its ``offset`` coefficients.
+    Returns the terms, their ``cols`` and their ``starts``."""
+    key = e.astype(np.int64) * (int(source.max(initial=0)) + 1) + source
     order = np.argsort(key, kind="stable")
     merge = np.flatnonzero(_changes(key[order]))
     rows = e[order[merge]]
@@ -736,7 +722,7 @@ def _drive_part(
     cols = np.empty(int(held.sum()), dtype=np.intp)
     cols[at] = col[order[merge]]
     cols[starts[empty]] = np.flatnonzero(empty)
-    return _Part(p[order], q[order], merge, at + offset), cols, starts + offset
+    return _Terms(p[order], q[order], merge + offset, at + offset), cols, starts + offset
 
 
 class RhsEvaluator:
@@ -762,11 +748,12 @@ class RhsEvaluator:
     exactly zero.  The stored entries of the closure, in (block, row, column)
     order, are the state it evolves: every entry of rho10, rho20 and rho21,
     and the upper triangle (row <= column) of each Hermitian unit-trace
-    block rho00, rho11 and rho_s.  :meth:`entries` gathers them from blocks,
-    refusing a unit-trace block that is not exactly Hermitian, and
-    :meth:`blocks` scatters them back, each entry below the diagonal the
-    conjugate of its stored transpose.  When the operators are real
-    (``is_real``) and so are the initial blocks, the entries vector is
+    block rho00, rho11 and rho_s.  :meth:`entries` gathers them from blocks
+    (``system.stored``), refusing a unit-trace block that is not exactly
+    Hermitian, and :meth:`blocks` and :meth:`sampled` read the blocks back
+    from them through one table (``system.read``), each entry below the
+    diagonal the conjugate of its stored transpose.  When the operators are
+    real and so are the initial blocks (``system.real``), the entries vector is
     float64 and so are the coefficients; otherwise it is the float64 view of
     the complex entries z, the coefficients are complex, and the adjoint
     sources, the X^dag terms and the reads below the diagonal read conj(z)
@@ -793,7 +780,7 @@ class RhsEvaluator:
     symmetric (``system.symmetric``): it evolves the first stored entry of
     each orbit (block, |A|, |B|, |A & B|) of the stored entries (A and B the
     sets of excited qubits of the row and the column), and :meth:`blocks`
-    writes each orbit's value into all its entries.  :meth:`entries` of a
+    reads each orbit's value into all its entries.  :meth:`entries` of a
     symmetric system refuses blocks that are not exactly constant on the
     orbits; an evaluator built from such a ``state0`` keeps every stored
     entry.
@@ -818,11 +805,11 @@ class RhsEvaluator:
         n_blocks = mode.n_blocks
         ops = sector_operators(params)
         f, g = _factors(ops, n)
-        self.is_real = not (np.any(f.imag) or np.any(g.imag))
+        real = not (np.any(f.imag) or np.any(g.imag))
         if state0 is None:
             unit = [BLOCK_NAMES.index(name) for name in UNIT_TRACE_BLOCKS]
             tiles = frozenset((b, 0, 0) for b in unit if b < n_blocks)
-            real, symmetric = self.is_real, True
+            symmetric = True
         else:
             if state0.n != n:
                 raise ValueError("state and parameters disagree on the chain length")
@@ -830,18 +817,16 @@ class RhsEvaluator:
             count = excitation_bits(sector_basis(n), n).sum(axis=1)
             b, i, j = np.nonzero(held)
             tiles = frozenset(zip(b.tolist(), count[i].tolist(), count[j].tolist()))
-            real = self.is_real and not np.any(held.imag)
+            real = real and not np.any(held.imag)
             symmetric = all(spread == 0.0 for spread in _orbit_spreads(held, n))
         symmetric = symmetric and all(
             np.array_equal(op[np.ix_(p, p)], op) for p in _qubit_permutations(n) for op in ops
         )
-        self._key = (n, mode, rho21_hc, tiles, real, symmetric)
-        system = self.system = _system(*self._key)
+        system = self.system = _system(n, mode, rho21_hc, tiles, real, symmetric)
         if real:
             f, g = f.real, g.real
         self._v = np.zeros(len(system.cols), dtype=f.dtype)
-        for part in system.parts:
-            self._v[part.at] = part.coefficients(f, g)
+        self._v[system.terms.at] = system.terms.coefficients(f, g)
         self._allocate()
 
     def _allocate(self) -> None:
@@ -849,7 +834,7 @@ class RhsEvaluator:
         the gathered terms and, with complex arithmetic, [z, conj(z)]."""
         self._terms = np.empty_like(self._v)
         if not self.system.real:
-            self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.reps),), complex)
+            self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.stored),), complex)
 
     @classmethod
     def stack(cls, members) -> "RhsEvaluator":
@@ -864,7 +849,6 @@ class RhsEvaluator:
         out.__dict__.update(
             members[0].__dict__,
             pulse=None,
-            is_real=all(m.is_real for m in members),
             _pulses=[m.pulse for m in members],
             _v=np.stack([m._v for m in members]),
         )
@@ -909,7 +893,7 @@ class RhsEvaluator:
                         f"{name} is not symmetric under permutations of the qubits: largest "
                         f"spread on an orbit is {spread:.3e}; only one entry per orbit is evolved"
                     )
-        x = blocks.reshape(-1)[system.flat[system.reps]]
+        x = blocks.reshape(-1)[system.stored]
         if system.real:
             return np.ascontiguousarray(x.real)
         return x.astype(complex).view(np.float64)
@@ -919,12 +903,7 @@ class RhsEvaluator:
         stored entry the evolved entry of its orbit, the mirrored entries the
         conjugates of their stored transposes, zero outside the reachable
         entries; (members, n_blocks, d, d) for a (members, entries) array."""
-        system = self.system
-        z = (x if system.real else x.view(complex)).take(system.orbit, axis=-1)
-        out = np.zeros(x.shape[:-1] + (np.prod(system.shape),), dtype=complex)
-        out[..., system.flat] = z
-        out[..., system.mirror] = np.conjugate(z.take(system.mirror_of, axis=-1))
-        return out.reshape(x.shape[:-1] + system.shape)
+        return self._readable(x).take(self.system.read, axis=-1)
 
     def sampled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What sampling reads of one entries vector, bit for bit
@@ -932,17 +911,23 @@ class RhsEvaluator:
         last block, without building the others: the complex diagonals of
         the evolved blocks on the full 2^n index, (n_blocks, 2^n), and the
         complex reported block, (d, d), each one ``take``; with a leading
-        axis for a (members, entries) array.  Its index tables are built per
-        system on first use."""
-        tables = _sample_tables(*self._key)
+        axis for a (members, entries) array."""
+        readable = self._readable(x)
+        system = self.system
+        return readable.take(system.diagonal, axis=-1), readable.take(system.read[-1], axis=-1)
+
+    def _readable(self, x: np.ndarray) -> np.ndarray:
+        """The complex [z, conj(z), 0] that ``system.read`` and
+        ``system.diagonal`` place every entry in, z the evolved entries of
+        ``x``, along its last axis."""
         z = x if self.system.real else x.view(complex)
         size = z.shape[-1]
-        both = np.zeros(z.shape[:-1] + (2 * size + 1,), dtype=complex)
-        both[..., :size] = z
-        # conjugated in the entries' own arithmetic, as in blocks(): a real
-        # entry's mirror gets +0.0, not -0.0, as its imaginary part
-        both[..., size:-1] = np.conjugate(z)
-        return both.take(tables.diagonal, axis=-1), both.take(tables.reported, axis=-1)
+        out = np.zeros(z.shape[:-1] + (2 * size + 1,), dtype=complex)
+        out[..., :size] = z
+        # conjugated in the entries' own arithmetic: a real entry's mirror
+        # gets +0.0, not -0.0, as its imaginary part
+        out[..., size:-1] = np.conjugate(z)
+        return out
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Derivative of the entries vector, or of the (members, entries)

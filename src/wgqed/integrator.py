@@ -282,15 +282,16 @@ def evolve(
     one system structure (the same reachable tiles, real or complex
     arithmetic, and symmetry under permutations of the qubits) are stepped
     as one stack, member by member with the same arithmetic as alone, so
-    each trajectory is bit for bit the one :func:`integrate` gives.  Samples are evaluated in chunks of time, and
-    always before a member leaves the stack.  Yields ``(index into members,
-    trajectory)`` as each member reaches its t_end, or ``(index,
-    IntegrationError)`` as it breaks an invariant; a failing member leaves
-    the stack and the others go on.  A trace breach is found only when its
-    chunk is evaluated, so the member leaves then, with the time of the
-    breaching sample, and may be yielded after members that reached their
-    t_end in the meantime.  The breach is the error it reports even when its
-    state went non-finite later in that chunk.
+    each trajectory is bit for bit the one :func:`integrate` gives.  Samples
+    are evaluated in chunks of time, and always before a member leaves the
+    stack.  Yields ``(index into members, trajectory)`` as each member
+    reaches its t_end, or ``(index, IntegrationError)`` as it breaks an
+    invariant; a failing member leaves the stack and the others go on.  A
+    trace breach is found only when its chunk is evaluated, so the member
+    leaves then, with the time of the breaching sample, and may be yielded
+    after members that reached their t_end in the meantime.  The breach is
+    the error it reports even when its state went non-finite later in that
+    chunk.
     """
     chains = [_Chain(i, *member, mode, rho21_hc, keep_states) for i, member in enumerate(members)]
     shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
@@ -339,9 +340,9 @@ class _Chunk:
     index and time of each queued row, and copies of the entries rows."""
 
     def __init__(self, chain: _Chain):
-        n_blocks, d, _ = chain.rhs.system.shape
+        system = chain.rhs.system
         # what a row materializes: its reported block and padded diagonals
-        row_bytes = 16 * (d * d + n_blocks * 2**chain.n)
+        row_bytes = 16 * (system.read[-1].size + system.diagonal.size)
         self.capacity = max(1, _CHUNK_BYTES // row_bytes)
         self.owners: list[_Chain] = []
         self.ks: list[int] = []

@@ -391,7 +391,7 @@ class TestFastEvaluator:
         blocks = prepared.real
         real = RhsEvaluator(p, pulse, state0=HierarchyState(2, blocks))
         promoted = RhsEvaluator(p, pulse, state0=HierarchyState(2, prepared))
-        assert real.is_real and promoted.is_real
+        assert real.system.real and promoted.system.real is False
         x, y = real.entries(blocks), promoted.entries(blocks)
         assert x.dtype == y.dtype == np.float64 and (len(x), len(y)) == (78, 156)
         real_out = real.blocks(real(0.8, x))
@@ -414,14 +414,14 @@ class TestFastEvaluator:
         p = ChainParams(n=n, gamma_l=0.5)
         real = RhsEvaluator(p, PULSE, mode, hc).system
         rng = np.random.default_rng(n)
-        size = len(real.flat)
+        size = len(real.stored)
         blocks = np.zeros((6,) + real.shape[1:], dtype=complex)
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        blocks.reshape(-1)[real.flat] = z
-        blocks.reshape(-1)[real.mirror] = z[real.mirror_of].conj()
+        blocks[: len(real.read)] = np.concatenate((z, z.conj(), [0.0]))[real.read]
         system = RhsEvaluator(p, PULSE, mode, hc, HierarchyState(n, blocks)).system
         assert not system.real and system.tiles == real.tiles
-        assert np.array_equal(system.flat, real.flat)
+        assert np.array_equal(system.stored, real.stored)
+        assert np.array_equal(system.read, real.read)
         assert np.array_equal(system.starts[:size], real.starts[:size])
         if mode is DriveMode.NONE:
             assert np.array_equal(system.cols % size, real.cols)
@@ -438,30 +438,38 @@ class TestFastEvaluator:
         assert np.concatenate(got_rows).max() >= size
 
     @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("mode", list(DriveMode))
     @pytest.mark.parametrize(
         "kwargs, real", [(dict(), True), (dict(), False), (dict(delta=0.3, spacing=1 / 8), False)]
     )
-    def test_entries_and_blocks_round_trip_bit_for_bit(self, n, kwargs, real):
+    def test_entries_and_blocks_round_trip_bit_for_bit(self, n, mode, kwargs, real):
         # Hermitian unit-trace blocks, the others general, on the ground
-        # closure's tiles, real (real arithmetic) or complex: entries keeps
-        # the upper triangles and blocks writes each mirrored entry as the
-        # conjugate of its stored transpose
+        # closure's tiles of the mode (undriven, on every tile), real (real
+        # arithmetic) or complex: entries keeps the upper triangles, and
+        # blocks and sampled read each mirrored entry as the conjugate of its
+        # stored transpose and zero off the tiles, the prepared blocks their
+        # reference
         rng = np.random.default_rng(40 + n)
         basis = sector_basis(n)
-        mask = tile_mask(ground_tiles(DriveMode.TWO_PHOTON), n)[:, basis[:, None], basis]
+        tiles = ground_tiles(mode)
+        if mode is DriveMode.NONE:
+            tiles = {(0, r, c) for r in range(4) for c in range(4)}
+        mask = tile_mask(tiles, n)[:, basis[:, None], basis]
         prepared = random_prepared_state(rng, n)[:, basis[:, None], basis]
         b = np.where(mask, prepared.real if real else prepared, 0.0).astype(complex)
-        fast = RhsEvaluator(ChainParams(n=n, **kwargs), PULSE, state0=HierarchyState(n, b))
+        fast = RhsEvaluator(ChainParams(n=n, **kwargs), PULSE, mode, state0=HierarchyState(n, b))
         assert fast.system.real is real
+        b = b[: mode.n_blocks]
         x = fast.entries(b)
         assert fast.blocks(x).tobytes() == b.tobytes()
-        # a stack of entries vectors scatters the same way
+        # a stack of entries vectors reads the same way
         assert fast.blocks(np.stack([x, x]))[1].tobytes() == b.tobytes()
-        # sampling gathers the diagonals and scatters the reported block alone
+        # sampling gathers the diagonals and the reported block alone
         diagonals, reported = fast.sampled(np.stack([x, x]))
         assert diagonals[1].tobytes() == full_diagonal(b, n).tobytes()
         assert reported[1].tobytes() == b[-1].tobytes()
         assert fast.sampled(x)[0].tobytes() == diagonals[0].tobytes()
+        assert fast.sampled(x)[1].tobytes() == reported[0].tobytes()
 
     def test_refuses_blocks_that_are_not_hermitian(self):
         # a unit-trace block that is not its conjugate transpose would lose
@@ -479,7 +487,7 @@ class TestFastEvaluator:
         # a block the mode does not evolve is not read; nor is a cross block
         s.blocks[BLOCK_NAMES.index("rho10"), 1, 0] = 0.5
         one = RhsEvaluator(p, PULSE, DriveMode.ONE_PHOTON, state0=s)
-        assert len(one.entries(s.blocks)) == 2 * len(one.system.flat)
+        assert len(one.entries(s.blocks)) == 2 * len(one.system.stored)
 
     def test_accepts_ground_and_hermitian_prepared_states(self):
         rng = np.random.default_rng(50)
@@ -509,12 +517,14 @@ class TestFastEvaluator:
                 build(2, DriveMode.NONE, True, tiles, real, False)
 
     def test_complex_required_for_detuning_and_phases(self):
-        # 22 of the 25 reachable entries are stored; a uniform detuning keeps
-        # the chain symmetric, so it evolves one entry per orbit, 15
+        # 22 of the 25 reachable entries are stored, read as themselves; a
+        # uniform detuning keeps the chain symmetric, so it evolves one entry
+        # per orbit, 15
         for kwargs, evolved in ((dict(delta=0.5), 15), (dict(spacing=1 / 8), 22)):
-            p = ChainParams(n=2, **kwargs)
-            fast = RhsEvaluator(p, PULSE, DriveMode.TWO_PHOTON)
-            assert not fast.is_real and len(fast.system.flat) == 22
+            fast = RhsEvaluator(ChainParams(n=2, **kwargs), PULSE, DriveMode.TWO_PHOTON)
+            system, size = fast.system, len(fast.system.stored)
+            assert system.real is False and size == evolved
+            assert ((system.read < size).sum(), (system.read < 2 * size).sum()) == (22, 25)
             x = fast.entries(HierarchyState.ground(2).blocks.real)
             assert x.dtype == np.float64 and len(x) == 2 * evolved
 
@@ -553,10 +563,11 @@ class TestFastEvaluator:
                 ]
             ]
             stack = RhsEvaluator.stack(members)
-            assert stack.is_real is real and stack.mode is mode and stack.pulse is None
             system = stack.system
+            assert system.real is real and stack.mode is mode and stack.pulse is None
             assert system.symmetric is symmetric
-            assert (len(system.reps) < len(system.flat)) is symmetric
+            size = len(system.stored)
+            assert bool(size < (system.read < size).sum()) is symmetric
             x = rng.standard_normal((3, len(members[0].entries(state0.blocks))))
             x[:, 0] = -0.0
             for t in (0.7, 30.0, 200.0):
@@ -610,7 +621,7 @@ class TestOrbitQuotient:
         fast = RhsEvaluator(p, PULSE, mode, rho21_hc=hc, state0=HierarchyState(n, s))
         system = fast.system
         assert system.symmetric and system.real is real
-        assert len(system.reps) < len(system.flat)
+        assert len(system.stored) < (system.read < len(system.stored)).sum()
         x = fast(0.9, fast.entries(s))
         got = fast.blocks(x)
         assert np.abs(want[: mode.n_blocks] - got).max() < 1e-13
@@ -628,10 +639,15 @@ class TestOrbitQuotient:
         # a chiral chain, a spacing, one detuned qubit, one different rate
         system = RhsEvaluator(ChainParams(n=3, **kwargs), PULSE).system
         symmetric = RhsEvaluator(ChainParams(n=3), PULSE).system
-        identity = np.arange(len(system.flat))
+        size = len(system.stored)
         assert not system.symmetric and symmetric.symmetric
-        assert np.array_equal(system.reps, identity) and np.array_equal(system.orbit, identity)
-        assert system.tiles == symmetric.tiles and np.array_equal(system.flat, symmetric.flat)
+        # every stored entry reads its own place, and those are the entries
+        # whose orbits the symmetric system reads
+        assert np.array_equal(system.read.reshape(-1)[system.stored], np.arange(size))
+        assert np.array_equal(np.flatnonzero(system.read < size), system.stored)
+        assert system.tiles == symmetric.tiles
+        assert np.array_equal(np.flatnonzero(symmetric.read < len(symmetric.stored)),
+                              system.stored)
 
     def test_asymmetric_states_keep_every_entry_or_are_refused(self):
         # on a symmetric chain: qubit 1 excited, and a Hermitian rho_s whose
