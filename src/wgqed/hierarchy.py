@@ -512,13 +512,22 @@ class _System(NamedTuple):
     cols: np.ndarray
     starts: np.ndarray
 
+    @property
+    def width(self) -> int:
+        """Length of the float64 entries vector: K with real arithmetic, 2K
+        with complex."""
+        return len(self.stored) * (1 if self.real else 2)
+
 
 @functools.lru_cache(maxsize=None)
 def _system(
     n: int, mode: DriveMode, rho21_hc: bool, tiles: frozenset, real: bool, symmetric: bool
 ) -> _System:
     if symmetric:
-        return _read_only(_orbit_quotient(_system(n, mode, rho21_hc, tiles, real, False), n))
+        # the full system is built uncached: only the quotient steps
+        return _read_only(
+            _orbit_quotient(_system.__wrapped__(n, mode, rho21_hc, tiles, real, False), n)
+        )
     drive_rows = _drive_rows(mode, rho21_hc)
     d, nb = len(sector_basis(n)), mode.n_blocks
     unit_blocks = [k for k, name in enumerate(BLOCK_NAMES[:nb]) if name in UNIT_TRACE_BLOCKS]
@@ -833,6 +842,7 @@ class RhsEvaluator:
         """The evaluator's own gather buffers, shaped for its coefficients:
         the gathered terms and, with complex arithmetic, [z, conj(z)]."""
         self._terms = np.empty_like(self._v)
+        self._both = None
         if not self.system.real:
             self._both = np.empty(self._v.shape[:-1] + (2 * len(self.system.stored),), complex)
 
@@ -929,20 +939,51 @@ class RhsEvaluator:
         out[..., size:-1] = np.conjugate(z)
         return out
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Derivative of the entries vector, or of the (members, entries)
-        array of a stacked evaluator."""
+    def linear_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """L0 and L1 of one chain as dense real (W, W) matrices on its
+        float64 entries vector (W = K with real arithmetic, 2K with
+        complex), so that the derivative is L0 x + g(t) L1 x up to rounding.
+        Column m is the call's gather, product and row sum applied to the
+        m-th unit vector, with the rows of the unit-trace blocks' imaginary
+        diagonal parts zero; L1 is zero when the mode does not drive."""
         system = self.system
-        terms = self._terms
+        width = system.width
+        both = None if system.real else np.empty((width, 2 * len(system.stored)), complex)
+        rows = self._row_sums(np.eye(width), np.empty((width,) + self._v.shape, self._v.dtype),
+                              both)
+        if self.mode is DriveMode.NONE:
+            parts = (rows, np.zeros_like(rows))
+        else:
+            parts = np.split(rows, 2, axis=-1)
+        out = []
+        for part in parts:
+            if not system.real:
+                part = np.ascontiguousarray(part).view(np.float64)
+                part[:, system.imag_diagonal] = 0.0
+            out.append(part.T)
+        return out[0], out[1]
+
+    def _row_sums(self, x: np.ndarray, terms: np.ndarray, both: np.ndarray | None) -> np.ndarray:
+        """L0 x and then, when the mode drives, L1 x, row for row: one gather
+        of the entries the coefficients name into ``terms`` (from
+        [z, conj(z)], held in ``both``, with complex arithmetic), one product
+        with the coefficients and one row sum."""
+        system = self.system
         if system.real:
             x.take(system.cols, axis=-1, out=terms, mode="clip")
         else:
-            z, both = x.view(complex), self._both
+            z = x.view(complex)
             both[..., : z.shape[-1]] = z
             np.conjugate(z, out=both[..., z.shape[-1] :])
             both.take(system.cols, axis=-1, out=terms, mode="clip")
         terms *= self._v
-        rows = out = np.add.reduceat(terms, system.starts, axis=-1)
+        return np.add.reduceat(terms, system.starts, axis=-1)
+
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Derivative of the entries vector, or of the (members, entries)
+        array of a stacked evaluator."""
+        system = self.system
+        rows = out = self._row_sums(x, self._terms, self._both)
         if self.mode is not DriveMode.NONE:
             if self.pulse is not None:
                 g = self.pulse.envelope(t)

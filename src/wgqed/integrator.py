@@ -20,6 +20,19 @@ before any member leaves the stack.  A trace breach, found when its chunk
 is evaluated, ends only its own member, with the time of the breaching
 sample; the member steps on for at most that chunk.  :func:`integrate` is
 that loop with one member.
+
+The system is linear, x' = (L0 + g(t) L1) x, so one RK4 step is a matrix
+polynomial in the step's three envelope values a, b, c = g(t),
+g(t + dt/2), g(t + dt): the sum of a^i b^j c^k C_ijk x over 12 monomials
+(i, k <= 1, j <= 2).  A chain whose float64 entries vector is at most
+``_TABLE_WIDTH`` = 128 wide (every symmetric chain, and asymmetric ones up
+to n = 3) tabulates the stack of its C_ijk once, from the dense L0 and L1
+of its own evaluator, and steps with two products, y = C x and the
+step's 12 weights times y: about a fifth of the cost of the four RHS
+stages at W = 22.  Its first step is also taken through the four
+stages, and a map that disagrees with them is refused.  Wider chains, and
+any whose map holds a non-finite entry, step through the four RHS stages.
+Every step goes through :func:`rk4_step`.
 """
 
 from __future__ import annotations
@@ -125,21 +138,141 @@ class Trajectory:
         raise ValueError(f"unknown pair normalization {norm!r}")
 
 
-def rk4_step(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
+def rk4_step(
+    state: np.ndarray, t: float, dt: float, rhs: Callable,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """One classical RK4 update of the state array (the entries vector of
     :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps).
 
-    ``rhs(t, state)`` must return the derivative with the same shape.  The
-    result is checked for overflow; non-finite entries abort.
+    ``rhs(t, state)`` must return the derivative with the same shape; the
+    step is its four stages.  With a ``table`` (:meth:`_Table.at`), the
+    step is the tabulated map of the chain, or of each member of a stack,
+    instead (:func:`_rk4_map`), without a call of ``rhs``: two products,
+    y = C x with the (12 W, W) map, and the step's 12 envelope weights
+    times y read as (12, W).  The result is checked for overflow;
+    non-finite entries abort.
     """
+    if table is None:
+        out = _stages(state, t, dt, rhs)
+    else:
+        maps, weights = table
+        y = np.matmul(maps, state[..., None]).reshape(weights.shape[:-2] + (len(_MONOMIALS), -1))
+        out = np.matmul(weights, y).reshape(state.shape)
+    if not np.isfinite(out).all():
+        raise IntegrationError(f"non-finite state entries after step at t={t:.6g}")
+    return out
+
+
+def _stages(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray:
+    """The four RHS stages of one RK4 step, unchecked."""
     k1 = rhs(t, state)
     k2 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k1)
     k3 = rhs(t + 0.5 * dt, state + (0.5 * dt) * k2)
     k4 = rhs(t + dt, state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise IntegrationError(f"non-finite state entries after step at t={t:.6g}")
-    return out
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# Chains whose float64 entries vector is at most this wide step through a
+# tabulated RK4 map: below it one (12 W, W) product costs less than four
+# RHS calls (a fifth at W = 22, about half at W = 132, twice as much from
+# W = 264 on; one core).  Every symmetric chain is below it.
+_TABLE_WIDTH = 128
+# Steps whose envelope weights are formed at once.
+_TABLE_STEPS = 256
+# The exponents (i, j, k) of the monomials a^i b^j c^k of one step's
+# envelope values a, b, c = g(t), g(t + dt/2), g(t + dt).
+_MONOMIALS = tuple(itertools.product(range(2), range(3), range(2)))
+# Largest difference, relative to 1 + the largest |entry|, that a member's
+# tabulated first step may have from its four RHS stages: rounding gives
+# about 1e-13, a wrong map about 1e-6.
+_TABLE_CHECK = 1e-8
+
+
+def _rk4_map(l0: np.ndarray, l1: np.ndarray, dt: float) -> np.ndarray:
+    """The (12 W, W) stack of the matrices C_ijk, in the order of
+    ``_MONOMIALS``, such that one RK4 step of size dt of
+    x' = (L0 + g(t) L1) x maps x to sum_ijk a^i b^j c^k C_ijk x, a, b and c
+    being g at the step's stage times t, t + dt/2 and t + dt: RK4's
+    stability function with a time-dependent drive (Hairer, Norsett and
+    Wanner, Solving ODEs I, IV.2), expanded as a polynomial in a, b, c with
+    matrix coefficients, one stage at a time as the four RHS stages form
+    it."""
+    eye = np.eye(len(l0))
+    one = {(0, 0, 0): eye}
+
+    def derivative(stage: int, poly: dict) -> dict:
+        """(L0 + g L1) poly, g the envelope at stage time ``stage``."""
+        out: dict = {}
+        for key, m in poly.items():
+            up = tuple(p + (s == stage) for s, p in enumerate(key))
+            out[key] = out.get(key, 0.0) + l0 @ m
+            out[up] = out.get(up, 0.0) + l1 @ m
+        return out
+
+    def combine(*scaled: tuple[float, dict]) -> dict:
+        out: dict = {}
+        for scale, poly in scaled:
+            for key, m in poly.items():
+                out[key] = out.get(key, 0.0) + scale * m
+        return out
+
+    k1 = derivative(0, one)
+    k2 = derivative(1, combine((1.0, one), (0.5 * dt, k1)))
+    k3 = derivative(1, combine((1.0, one), (0.5 * dt, k2)))
+    k4 = derivative(2, combine((1.0, one), (dt, k3)))
+    step = combine((1.0, one), (dt / 6.0, combine((1.0, k1), (2.0, k2), (2.0, k3), (1.0, k4))))
+    return np.concatenate([step[key] for key in _MONOMIALS])
+
+
+def _tabulated(rhs: RhsEvaluator, dt: float) -> np.ndarray | None:
+    """The tabulated RK4 map of one chain's evaluator (:func:`_rk4_map`),
+    or None when its entries vector is wider than ``_TABLE_WIDTH`` or the
+    map holds a non-finite entry: then it steps through the four RHS
+    stages."""
+    if rhs.system.width > _TABLE_WIDTH:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = _rk4_map(*rhs.linear_parts(), dt)
+    return maps if np.isfinite(maps).all() else None
+
+
+class _Table:
+    """The tabulated RK4 map of one chain, (12 W, W), or of each member of a
+    stack, (members, 12 W, W), with one pulse per map, and their envelope
+    weights, formed for ``_TABLE_STEPS`` steps at a time."""
+
+    def __init__(self, maps: np.ndarray, pulses: list[GaussianPulse], dt: float):
+        self.maps, self.pulses, self.dt = maps, pulses, dt
+        self.first = 0
+        self.weights = np.empty((0,) + maps.shape[:-2] + (1, len(_MONOMIALS)))
+
+    def at(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``table`` argument of :func:`rk4_step` for step ``step``:
+        the maps and the weights a^i b^j c^k of each one's envelope at the
+        step's stage times, (1, 12) or (members, 1, 12)."""
+        row = step - self.first
+        if not 0 <= row < len(self.weights):
+            # blocks start at multiples of _TABLE_STEPS, so a member's
+            # weights do not depend on when it joined or who it steps with
+            self.first = step - step % _TABLE_STEPS
+            row = step - self.first
+            t = np.arange(self.first, self.first + _TABLE_STEPS) * self.dt
+            a, b, c = (np.array([p.envelope(s) for p in self.pulses]).T
+                       for s in (t, t + 0.5 * self.dt, t + self.dt))
+            one = np.ones_like(a)
+            # (steps, pulses, i, j, k): (a^i b^j) c^k, in the order of _MONOMIALS
+            weights = (np.stack((one, a), axis=-1)[..., None, None]
+                       * np.stack((one, b, b * b), axis=-1)[..., None, :, None]
+                       * np.stack((one, c), axis=-1)[..., None, None, :])
+            self.weights = weights.reshape((_TABLE_STEPS,) + self.maps.shape[:-2] + (1, -1))
+        return self.maps, self.weights[row]
+
+    def take(self, keep: list[int]) -> "_Table":
+        """The table of the members at indices ``keep``."""
+        out = _Table(self.maps[keep], [self.pulses[j] for j in keep], self.dt)
+        out.first, out.weights = self.first, self.weights[:, keep]
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,7 +413,8 @@ def evolve(
     chains share n, and the configs share dt and sample_every, while rates,
     positions, pulses and t_end may differ.  Members whose evaluators share
     one system structure (the same reachable tiles, real or complex
-    arithmetic, and symmetry under permutations of the qubits) are stepped
+    arithmetic, and symmetry under permutations of the qubits) and that all
+    step through a tabulated map or all through the RHS stages are stepped
     as one stack, member by member with the same arithmetic as alone, so
     each trajectory is bit for bit the one :func:`integrate` gives.  Samples
     are evaluated in chunks of time, and always before a member leaves the
@@ -297,9 +431,9 @@ def evolve(
     shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
     if len(shared) > 1:
         raise ValueError(f"evolved members must share n, dt and sample_every, got {sorted(shared)}")
-    stacks: dict[int, list[_Chain]] = {}
+    stacks: dict[tuple[int, bool], list[_Chain]] = {}
     for chain in chains:
-        stacks.setdefault(id(chain.rhs.system), []).append(chain)
+        stacks.setdefault((id(chain.rhs.system), chain.map is None), []).append(chain)
     del chains
     for stack in stacks.values():
         yield from _step_stack(stack)
@@ -314,6 +448,7 @@ class _Chain:
         self.config = config
         self.rhs = RhsEvaluator(params, pulse, mode, rho21_hc, state0)
         self.work = self.rhs.entries(state0.blocks)
+        self.map = _tabulated(self.rhs, config.dt)
         n = params.n
         self.n_steps = config.n_steps
         self.error: IntegrationError | None = None
@@ -444,10 +579,20 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
 def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
     """The stepping loop.  One chain steps its entries vector, so the
     evaluator sees exactly the single-chain shapes; several step a
-    (members, entries) stack through the stacked evaluator."""
+    (members, entries) stack through the stacked evaluator.  Tabulated
+    members (all of the stack or none) step through their maps, each
+    member's row with the same arithmetic as alone; the first step is also
+    taken through the four RHS stages, and a member whose two results
+    differ beyond ``_TABLE_CHECK`` raises a RuntimeError."""
     stacked = len(chains) > 1
     rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work
+    table = None
+    if chains[0].map is not None:
+        maps = np.stack([c.map for c in chains]) if stacked else chains[0].map
+        table = _Table(maps, [c.pulse for c in chains], chains[0].config.dt)
+        for chain in chains:
+            chain.map = None  # the table holds the maps
     dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
     chunk = _Chunk(chains[0])
     chunk.record(chains, 0, 0.0, work if stacked else work[None])
@@ -469,10 +614,13 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
                 return
             chains = [chains[j] for j in keep]
             work, rhs = work[keep], rhs.take(keep)
+            table = table and table.take(keep)
 
         t = step * dt
+        start = work
+        tabulated = table and table.at(step)
         try:
-            work = rk4_step(work, t, dt, rhs)
+            work = rk4_step(work, t, dt, rhs, tabulated)
         except IntegrationError as exc:
             if not stacked:
                 chains[0].error = exc
@@ -481,12 +629,32 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             # same arithmetic, and the others keep that result
             parts = []
             for j, chain in enumerate(chains):
+                alone = tabulated and (tabulated[0][j : j + 1], tabulated[1][j : j + 1])
                 try:
-                    parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j])))
+                    parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j]), alone))
                 except IntegrationError as member_exc:
                     chain.error = member_exc
                     parts.append(work[j : j + 1])
             work = np.concatenate(parts)
+        if step == 0 and table is not None:
+            _check_table(chains, start, work, dt, rhs)
         step += 1
         if step % sample_every == 0:
             chunk.record(chains, step // sample_every, step * dt, work if stacked else work[None])
+
+
+def _check_table(chains: list[_Chain], x: np.ndarray, stepped: np.ndarray, dt: float,
+                 rhs: RhsEvaluator) -> None:
+    """Raise a RuntimeError when a live member's tabulated first step
+    ``stepped`` of ``x`` differs from its four RHS stages by more than
+    ``_TABLE_CHECK`` times 1 + the largest |entry| of the stages' result."""
+    with np.errstate(all="ignore"):
+        want = _stages(x, 0.0, dt, rhs).reshape(len(chains), -1)
+        got = stepped.reshape(len(chains), -1)
+        for j, chain in enumerate(chains):
+            error = np.abs(got[j] - want[j]).max()
+            if chain.error is None and not error <= _TABLE_CHECK * (1.0 + np.abs(want[j]).max()):
+                raise RuntimeError(
+                    f"the tabulated first step of member {chain.index} differs from its RHS "
+                    f"stages by {error:.3e}"
+                )

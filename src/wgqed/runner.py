@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .hierarchy import HierarchyState, RhsEvaluator
-from .integrator import Trajectory, evolve, integrate
+from .integrator import _TABLE_WIDTH, Trajectory, evolve, integrate
 from .observables import max_concurrence, survival_time
 
 POSITIVITY_WARN = -1e-7
@@ -200,24 +200,41 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
     return results
 
 
-# The cost of one RK4 step with its share of the sampling, in tenths of a
-# stored real coefficient: a fixed part (as much as 3,200 real
-# coefficients), plus each stored coefficient, a complex-arithmetic one at
-# 1.6 times a real one (one core, BLAS 1 thread, fitted over the preset
-# members).  Integers, so that members of equal cost tie exactly.
-STEP_WEIGHT = 32_000
+# The cost of a member in tenths of a stored real coefficient, fitted to
+# one-core timings (BLAS 1 thread) of the preset members, whose tabulated
+# maps have W <= 57.  A step through the four RHS stages costs a fixed part
+# (as much as 2,700 real coefficients) plus each stored coefficient, a
+# complex-arithmetic one at 1.6 times a real one; a step through a
+# tabulated map (W <= 128 float64 entries) costs a fixed part (as much as
+# 520 real coefficients) plus a tenth for each TABLE_ENTRIES of the map's
+# 12 W^2 entries; a sample costs SAMPLE_WEIGHT for each state of the
+# sector basis.  Integers, so that members of equal cost tie exactly.
+STEP_WEIGHT = 27_000
 REAL_WEIGHT, COMPLEX_WEIGHT = 10, 16
+TABLE_STEP_WEIGHT, TABLE_ENTRIES = 5_200, 10
+SAMPLE_WEIGHT = 930
+
+
+def _cost(cfg: ExperimentConfig) -> int:
+    """A member's cost: its steps, priced by its coefficients or by its
+    tabulated map, and its samples, priced by the size of its basis.  A
+    member whose map would hold a non-finite entry is priced as
+    tabulated."""
+    system = RhsEvaluator(cfg.chain_params(), cfg.gaussian_pulse(), cfg.drive_mode(),
+                          cfg.rho21_hc).system
+    if system.width <= _TABLE_WIDTH:
+        step = TABLE_STEP_WEIGHT + 12 * system.width**2 // TABLE_ENTRIES
+    else:
+        step = STEP_WEIGHT + (REAL_WEIGHT if system.real else COMPLEX_WEIGHT) * len(system.cols)
+    config = cfg.integrator_config()
+    samples = 1 + config.n_steps // config.sample_every
+    return config.n_steps * step + samples * SAMPLE_WEIGHT * system.shape[1]
 
 
 def _batches(configs, count: int) -> list[list[int]]:
-    """Config indices split into ``count`` batches balanced by step count x
-    the cost of one step of the member's system (``STEP_WEIGHT`` and its
-    coefficients); longest member first, each to the least loaded batch."""
-    cost = []
-    for c in configs:
-        rhs = RhsEvaluator(c.chain_params(), c.gaussian_pulse(), c.drive_mode(), c.rho21_hc)
-        weight = REAL_WEIGHT if rhs.system.real else COMPLEX_WEIGHT
-        cost.append(c.integrator_config().n_steps * (STEP_WEIGHT + weight * len(rhs.system.cols)))
+    """Config indices split into ``count`` batches balanced by each member's
+    :func:`_cost`; longest member first, each to the least loaded batch."""
+    cost = [_cost(c) for c in configs]
     batches: list[list[int]] = [[] for _ in range(count)]
     loads = [0] * count
     for i in sorted(range(len(configs)), key=lambda i: -cost[i]):

@@ -686,3 +686,41 @@ class TestOrbitQuotient:
         assert np.array_equal(traj.p_excited, np.repeat(traj.p_excited[:, :1], n, axis=1))
         pairs = traj.pair_concurrence
         assert np.array_equal(pairs, np.repeat(pairs[:, :1], pairs.shape[1], axis=1))
+
+    def test_symmetric_system_caches_only_its_quotient(self):
+        # the full n = 7 system the quotient is mapped from is built
+        # uncached, so the cache keeps one system per symmetric chain
+        from wgqed import hierarchy
+
+        hierarchy._system.cache_clear()
+        first = RhsEvaluator(ChainParams(n=7), PULSE).system
+        assert first.symmetric and hierarchy._system.cache_info().currsize == 1
+        assert RhsEvaluator(ChainParams(n=7, gamma_r=0.5, gamma_l=0.5), PULSE).system is first
+        assert hierarchy._system.cache_info().currsize == 1
+        assert not RhsEvaluator(ChainParams(n=7, gamma_l=0.5), PULSE).system.symmetric
+        assert hierarchy._system.cache_info().currsize == 2
+
+
+class TestLinearParts:
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize(
+        "n, kwargs",
+        [(1, dict()), (2, dict(delta=0.3)), (3, dict(gamma_l=0.5)),
+         (3, dict(spacing=1 / 8)), (5, dict()), (5, dict(delta=0.2))],
+    )
+    def test_are_the_call(self, n, kwargs, mode):
+        # L0 x + g L1 x is the derivative to rounding, on random entries,
+        # with exact zeros on the imaginary parts of the unit-trace diagonals
+        fast = RhsEvaluator(ChainParams(n=n, **kwargs), PULSE, mode)
+        x = np.random.default_rng(n).standard_normal(fast.entries(HierarchyState.ground(n).blocks).size)
+        l0, l1 = fast.linear_parts()
+        assert l0.shape == l1.shape == (len(x), len(x)) and l0.dtype == l1.dtype == np.float64
+        if mode is DriveMode.NONE:
+            assert not l1.any()
+        for t in (0.0, 0.9):
+            want = fast(t, x)
+            got = l0 @ x + PULSE.envelope(t) * (l1 @ x)
+            assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+            if not fast.system.real:
+                assert not got[fast.system.imag_diagonal].any()
+

@@ -262,9 +262,10 @@ class TestRunner:
         batches = runner._batches(configs, 2)
         lengths = [sorted(configs[i].t_end for i in batch) for batch in batches]
         assert lengths == [[25.0] * 3 + [50.0] * 3] * 2
-        # fig4's chains are symmetric: the n = 5 member (399 coefficients)
-        # goes first, and the n = 3 (164) and n = 4 (285) ones share the
-        # other batch
+        # fig4's chains are symmetric and step through tabulated maps of
+        # 19, 22 and 22 float64 entries: the n = 5 member goes first, as its
+        # samples cost the most (26 basis states), and the n = 3 and n = 4
+        # ones share the other batch
         fig4 = expand_preset("fig4")
         assert [cfg.n for cfg in fig4] == [3, 4, 5]
         assert runner._batches(fig4, 2) == [[2], [0, 1]]
@@ -286,10 +287,14 @@ class TestRunner:
         mixed[1] = apply_overrides(tiny, n=3, t_end=12 * TINY.t_end, label="n3")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
-        # a step's fixed cost puts a twice as long n = 3 member ahead of an
-        # n = 4 one (1,599 coefficients against 2 x 478)
+        # an n = 3 member steps through its tabulated map (57 entries), at
+        # less than a quarter of the cost of an n = 4 one through the RHS
+        # stages (1,599 coefficients): twice as long, it goes after it, five
+        # times as long, ahead of it
         mixed = [apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
                  apply_overrides(tiny, n=4, label="n4"), apply_overrides(tiny, label="n2")]
+        assert runner._batches(mixed, 2) == [[1], [0, 2]]
+        mixed[0] = apply_overrides(tiny, n=3, t_end=5.0, label="n3")
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
         # a complex coefficient costs 1.6 real ones: a detuned n = 4 member
         # (1,639 complex coefficients) goes ahead of a 1.2 times longer real
