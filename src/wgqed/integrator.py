@@ -27,18 +27,22 @@ g(t + dt/2), g(t + dt): the sum of a^i b^j c^k C_ijk x over 12 monomials
 (i, k <= 1, j <= 2).  A chain whose float64 entries vector is at most
 ``_TABLE_WIDTH`` = 128 wide (every symmetric chain, and asymmetric ones up
 to n = 3) tabulates the stack of its C_ijk once, from the dense L0 and L1
-of its own evaluator, and steps with two products, y = C x and the
-step's 12 weights times y: about a fifth of the cost of the four RHS
-stages at W = 22.  Its first step is also taken through the four
-stages, and a map that disagrees with them is refused.  Wider chains, and
-any whose map holds a non-finite entry, step through the four RHS stages.
-Every step goes through :func:`rk4_step`.
+of its own evaluator.  Each step's own W x W map M = sum a^i b^j c^k C_ijk
+is formed a block of steps at a time, with one product of the block's
+envelope weights and the stack, and the step is the one product M x:
+about a tenth of the cost of the four RHS stages at W = 22.  Its first
+step is also taken through the four stages, and a map that disagrees with
+them is refused.  Wider chains, and any whose map holds a non-finite
+entry, step through the four RHS stages.  Every step goes through
+:func:`rk4_step`.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
@@ -50,7 +54,7 @@ from .hierarchy import (
 )
 from .observables import _checked_tables, average_concurrence, pair_concurrences, populations
 from .operators import MAX_EXCITATIONS, all_pairs, sector_basis
-from .pulse import GaussianPulse
+from .pulse import GaussianPulse, drive_intensities
 
 TRACE_ABORT = 1e-6
 
@@ -139,27 +143,28 @@ class Trajectory:
 
 
 def rk4_step(
-    state: np.ndarray, t: float, dt: float, rhs: Callable,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
+    state: np.ndarray, t: float, dt: float, rhs: Callable, table: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 update of the state array (the entries vector of
     :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps).
 
     ``rhs(t, state)`` must return the derivative with the same shape; the
     step is its four stages.  With a ``table`` (:meth:`_Table.at`), the
-    step is the tabulated map of the chain, or of each member of a stack,
-    instead (:func:`_rk4_map`), without a call of ``rhs``: two products,
-    y = C x with the (12 W, W) map, and the step's 12 envelope weights
-    times y read as (12, W).  The result is checked for overflow;
-    non-finite entries abort.
+    step is instead one product, without a call of ``rhs``: the step's own
+    (W, W) map of the chain, or (members, W, W) of each member of a stack,
+    times the state (:func:`_rk4_map`).  The result is checked for
+    overflow; non-finite entries abort.
     """
     if table is None:
         out = _stages(state, t, dt, rhs)
+    elif state.ndim == 1:
+        out = table.dot(state)  # the same product as matmul's, with less overhead
     else:
-        maps, weights = table
-        y = np.matmul(maps, state[..., None]).reshape(weights.shape[:-2] + (len(_MONOMIALS), -1))
-        out = np.matmul(weights, y).reshape(state.shape)
-    if not np.isfinite(out).all():
+        out = np.matmul(table, state[..., None]).reshape(state.shape)
+    # a sum of squares is finite only when every entry is; only when it is
+    # not (a non-finite state, or a finite one past about 1e154) is every
+    # entry looked at
+    if not cmath.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise IntegrationError(f"non-finite state entries after step at t={t:.6g}")
     return out
 
@@ -174,12 +179,17 @@ def _stages(state: np.ndarray, t: float, dt: float, rhs: Callable) -> np.ndarray
 
 
 # Chains whose float64 entries vector is at most this wide step through a
-# tabulated RK4 map: below it one (12 W, W) product costs less than four
-# RHS calls (a fifth at W = 22, about half at W = 132, twice as much from
-# W = 264 on; one core).  Every symmetric chain is below it.
+# tabulated RK4 map: below it one W x W product, with its share of forming
+# that map from the 12 W^2 entries of the monomial stack, costs less than
+# four RHS calls (a tenth at W = 22, a fifth at W = 57, about as much at
+# W = 132, 3.4 times as much at W = 273; one core).  Every symmetric chain
+# is below it.
 _TABLE_WIDTH = 128
 # Steps whose envelope weights are formed at once.
 _TABLE_STEPS = 256
+# Bytes of one member's maps formed at once (a power of two steps that
+# divides _TABLE_STEPS; at least one step).
+_MAP_BYTES = 64 * 1024
 # The exponents (i, j, k) of the monomials a^i b^j c^k of one step's
 # envelope values a, b, c = g(t), g(t + dt/2), g(t + dt).
 _MONOMIALS = tuple(itertools.product(range(2), range(3), range(2)))
@@ -190,7 +200,7 @@ _TABLE_CHECK = 1e-8
 
 
 def _rk4_map(l0: np.ndarray, l1: np.ndarray, dt: float) -> np.ndarray:
-    """The (12 W, W) stack of the matrices C_ijk, in the order of
+    """The (12, W^2) stack of the flattened matrices C_ijk, in the order of
     ``_MONOMIALS``, such that one RK4 step of size dt of
     x' = (L0 + g(t) L1) x maps x to sum_ijk a^i b^j c^k C_ijk x, a, b and c
     being g at the step's stage times t, t + dt/2 and t + dt: RK4's
@@ -222,7 +232,7 @@ def _rk4_map(l0: np.ndarray, l1: np.ndarray, dt: float) -> np.ndarray:
     k3 = derivative(1, combine((1.0, one), (0.5 * dt, k2)))
     k4 = derivative(2, combine((1.0, one), (dt, k3)))
     step = combine((1.0, one), (dt / 6.0, combine((1.0, k1), (2.0, k2), (2.0, k3), (1.0, k4))))
-    return np.concatenate([step[key] for key in _MONOMIALS])
+    return np.stack([step[key].reshape(-1) for key in _MONOMIALS])
 
 
 def _tabulated(rhs: RhsEvaluator, dt: float) -> np.ndarray | None:
@@ -237,41 +247,70 @@ def _tabulated(rhs: RhsEvaluator, dt: float) -> np.ndarray | None:
     return maps if np.isfinite(maps).all() else None
 
 
+def _map_steps(width: int) -> int:
+    """Steps whose W x W maps are formed at once: the largest power of two
+    whose maps of one member fit ``_MAP_BYTES``, at least 1 and at most
+    ``_TABLE_STEPS``.  It depends on W alone, so a member's maps are formed
+    with the same shapes alone and in any stack."""
+    span = _TABLE_STEPS
+    while span > 1 and 8 * span * width * width > _MAP_BYTES:
+        span //= 2
+    return span
+
+
 class _Table:
-    """The tabulated RK4 map of one chain, (12 W, W), or of each member of a
-    stack, (members, 12 W, W), with one pulse per map, and their envelope
-    weights, formed for ``_TABLE_STEPS`` steps at a time."""
+    """The tabulated RK4 maps of one chain, (12, W^2), or of each member of a
+    stack, (members, 12, W^2), with one pulse per member.  Their envelope
+    weights are formed for ``_TABLE_STEPS`` steps at a time, and from them
+    each step's own W x W map, ``_map_steps(W)`` steps at a time, with one
+    product (members, steps, 12) @ (members, 12, W^2).  Both blocks start at
+    multiples of their length, so a member's maps do not depend on when it
+    joined or who it steps with."""
 
     def __init__(self, maps: np.ndarray, pulses: list[GaussianPulse], dt: float):
         self.maps, self.pulses, self.dt = maps, pulses, dt
-        self.first = 0
-        self.weights = np.empty((0,) + maps.shape[:-2] + (1, len(_MONOMIALS)))
+        self.width = math.isqrt(maps.shape[-1])
+        self.span = _map_steps(self.width)
+        self.first = self.start = -_TABLE_STEPS
+        self.weights = self.steps = None
 
-    def at(self, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``table`` argument of :func:`rk4_step` for step ``step``:
-        the maps and the weights a^i b^j c^k of each one's envelope at the
-        step's stage times, (1, 12) or (members, 1, 12)."""
-        row = step - self.first
-        if not 0 <= row < len(self.weights):
-            # blocks start at multiples of _TABLE_STEPS, so a member's
-            # weights do not depend on when it joined or who it steps with
-            self.first = step - step % _TABLE_STEPS
-            row = step - self.first
-            t = np.arange(self.first, self.first + _TABLE_STEPS) * self.dt
-            a, b, c = (np.array([p.envelope(s) for p in self.pulses]).T
+    def at(self, step: int) -> np.ndarray:
+        """The ``table`` argument of :func:`rk4_step` for step ``step``: the
+        map, (W, W), or each member's, (members, W, W), of the envelope
+        weights a^i b^j c^k at the step's stage times."""
+        row = step - self.start
+        if not 0 <= row < self.span:
+            self._form(step)
+            row = step - self.start
+        return self.steps[row]
+
+    def _form(self, step: int) -> None:
+        """Form the maps of the ``span`` steps from the multiple of ``span``
+        at or before ``step``, and the weights they need."""
+        first = step - step % _TABLE_STEPS
+        if first != self.first:
+            self.first = first
+            t = np.arange(first, first + _TABLE_STEPS) * self.dt
+            a, b, c = (np.array([p.envelope(s) for p in self.pulses])
                        for s in (t, t + 0.5 * self.dt, t + self.dt))
             one = np.ones_like(a)
-            # (steps, pulses, i, j, k): (a^i b^j) c^k, in the order of _MONOMIALS
+            # (pulses, steps, i, j, k): (a^i b^j) c^k, in the order of _MONOMIALS
             weights = (np.stack((one, a), axis=-1)[..., None, None]
                        * np.stack((one, b, b * b), axis=-1)[..., None, :, None]
                        * np.stack((one, c), axis=-1)[..., None, None, :])
-            self.weights = weights.reshape((_TABLE_STEPS,) + self.maps.shape[:-2] + (1, -1))
-        return self.maps, self.weights[row]
+            self.weights = weights.reshape(self.maps.shape[:-2] + (_TABLE_STEPS, -1))
+        self.start = step - step % self.span
+        row = self.start - first
+        block = np.matmul(self.weights[..., row : row + self.span, :], self.maps)
+        # (steps, [members,] W, W)
+        self.steps = block.reshape(block.shape[:-1] + (self.width, self.width)).swapaxes(0, -3)
 
     def take(self, keep: list[int]) -> "_Table":
         """The table of the members at indices ``keep``."""
         out = _Table(self.maps[keep], [self.pulses[j] for j in keep], self.dt)
-        out.first, out.weights = self.first, self.weights[:, keep]
+        if self.weights is not None:
+            out.first, out.start = self.first, self.start
+            out.weights, out.steps = self.weights[keep], self.steps[:, keep]
         return out
 
 
@@ -550,16 +589,17 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
     pair_c = pair_concurrences(rho, n, symmetric)
     c_all = average_concurrence(pair_c, n, "all-pairs")
     c_half = average_concurrence(pair_c, n, "half-n")
+    if mode is not DriveMode.NONE:
+        # each row's drive_intensity at its time, bit for bit
+        intensity = drive_intensities([c.pulse for c in owners], [c.gamma_ref for c in owners], ts)
     for chain, rows in rows_of.items():
         if chain.error is not None:
             continue
         traj, k = chain.traj, np.array([ks[r] for r in rows])
         traj.times[k] = [ts[r] for r in rows]
-        if mode is not DriveMode.NONE:
-            # one scalar call per sample: the array envelope rounds differently
-            for r in rows:
-                traj.pulse_intensity[ks[r]] = chain.pulse.drive_intensity(chain.gamma_ref, ts[r])
         rows = np.array(rows)
+        if mode is not DriveMode.NONE:
+            traj.pulse_intensity[k] = intensity[rows]
         traj.p_ground[k] = pops.p_ground[rows]
         traj.p_one[k] = pops.p_one[rows]
         traj.p_two[k] = pops.p_two[rows]
@@ -596,25 +636,31 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
     dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
     chunk = _Chunk(chains[0])
     chunk.record(chains, 0, 0.0, work if stacked else work[None])
-    step = 0
+    # the members are rescanned only when one can leave: after a sample is
+    # recorded (its chunk may find a breach), after a step error, and at the
+    # nearest member's n_steps
+    step = scan = 0
     while True:
-        if any(chain.error is not None or chain.n_steps <= step for chain in chains):
-            # members leave with their samples evaluated; a breach found in
-            # them ends its member here too
-            chunk.flush()
-            keep = []
-            for j, chain in enumerate(chains):
-                if chain.error is None and chain.n_steps > step:
-                    keep.append(j)
-                else:
-                    # the trajectory leaves with the member; the stack keeps no reference
-                    outcome, chain.traj, chain.work = chain.error or chain.traj, None, None
-                    yield chain.index, outcome
-            if not keep:
-                return
-            chains = [chains[j] for j in keep]
-            work, rhs = work[keep], rhs.take(keep)
-            table = table and table.take(keep)
+        if step >= scan:
+            if any(chain.error is not None or chain.n_steps <= step for chain in chains):
+                # members leave with their samples evaluated; a breach found
+                # in them ends its member here too
+                chunk.flush()
+                keep = []
+                for j, chain in enumerate(chains):
+                    if chain.error is None and chain.n_steps > step:
+                        keep.append(j)
+                    else:
+                        # the trajectory leaves with the member; the stack
+                        # keeps no reference
+                        outcome, chain.traj, chain.work = chain.error or chain.traj, None, None
+                        yield chain.index, outcome
+                if not keep:
+                    return
+                chains = [chains[j] for j in keep]
+                work, rhs = work[keep], rhs.take(keep)
+                table = table and table.take(keep)
+            scan = min(chain.n_steps for chain in chains)
 
         t = step * dt
         start = work
@@ -622,6 +668,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
         try:
             work = rk4_step(work, t, dt, rhs, tabulated)
         except IntegrationError as exc:
+            scan = step
             if not stacked:
                 chains[0].error = exc
                 continue
@@ -629,7 +676,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             # same arithmetic, and the others keep that result
             parts = []
             for j, chain in enumerate(chains):
-                alone = tabulated and (tabulated[0][j : j + 1], tabulated[1][j : j + 1])
+                alone = None if tabulated is None else tabulated[j : j + 1]
                 try:
                     parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j]), alone))
                 except IntegrationError as member_exc:
@@ -641,6 +688,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
         step += 1
         if step % sample_every == 0:
             chunk.record(chains, step // sample_every, step * dt, work if stacked else work[None])
+            scan = step
 
 
 def _check_table(chains: list[_Chain], x: np.ndarray, stepped: np.ndarray, dt: float,

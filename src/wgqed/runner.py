@@ -206,12 +206,13 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
 # (as much as 2,700 real coefficients) plus each stored coefficient, a
 # complex-arithmetic one at 1.6 times a real one; a step through a
 # tabulated map (W <= 128 float64 entries) costs a fixed part (as much as
-# 520 real coefficients) plus a tenth for each TABLE_ENTRIES of the map's
-# 12 W^2 entries; a sample costs SAMPLE_WEIGHT for each state of the
-# sector basis.  Integers, so that members of equal cost tie exactly.
+# 210 real coefficients) plus a tenth for each TABLE_ENTRIES of the 12 W^2
+# entries its own W x W map is formed from; a sample costs SAMPLE_WEIGHT
+# for each state of the sector basis.  Integers, so that members of equal
+# cost tie exactly.
 STEP_WEIGHT = 27_000
 REAL_WEIGHT, COMPLEX_WEIGHT = 10, 16
-TABLE_STEP_WEIGHT, TABLE_ENTRIES = 5_200, 10
+TABLE_STEP_WEIGHT, TABLE_ENTRIES = 2_100, 13
 SAMPLE_WEIGHT = 930
 
 

@@ -291,20 +291,28 @@ class TestIntegrate:
                                     IntegratorConfig(**config))], DriveMode.TWO_PHOTON))
 
     def test_trace_breach_mid_stack_leaves_the_others_exact(self):
-        # at dt = 0.5 unit rates breach the trace bound at t = 13 (the
-        # rounding of an unstable run), smaller rates do not: the middle
-        # member leaves at that sample, and its neighbours, sampled in the
-        # same pass, keep integrate's trajectory
+        # at dt = 0.5 rates of 5 make RK4 unstable, and the state grows about
+        # 1e4-fold a step.  Its trace deviation, rounding on that state,
+        # goes from below 1e-8 at t = 2 to above 1e-4 at t = 3, so the
+        # breach is at t = 3 whatever the last bits; smaller rates do not
+        # breach.  The middle member leaves at that sample, and its
+        # neighbours, sampled in the same pass, keep integrate's trajectory
         config = IntegratorConfig(dt=0.5, t_end=20.0, sample_every=2)
         pulse = GaussianPulse(5.0, 1.5)
-        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), ChainParams(n=3),
+        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1),
+                  ChainParams(n=3, gamma_r=5.0, gamma_l=5.0),
                   ChainParams(n=3, gamma_r=0.3, gamma_l=0.1)]
         stack = [(HierarchyState.ground(3), p, pulse, config) for p in chains]
         outcomes = dict(evolve(stack, DriveMode.TWO_PHOTON, keep_states=True))
         with pytest.raises(IntegrationError) as alone:
             integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
-        assert str(alone.value).startswith("trace deviation") and str(alone.value).endswith("at t=13")
-        assert type(outcomes[1]) is IntegrationError and str(outcomes[1]) == str(alone.value)
+        before = integrate(*stack[1][:3], DriveMode.TWO_PHOTON,
+                           IntegratorConfig(dt=0.5, t_end=2.0, sample_every=2))
+        assert before.trace_err.max() < 1e-8
+        message = str(alone.value)
+        assert message.startswith("trace deviation") and message.endswith("at t=3")
+        assert float(message.split()[2]) > 1e-4
+        assert type(outcomes[1]) is IntegrationError and str(outcomes[1]) == message
         for i in (0, 2):
             want = integrate(*stack[i][:3], DriveMode.TWO_PHOTON, config, keep_states=True)
             for f in fields(Trajectory):
@@ -312,14 +320,15 @@ class TestIntegrate:
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
 
     def test_trace_breach_is_reported_after_overflow_in_its_chunk(self, monkeypatch):
-        # the unit-rate chain breaches the trace bound at t = 13 and, stepped
-        # on, goes non-finite before t_end; with the whole run in one chunk
-        # the breach is still what integrate and evolve report, and the
+        # the chain of rates 5 breaches the trace bound at t = 3 and, stepped
+        # on, goes non-finite at t = 42; with the whole run in one chunk the
+        # breach is still what integrate and evolve report, and the
         # neighbours in its stack keep integrate's trajectories bit for bit
         monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1 << 40)
         config = IntegratorConfig(dt=0.5, t_end=300.0, sample_every=2)
         pulse = GaussianPulse(5.0, 1.5)
-        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1), ChainParams(n=3),
+        chains = [ChainParams(n=3, gamma_r=0.1, gamma_l=0.1),
+                  ChainParams(n=3, gamma_r=5.0, gamma_l=5.0),
                   ChainParams(n=3, gamma_r=0.3, gamma_l=0.1)]
         stack = [(HierarchyState.ground(3), p, pulse, config) for p in chains]
         rhs = RhsEvaluator(chains[1], pulse, DriveMode.TWO_PHOTON)
@@ -331,8 +340,8 @@ class TestIntegrate:
             with pytest.raises(IntegrationError) as alone:
                 integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
             outcomes = list(evolve(stack, DriveMode.TWO_PHOTON, keep_states=True))
-        breach = "trace deviation 3.967e-04 exceeds 1e-06 at t=13"
-        assert str(alone.value) == breach
+        breach = str(alone.value)
+        assert breach.startswith("trace deviation") and breach.endswith("exceeds 1e-06 at t=3")
         assert [i for i, _ in outcomes] == [1, 0, 2]
         assert type(outcomes[0][1]) is IntegrationError and str(outcomes[0][1]) == breach
         for i, outcome in outcomes[1:]:
@@ -341,10 +350,10 @@ class TestIntegrate:
                 got, ref = getattr(outcome, f.name), getattr(want, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
         # yield order can shift: the breaching member leaves at the next
-        # flush, here when a shorter member reaches its t_end at t = 50, and
-        # so after it, although it breached first
+        # flush, here when a shorter member reaches its t_end at t = 20,
+        # and so after it, although it breached first
         short = (HierarchyState.ground(3), chains[0], pulse,
-                 IntegratorConfig(dt=0.5, t_end=50.0, sample_every=2))
+                 IntegratorConfig(dt=0.5, t_end=20.0, sample_every=2))
         outcomes = list(evolve([short, stack[1]], DriveMode.TWO_PHOTON))
         assert [i for i, _ in outcomes] == [0, 1]
         assert str(outcomes[1][1]) == breach
@@ -770,6 +779,32 @@ class TestEntriesSampling:
                 assert one.tobytes() == whole.tobytes(), f.name
 
 
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_pulse_intensity_is_each_sample_drive_intensity(self, monkeypatch, budget):
+        # a stack of members with their own pulses, normalizations, rates
+        # and lengths, sampled a row per chunk or all in one chunk: each
+        # row's pulse_intensity is the scalar drive_intensity at its time,
+        # bit for bit; an undriven run reads 0
+        monkeypatch.setattr(integrator, "_CHUNK_BYTES", budget)
+        members = [
+            (HierarchyState.ground(2), ChainParams(n=2, gamma_r=rate, gamma_l=rate), pulse,
+             IntegratorConfig(dt=0.01, t_end=t_end, sample_every=3))
+            for rate, pulse, t_end in (
+                (1.0, GaussianPulse(2.0, 0.5), 6.0),
+                (0.3, GaussianPulse(3.0, 1.5, "verbatim"), 9.0),
+                (2.0, GaussianPulse(1.0, 0.25), 4.0),
+            )
+        ]
+        outcomes = dict(evolve(members, DriveMode.TWO_PHOTON))
+        for i, (_, params, pulse, config) in enumerate(members):
+            traj = outcomes[i]
+            assert len(traj) == 1 + config.n_steps // 3 and traj.pulse_intensity.max() > 0.01
+            want = [pulse.drive_intensity(float(params.gamma_r[0]), t) for t in traj.times.tolist()]
+            assert traj.pulse_intensity.tobytes() == np.array(want).tobytes()
+        undriven = dict(evolve(members, DriveMode.NONE))
+        assert not any(traj.pulse_intensity.any() for traj in undriven.values())
+
+
 def _tabulated_stack(rhs, dt):
     """The :class:`integrator._Table` of one evaluator, or of a list of
     evaluators that share a system, each map from
@@ -832,6 +867,43 @@ class TestTabulatedStep:
                     x = want
                 assert np.abs(x).max() > 1e-3
         assert tabulated >= (2 if n < 4 or symmetric else 1)
+
+    @pytest.mark.parametrize("chain", ["symmetric-real", "asymmetric-complex"])
+    def test_stack_rows_are_each_member_alone_across_blocks(self, chain):
+        # 230, 330 and 480 steps: past the 256-step weight block and through
+        # many map blocks.  The shortest member leaves the stack inside a map
+        # block, where the table is taken, and the others step on; every
+        # map and every trajectory is each member's alone, bit for bit
+        n, kwargs, dt = 2, _CHAINS[chain], 0.02
+        symmetric = chain.startswith("symmetric")
+        members = [
+            (HierarchyState.ground(n),
+             ChainParams(n=n, gamma_r=r, gamma_l=r if symmetric else l,
+                         **{k: v for k, v in kwargs.items() if k == "delta"}),
+             GaussianPulse(2.0 + j, 0.5 + 0.25 * j),
+             IntegratorConfig(dt=dt, t_end=t_end, sample_every=7))
+            for j, ((r, l), t_end) in enumerate(zip(_MEMBER_RATES, (6.6, 4.6, 9.6)))
+        ]
+        alone = [RhsEvaluator(p, g) for _, p, g, _ in members]
+        table = _tabulated_stack(alone, dt)
+        singles = [_tabulated_stack(r, dt) for r in alone]
+        span, leaves = table.span, members[1][3].n_steps
+        assert span < 256 and leaves % span and 256 < members[2][3].n_steps
+        kept = [0, 1, 2]
+        for step in range(members[2][3].n_steps):
+            if step == leaves:
+                table, kept = table.take([0, 2]), [0, 2]
+            maps = table.at(step)
+            assert maps.shape == (len(kept),) + (alone[0].system.width,) * 2
+            for row, j in enumerate(kept):
+                assert maps[row].tobytes() == singles[j].at(step).tobytes()
+        outcomes = dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True))
+        assert [o.p_excited.max() > 1e-3 for o in outcomes.values()] == [True] * 3
+        for i, member in enumerate(members):
+            want = integrate(*member[:3], DriveMode.TWO_PHOTON, member[3], keep_states=True)
+            for f in fields(Trajectory):
+                got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
 
     def test_global_error_falls_sixteen_fold_per_halving(self):
         # a driven, detuned chiral chain through the pulse: the tabulated

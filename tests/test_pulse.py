@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wgqed.presets import expand_preset
-from wgqed.pulse import NORMALIZATIONS, GaussianPulse, envelopes
+from wgqed.pulse import NORMALIZATIONS, GaussianPulse, drive_intensities, envelopes
 
 
 def test_verbatim_peak_value():
@@ -68,6 +68,20 @@ def test_envelopes_are_each_envelope_bit_for_bit():
         want = [p.envelope(t) for p in pulses]
         assert envelopes(pulses, t).tobytes() == np.array(want).tobytes()
     assert envelopes(pulses, 40.0)[-1] == 0.0 < envelopes(pulses, 19.0)[-1]
+
+
+def test_drive_intensities_are_each_drive_intensity_bit_for_bit():
+    # every sample time of a dt = 1e-3, sample_every 10 run to t = 40 for
+    # pulses of four widths, both normalizations and two rates, each row its
+    # own pulse, rate and time, and the tail where the envelope underflows
+    pulses = [GaussianPulse(5.0, w, norm) for w in (0.5, 1.0, 2.0, 3.0) for norm in NORMALIZATIONS]
+    times = [k * 10 * 1e-3 for k in range(4001)] + [30.0, 40.0, 60.0, 1e3]
+    rows = [(p, gamma, t) for p in pulses for gamma in (1.0, 0.1) for t in times]
+    got = drive_intensities(*zip(*rows))
+    want = np.array([p.drive_intensity(gamma, t) for p, gamma, t in rows])
+    assert got.tobytes() == want.tobytes()
+    assert want.max() > 0.0 and (want == 0.0).any()
+    assert drive_intensities([], [], []).shape == (0,)
 
 
 def test_scalar_envelope_is_the_array_path_bit_for_bit():

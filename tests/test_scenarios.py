@@ -179,15 +179,18 @@ class TestRunner:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_member_does_not_lose_the_others(self, tmp_path, jobs):
-        # at dt = 0.5 unit rates breach the trace bound by t = 15; rates 0.1 do not
+        # at dt = 0.5 rates of 5 make RK4 unstable: the trace deviation is
+        # 0 at t = 0 and past 1e3 at the next sample, t = 5, whatever the
+        # last bits; rates 0.1 do not breach
         coarse = dict(n=3, dt=0.5, t_end=16.0)
         configs = [
-            ExperimentConfig(label="unit", **coarse),
+            ExperimentConfig(label="fast", gamma_r=5.0, gamma_l=5.0, **coarse),
             ExperimentConfig(label="small", gamma_r=0.1, gamma_l=0.1, **coarse),
         ]
-        unit, small = run_many(configs, out_dir=str(tmp_path), jobs=jobs)
-        assert isinstance(unit, IntegrationError)
-        assert str(unit).startswith("trace deviation") and str(unit).endswith("at t=15")
+        fast, small = run_many(configs, out_dir=str(tmp_path), jobs=jobs)
+        assert isinstance(fast, IntegrationError)
+        assert str(fast).startswith("trace deviation") and str(fast).endswith("at t=5")
+        assert float(str(fast).split()[2]) > 1e3
         assert isinstance(small, RunSummary) and small.label == "small"
         assert sorted(os.listdir(tmp_path)) == ["small.csv", "small.meta.json"]
 
@@ -277,24 +280,25 @@ class TestRunner:
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         # the chains below are asymmetric (gamma_l 0.5) and evolve every
         # stored entry.  An n = 5 member outweighs a twice as long n = 3 one
-        # (478 coefficients), but not a twelve times longer one: the cube of
-        # the basis (26^3 against 8^3) would still put the n = 5 member first
+        # (478 coefficients), but not a sixteen times longer one: the cube
+        # of the basis (26^3 against 8^3) would still put the n = 5 member
+        # first
         tiny = apply_overrides(TINY, gamma_l=(0.5,))
         mixed = [apply_overrides(tiny, n=5, label="n5"),
                  apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
                  apply_overrides(tiny, n=3, label="n3b")]
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed[1] = apply_overrides(tiny, n=3, t_end=12 * TINY.t_end, label="n3")
+        mixed[1] = apply_overrides(tiny, n=3, t_end=16 * TINY.t_end, label="n3")
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
         assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
         # an n = 3 member steps through its tabulated map (57 entries), at
-        # less than a quarter of the cost of an n = 4 one through the RHS
-        # stages (1,599 coefficients): twice as long, it goes after it, five
-        # times as long, ahead of it
+        # less than an eighth of the step cost of an n = 4 one through the
+        # RHS stages (1,599 coefficients): twice as long, it goes after it,
+        # eight times as long, ahead of it
         mixed = [apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
                  apply_overrides(tiny, n=4, label="n4"), apply_overrides(tiny, label="n2")]
         assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        mixed[0] = apply_overrides(tiny, n=3, t_end=5.0, label="n3")
+        mixed[0] = apply_overrides(tiny, n=3, t_end=8.0, label="n3")
         assert runner._batches(mixed, 2) == [[0], [1, 2]]
         # a complex coefficient costs 1.6 real ones: a detuned n = 4 member
         # (1,639 complex coefficients) goes ahead of a 1.2 times longer real
