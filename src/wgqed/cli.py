@@ -84,8 +84,6 @@ def main(argv=None) -> int:
             return 0
 
         # sweep
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         configs = [_overridden(cfg, args) for cfg in expand_preset(args.id)]
         results = run_many(configs, out_dir=args.out, jobs=args.jobs)
         for cfg, result in zip(configs, results):

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
-from .hierarchy import HierarchyState, RhsEvaluator
-from .integrator import _TABLE_WIDTH, Trajectory, evolve, integrate
+from .config import ConfigError, ExperimentConfig
+from .hierarchy import HierarchyState
+from .integrator import Trajectory, evolve, integrate
 from .observables import max_concurrence, survival_time
 
 POSITIVITY_WARN = -1e-7
@@ -161,8 +161,36 @@ def _report(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | None]]:
-    """Run one worker's members, each group of compatible ones as one stack.
+def _stack_key(cfg: ExperimentConfig) -> tuple:
+    """Configs of one key step as one stack (``evolve`` splits it further)."""
+    return (cfg.n, cfg.mode, cfg.rho21_hc, cfg.dt, cfg.sample_every)
+
+
+def _units(configs, jobs: int) -> list[list[int]]:
+    """Config indices in units of work, more qubits first, then more steps.
+
+    Each group of one :func:`_stack_key` is dealt into ``min(jobs, size)``
+    slices, longest member first, each to the slice with the fewest steps.
+    """
+    steps = [cfg.integrator_config().n_steps for cfg in configs]
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_stack_key(cfg), []).append(i)
+    units = []
+    for group in groups.values():
+        slices: list[list[int]] = [[] for _ in range(min(jobs, len(group)))]
+        loads = [0] * len(slices)
+        for i in sorted(group, key=lambda i: -steps[i]):
+            s = min(range(len(slices)), key=lambda s: (loads[s], len(slices[s])))
+            slices[s].append(i)
+            loads[s] += steps[i]
+        units += [sorted(unit) for unit in slices]
+    units.sort(key=lambda unit: (-configs[unit[0]].n, -sum(steps[i] for i in unit)))
+    return units
+
+
+def _run_unit(configs, out_dir) -> list[tuple[RunSummary | Exception, str | None]]:
+    """Run one unit's members, which share a :func:`_stack_key`, as one stack.
 
     Each member's outputs are written as soon as it finishes.  Returns, per
     member, its summary or exception, and its positivity warning.  An
@@ -170,79 +198,25 @@ def _run_batch(configs, out_dir) -> list[tuple[RunSummary | Exception, str | Non
     trip back from a worker process.
     """
     results: list = [None] * len(configs)
-    # evolve() steps each group, split by arithmetic and symmetry, as stacks
-    groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault((cfg.n, cfg.mode, cfg.rho21_hc, cfg.dt, cfg.sample_every), []).append(i)
-    for indices in groups.values():
-        first = configs[indices[0]]
-        members = [_member(configs[i]) for i in indices]
-        try:
-            for j, outcome in evolve(members, first.drive_mode(), first.rho21_hc):
-                i = indices[j]
-                if isinstance(outcome, Exception):
-                    results[i] = (outcome, None)
-                    continue
-                try:
-                    summary = _finish(configs[i], outcome, out_dir)
-                    results[i] = (summary, _positivity_warning(outcome, configs[i].label))
-                except Exception as exc:
-                    results[i] = (exc, None)
-        except Exception as exc:  # the group's unfinished members share the error
-            for i in indices:
-                if results[i] is None:
-                    results[i] = (exc, None)
+    try:
+        members = [_member(cfg) for cfg in configs]
+        for i, outcome in evolve(members, configs[0].drive_mode(), configs[0].rho21_hc):
+            if isinstance(outcome, Exception):
+                results[i] = (outcome, None)
+                continue
+            try:
+                summary = _finish(configs[i], outcome, out_dir)
+                results[i] = (summary, _positivity_warning(outcome, configs[i].label))
+            except Exception as exc:
+                results[i] = (exc, None)
+    except Exception as exc:  # the unit's unfinished members share the error
+        results = [(exc, None) if result is None else result for result in results]
     noted = set()
     for result, _ in results:
         if isinstance(result, Exception) and id(result) not in noted:
             noted.add(id(result))
             result.add_note("".join(traceback.format_exception(result)))
     return results
-
-
-# The cost of a member in tenths of a stored real coefficient, fitted to
-# one-core timings (BLAS 1 thread) of the preset members, whose tabulated
-# maps have W <= 57.  A step through the four RHS stages costs a fixed part
-# (as much as 2,700 real coefficients) plus each stored coefficient, a
-# complex-arithmetic one at 1.6 times a real one; a step through a
-# tabulated map (W <= 128 float64 entries) costs a fixed part (as much as
-# 210 real coefficients) plus a tenth for each TABLE_ENTRIES of the 12 W^2
-# entries its own W x W map is formed from; a sample costs SAMPLE_WEIGHT
-# for each state of the sector basis.  Integers, so that members of equal
-# cost tie exactly.
-STEP_WEIGHT = 27_000
-REAL_WEIGHT, COMPLEX_WEIGHT = 10, 16
-TABLE_STEP_WEIGHT, TABLE_ENTRIES = 2_100, 13
-SAMPLE_WEIGHT = 930
-
-
-def _cost(cfg: ExperimentConfig) -> int:
-    """A member's cost: its steps, priced by its coefficients or by its
-    tabulated map, and its samples, priced by the size of its basis.  A
-    member whose map would hold a non-finite entry is priced as
-    tabulated."""
-    system = RhsEvaluator(cfg.chain_params(), cfg.gaussian_pulse(), cfg.drive_mode(),
-                          cfg.rho21_hc).system
-    if system.width <= _TABLE_WIDTH:
-        step = TABLE_STEP_WEIGHT + 12 * system.width**2 // TABLE_ENTRIES
-    else:
-        step = STEP_WEIGHT + (REAL_WEIGHT if system.real else COMPLEX_WEIGHT) * len(system.cols)
-    config = cfg.integrator_config()
-    samples = 1 + config.n_steps // config.sample_every
-    return config.n_steps * step + samples * SAMPLE_WEIGHT * system.shape[1]
-
-
-def _batches(configs, count: int) -> list[list[int]]:
-    """Config indices split into ``count`` batches balanced by each member's
-    :func:`_cost`; longest member first, each to the least loaded batch."""
-    cost = [_cost(c) for c in configs]
-    batches: list[list[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for i in sorted(range(len(configs)), key=lambda i: -cost[i]):
-        b = min(range(count), key=lambda b: (loads[b], len(batches[b])))
-        batches[b].append(i)
-        loads[b] += cost[i]
-    return [sorted(batch) for batch in batches]
 
 
 SUMMARY_CONFIG_COLUMNS = (
@@ -286,23 +260,33 @@ def emit_summary_csv(configs, summaries, path) -> None:
 def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exception]:
     """Run a family of configs, optionally in parallel worker processes.
 
-    The members are split into at most ``jobs`` batches, one per worker, and
-    each batch steps its compatible members (same n, drive mode, rho21_hc, dt
-    and sample_every) as one stack.  Every member's files are the ones
-    :func:`run` writes.  Returns, in config order, each member's summary or
-    the exception it raised: a failing member does not stop the others.
-    Positivity warnings are issued here, in config order.
+    Members that share a :func:`_stack_key` (n, drive mode, rho21_hc, dt and
+    sample_every) are dealt into at most ``jobs`` units, balanced by their
+    steps, and each unit steps as one stack.  The units, more qubits first,
+    then more steps, go to whichever of at most ``jobs`` workers is free.
+    Every member's files are the ones :func:`run` writes.  Returns, in config
+    order, each member's summary or the exception it raised: a failing member
+    does not stop the others, and a worker that dies fails only the units
+    not yet finished.  Positivity warnings are issued here, in config order.
     """
-    batches = _batches(configs, min(jobs, len(configs)))
-    work = [[configs[i] for i in batch] for batch in batches]
-    if len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            outcomes = list(pool.map(_run_batch, work, [out_dir] * len(batches)))
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    units = _units(configs, jobs)
+    work = [[configs[i] for i in unit] for unit in units]
+    if jobs > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+            futures = [pool.submit(_run_unit, members, out_dir) for members in work]
+            outcomes = []
+            for future, members in zip(futures, work):
+                try:
+                    outcomes.append(future.result())
+                except Exception as exc:  # say, the pool broke: its worker died
+                    outcomes.append([(exc, None)] * len(members))
     else:
-        outcomes = [_run_batch(batch, out_dir) for batch in work]
+        outcomes = [_run_unit(members, out_dir) for members in work]
     results: list = [None] * len(configs)
-    for batch, outcome in zip(batches, outcomes):
-        for i, result in zip(batch, outcome):
+    for unit, outcome in zip(units, outcomes):
+        for i, result in zip(unit, outcome):
             results[i] = result
     for _, message in results:
         if message is not None:

@@ -5,6 +5,7 @@ from wgqed.config import ExperimentConfig
 from wgqed.hierarchy import HierarchyState
 from wgqed.integrator import IntegratorConfig, evolve
 from wgqed.presets import expand_preset
+from wgqed.runner import _stack_key
 
 
 class FigureRuns:
@@ -13,9 +14,10 @@ class FigureRuns:
     Labels follow the preset member labels; resonant/symmetric baselines that
     duplicate the fig3/fig4 parameter sets are aliased onto those runs instead
     of being integrated twice.  The labels the acceptance suite reads that
-    share n, drive mode, rho21_hc, dt and sample_every are integrated together
-    through one ``evolve`` call, as ``run_many`` does, when the first of them
-    is asked for; each trajectory is bit for bit the one ``integrate`` gives.
+    share the runner's stack key (n, drive mode, rho21_hc, dt and
+    sample_every) are integrated together through one ``evolve`` call, as a
+    ``run_many`` unit is, when the first of them is asked for; each
+    trajectory is bit for bit the one ``integrate`` gives.
     """
 
     ALIASES = {
@@ -52,14 +54,14 @@ class FigureRuns:
     def traj(self, label: str, dt: float | None = None):
         label = self.ALIASES.get(label, label)
         if (label, dt) not in self._cache:
+            cfg = self._configs[label]
             batch = [label]
             if dt is None:
                 batch += [
                     other for other in self.READ
                     if other != label and (other, None) not in self._cache
-                    and self._shape(other) == self._shape(label)
+                    and _stack_key(self._configs[other]) == _stack_key(cfg)
                 ]
-            cfg = self._configs[label]
             keep_states = dt is None and not self.KEEP_STATES.isdisjoint(batch)
             members = [self._member(other, dt) for other in batch]
             for i, outcome in evolve(members, cfg.drive_mode(), cfg.rho21_hc, keep_states):
@@ -68,10 +70,6 @@ class FigureRuns:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-
-    def _shape(self, label: str) -> tuple:
-        cfg = self._configs[label]
-        return (cfg.n, cfg.mode, cfg.rho21_hc, cfg.dt, cfg.sample_every)
 
     def _member(self, label: str, dt: float | None) -> tuple:
         cfg = self._configs[label]

@@ -1,6 +1,9 @@
 import json
 import logging
 import os
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -156,7 +159,7 @@ class TestRunner:
         assert traj.pair_concurrence.shape[1] == 0
 
     def test_run_many_starts_no_more_workers_than_members(self, monkeypatch):
-        started = []
+        started, submitted = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -168,14 +171,24 @@ class TestRunner:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, members, out_dir):
+                submitted.append([cfg.label for cfg in members])
+                future = Future()
+                future.set_result(fn(members, out_dir))
+                return future
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
         configs = [replace(TINY, label=label, t_end=0.1) for label in "abc"]
         summaries = run_many(configs, jobs=1000)
         assert started == [3]
         assert [s.label for s in summaries] == ["a", "b", "c"]
+        # three keys make three units, which two workers share; the n = 4
+        # unit goes first, and the summaries return in config order
+        configs = [apply_overrides(TINY, n=n, t_end=0.1, label=f"n{n}") for n in (2, 4, 3)]
+        submitted.clear()
+        summaries = run_many(configs, jobs=2)
+        assert started == [3, 2] and submitted == [["n4"], ["n3"], ["n2"]]
+        assert [s.label for s in summaries] == ["n2", "n4", "n3"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_member_does_not_lose_the_others(self, tmp_path, jobs):
@@ -258,60 +271,58 @@ class TestRunner:
                     (tmp_path / "alone" / name).read_bytes()
         assert len(os.listdir(tmp_path / "batched")) == 8
 
-    def test_batches_balance_steps_times_coefficients(self):
-        # twelve fig5c members share one system, so their step counts alone
-        # split them on two workers: three long and three short each
+    def test_units_slice_each_stack_key_more_qubits_first(self):
+        # fig5c's twelve members share one key, so their steps alone deal
+        # them into two units of three long and three short members each
         configs = [replace(cfg, dt=0.01) for cfg in expand_preset("fig5c-sweep")]
-        batches = runner._batches(configs, 2)
-        lengths = [sorted(configs[i].t_end for i in batch) for batch in batches]
-        assert lengths == [[25.0] * 3 + [50.0] * 3] * 2
-        # fig4's chains are symmetric and step through tabulated maps of
-        # 19, 22 and 22 float64 entries: the n = 5 member goes first, as its
-        # samples cost the most (26 basis states), and the n = 3 and n = 4
-        # ones share the other batch
-        fig4 = expand_preset("fig4")
-        assert [cfg.n for cfg in fig4] == [3, 4, 5]
-        assert runner._batches(fig4, 2) == [[2], [0, 1]]
-        # a step's fixed cost puts a twice as long symmetric n = 3 member
-        # ahead of a symmetric n = 5 one
-        mixed = [apply_overrides(TINY, n=5, label="n5"),
-                 apply_overrides(TINY, n=3, t_end=2.0, label="n3"),
-                 apply_overrides(TINY, n=3, label="n3b")]
-        assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        # the chains below are asymmetric (gamma_l 0.5) and evolve every
-        # stored entry.  An n = 5 member outweighs a twice as long n = 3 one
-        # (478 coefficients), but not a sixteen times longer one: the cube
-        # of the basis (26^3 against 8^3) would still put the n = 5 member
-        # first
-        tiny = apply_overrides(TINY, gamma_l=(0.5,))
-        mixed = [apply_overrides(tiny, n=5, label="n5"),
-                 apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
-                 apply_overrides(tiny, n=3, label="n3b")]
-        assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed[1] = apply_overrides(tiny, n=3, t_end=16 * TINY.t_end, label="n3")
-        assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        assert runner._batches(mixed[:1], 1) == [[0]] and runner._batches([], 0) == []
-        # an n = 3 member steps through its tabulated map (57 entries), at
-        # less than an eighth of the step cost of an n = 4 one through the
-        # RHS stages (1,599 coefficients): twice as long, it goes after it,
-        # eight times as long, ahead of it
-        mixed = [apply_overrides(tiny, n=3, t_end=2.0, label="n3"),
-                 apply_overrides(tiny, n=4, label="n4"), apply_overrides(tiny, label="n2")]
-        assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        mixed[0] = apply_overrides(tiny, n=3, t_end=8.0, label="n3")
-        assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        # a complex coefficient costs 1.6 real ones: a detuned n = 4 member
-        # (1,639 complex coefficients) goes ahead of a 1.2 times longer real
-        # n = 4 one (1,599), but not of a 1.3 times longer one; a 1.5 times
-        # longer real n = 5 member (4,359) goes ahead of it
-        mixed = [apply_overrides(tiny, n=4, delta=0.5, label="detuned"),
-                 apply_overrides(tiny, n=4, t_end=1.2, label="n4"),
-                 apply_overrides(tiny, label="n2")]
-        assert runner._batches(mixed, 2) == [[0], [1, 2]]
-        mixed[1] = apply_overrides(tiny, n=4, t_end=1.3, label="n4")
-        assert runner._batches(mixed, 2) == [[1], [0, 2]]
-        mixed[1] = apply_overrides(tiny, n=5, t_end=1.5, label="n5")
-        assert runner._batches(mixed, 2) == [[1], [0, 2]]
+        units = runner._units(configs, 2)
+        assert [sorted(configs[i].t_end for i in unit) for unit in units] == \
+            [[25.0] * 3 + [50.0] * 3] * 2
+        # fig6c's chiral and symmetric members share a key at each n: two
+        # jobs give eight single-member units, the n = 5 ones first
+        fig6c = expand_preset("fig6c-sweep")
+        units = runner._units(fig6c, 2)
+        assert [len(unit) for unit in units] == [1] * 8
+        assert [fig6c[unit[0]].n for unit in units] == [5, 5, 4, 4, 3, 3, 2, 2]
+        # fig7b's three members at each n share a key: of equal n, the unit
+        # of two members goes ahead of the unit of one
+        fig7b = expand_preset("fig7b")
+        units = runner._units(fig7b, 2)
+        assert [(fig7b[unit[0]].n, len(unit)) for unit in units] == [(4, 2), (4, 1), (2, 2), (2, 1)]
+        # every member is in exactly one unit, and no unit mixes keys
+        for preset in list_presets():
+            configs = expand_preset(preset)
+            for jobs in (1, 2, 3):
+                units = runner._units(configs, jobs)
+                assert sorted(i for unit in units for i in unit) == list(range(len(configs)))
+                assert all(len({runner._stack_key(configs[i]) for i in unit}) == 1
+                           for unit in units)
+        assert run_many([]) == []
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    def test_run_many_refuses_jobs_that_are_not_positive_integers(self, jobs):
+        with pytest.raises(ConfigError, match=f"^jobs must be an integer of at least 1, got {jobs}$"):
+            run_many([TINY], jobs=jobs)
+
+    def test_dead_worker_loses_only_its_unfinished_unit(self, tmp_path, monkeypatch):
+        finish = runner._finish
+
+        def dying(cfg, traj, out_dir):
+            if cfg.label == "dies":
+                # the other unit finishes first: its files are its last step
+                deadline = time.monotonic() + 30.0
+                while not (tmp_path / "lives.meta.json").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.1)
+                os._exit(1)
+            return finish(cfg, traj, out_dir)
+
+        monkeypatch.setattr(runner, "_finish", dying)  # forked workers inherit it
+        configs = [replace(TINY, label="dies", t_end=0.1), replace(TINY, label="lives", t_end=0.1)]
+        died, lived = run_many(configs, out_dir=str(tmp_path), jobs=2)
+        assert isinstance(died, BrokenProcessPool)
+        assert isinstance(lived, RunSummary) and lived.label == "lives"
+        assert sorted(os.listdir(tmp_path)) == ["lives.csv", "lives.meta.json"]
 
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
