@@ -9,9 +9,9 @@ motion.  A trace error beyond 1e-6 aborts the run with the offending time.
 
 :func:`evolve` steps a group of chains that share n, step and sampling
 stride as one stack through the same RK4 step, and samples in chunks of
-time: each sample instant only queues a copy of its live members' entries,
-and a chunk of instants is evaluated at once, each row's values the ones it
-gives alone.  A chunk reads its rows straight from the entries, one gather
+time: each sample instant only queues its live members' entries, and a
+chunk of instants is evaluated at once, each row's values the ones it gives
+alone.  A chunk reads its rows straight from the entries, one gather
 of every evolved block's diagonal and one of the reported block alone, and
 makes one call each of the observables and :func:`diagnostics` on all its
 rows.  It ends when those would pass a fixed byte budget (about 400 samples
@@ -32,9 +32,11 @@ is formed a block of steps at a time, with one product of the block's
 envelope weights and the stack, and the step is the one product M x:
 about a tenth of the cost of the four RHS stages at W = 22.  Its first
 step is also taken through the four stages, and a map that disagrees with
-them is refused.  Wider chains, and any whose map holds a non-finite
-entry, step through the four RHS stages.  Every step goes through
-:func:`rk4_step`.
+them is refused.  After it, the maps are applied a run at a time, from one
+event to the next (a sample, a map-block edge or the nearest member's
+n_steps), with one finiteness check per run.  Wider chains, and any whose
+map holds a non-finite entry, step through the four RHS stages one step
+at a time.  Every step goes through :func:`rk4_step`, alone or in a run.
 """
 
 from __future__ import annotations
@@ -146,21 +148,29 @@ def rk4_step(
     state: np.ndarray, t: float, dt: float, rhs: Callable, table: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 update of the state array (the entries vector of
-    :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps).
+    :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps), or
+    a run of tabulated ones.
 
     ``rhs(t, state)`` must return the derivative with the same shape; the
-    step is its four stages.  With a ``table`` (:meth:`_Table.at`), the
-    step is instead one product, without a call of ``rhs``: the step's own
-    (W, W) map of the chain, or (members, W, W) of each member of a stack,
-    times the state (:func:`_rk4_map`).  The result is checked for
-    overflow; non-finite entries abort.
+    step is its four stages.  With a ``table`` (:meth:`_Table.run`), the
+    steps are instead products, without a call of ``rhs``: a run of k
+    consecutive steps' own maps, (k, W, W) of the chain or (k, members, W,
+    W) of each member of a stack (:func:`_rk4_map`), applied to the state
+    in turn.  The result is checked for overflow once; non-finite entries
+    abort, naming ``t``, the time of the run's first step.  A non-finite
+    entry stays non-finite through every later product (inf times an exact
+    zero is NaN), so a run of k fails exactly when one of its steps would.
     """
     if table is None:
         out = _stages(state, t, dt, rhs)
     elif state.ndim == 1:
-        out = table.dot(state)  # the same product as matmul's, with less overhead
+        out = state
+        for step in table:
+            out = step.dot(out)  # the same product as matmul's, with less overhead
     else:
-        out = np.matmul(table, state[..., None]).reshape(state.shape)
+        out = state
+        for step in table:
+            out = np.matmul(step, out[..., None]).reshape(state.shape)
     # a sum of squares is finite only when every entry is; only when it is
     # not (a non-finite state, or a finite one past about 1e154) is every
     # entry looked at
@@ -265,7 +275,8 @@ class _Table:
     each step's own W x W map, ``_map_steps(W)`` steps at a time, with one
     product (members, steps, 12) @ (members, 12, W^2).  Both blocks start at
     multiples of their length, so a member's maps do not depend on when it
-    joined or who it steps with."""
+    joined or who it steps with.  A run of steps (:meth:`run`) lies within
+    one block of maps."""
 
     def __init__(self, maps: np.ndarray, pulses: list[GaussianPulse], dt: float):
         self.maps, self.pulses, self.dt = maps, pulses, dt
@@ -274,15 +285,17 @@ class _Table:
         self.first = self.start = -_TABLE_STEPS
         self.weights = self.steps = None
 
-    def at(self, step: int) -> np.ndarray:
-        """The ``table`` argument of :func:`rk4_step` for step ``step``: the
-        map, (W, W), or each member's, (members, W, W), of the envelope
-        weights a^i b^j c^k at the step's stage times."""
+    def run(self, step: int, k: int) -> np.ndarray:
+        """The ``table`` argument of :func:`rk4_step` for the ``k`` steps
+        from ``step`` on, which must not pass the next multiple of
+        ``span``: their maps, (k, W, W), or each member's, (k, members, W,
+        W), of the envelope weights a^i b^j c^k at each step's stage
+        times."""
         row = step - self.start
         if not 0 <= row < self.span:
             self._form(step)
             row = step - self.start
-        return self.steps[row]
+        return self.steps[row : row + k]
 
     def _form(self, step: int) -> None:
         """Form the maps of the ``span`` steps from the multiple of ``span``
@@ -511,7 +524,7 @@ class _Chain:
 
 class _Chunk:
     """Sample instants of a stack awaiting evaluation: the member, sample
-    index and time of each queued row, and copies of the entries rows."""
+    index and time of each queued row, and the entries rows."""
 
     def __init__(self, chain: _Chain):
         system = chain.rhs.system
@@ -527,13 +540,14 @@ class _Chunk:
         """Queue sample ``k`` at time ``t`` of the (members, entries) array
         ``x`` of ``chains``, and evaluate the chunk once another instant of
         as many rows would pass its budget.  Members with an error are not
-        sampled."""
+        sampled.  When every member is live, ``x`` itself is queued: the
+        stepping loop never writes a stepped array in place."""
         live = [j for j, chain in enumerate(chains) if chain.error is None]
         if live:
             self.owners += [chains[j] for j in live]
             self.ks += [k] * len(live)
             self.ts += [t] * len(live)
-            self.rows.append(x[live])
+            self.rows.append(x if len(live) == len(chains) else x[live])
             if len(self.owners) + len(live) > self.capacity:
                 self.flush()
 
@@ -623,7 +637,11 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
     members (all of the stack or none) step through their maps, each
     member's row with the same arithmetic as alone; the first step is also
     taken through the four RHS stages, and a member whose two results
-    differ beyond ``_TABLE_CHECK`` raises a RuntimeError."""
+    differ beyond ``_TABLE_CHECK`` raises a RuntimeError.  After it, the
+    maps are applied a run at a time, from one event to the next (a
+    sample, a map-block edge or the nearest member's n_steps), with one
+    finiteness check per run; a run that fails is replayed a step at a
+    time, so a step's error is reported as if every step were checked."""
     stacked = len(chains) > 1
     rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work
@@ -638,8 +656,11 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
     chunk.record(chains, 0, 0.0, work if stacked else work[None])
     # the members are rescanned only when one can leave: after a sample is
     # recorded (its chunk may find a breach), after a step error, and at the
-    # nearest member's n_steps
+    # nearest member's n_steps.  Tabulated steps before ``single`` are taken
+    # one at a time: the first, which is checked against its stages, and
+    # those of a run that failed and is replayed.
     step = scan = 0
+    single = 1
     while True:
         if step >= scan:
             if any(chain.error is not None or chain.n_steps <= step for chain in chains):
@@ -664,10 +685,22 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
 
         t = step * dt
         start = work
-        tabulated = table and table.at(step)
+        k, tabulated = 1, None
+        if table is not None:
+            if step >= single:
+                # run to the next event: a sample, a map-block edge or the
+                # nearest member's n_steps
+                k = min(scan, step - step % sample_every + sample_every,
+                        step - step % table.span + table.span) - step
+            tabulated = table.run(step, k)
         try:
             work = rk4_step(work, t, dt, rhs, tabulated)
         except IntegrationError as exc:
+            if k > 1:
+                # replay the run from its start one step at a time, so that
+                # the error, its time and the members it ends are a step's
+                single, work = step + k, start
+                continue
             scan = step
             if not stacked:
                 chains[0].error = exc
@@ -676,7 +709,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             # same arithmetic, and the others keep that result
             parts = []
             for j, chain in enumerate(chains):
-                alone = None if tabulated is None else tabulated[j : j + 1]
+                alone = None if tabulated is None else tabulated[:, j : j + 1]
                 try:
                     parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j]), alone))
                 except IntegrationError as member_exc:
@@ -685,7 +718,7 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
             work = np.concatenate(parts)
         if step == 0 and table is not None:
             _check_table(chains, start, work, dt, rhs)
-        step += 1
+        step += k
         if step % sample_every == 0:
             chunk.record(chains, step // sample_every, step * dt, work if stacked else work[None])
             scan = step

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -93,7 +95,8 @@ def emit_csv(traj: Trajectory, path) -> None:
     rows = zip(*(values.tolist() for _, values in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(name for name, _ in columns) + "\n")
-        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        # tolist() made every value a Python float, whose repr is the cell
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_metadata(cfg: ExperimentConfig, summary: RunSummary, path) -> None:
@@ -257,6 +260,40 @@ def emit_summary_csv(configs, summaries, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _pooled(work, out_dir, jobs: int) -> list:
+    """:func:`_run_unit` of each unit of ``work`` in a pool of at most
+    ``jobs`` workers.  A worker that dies breaks its pool, and every unit
+    not yet finished in it gets ``BrokenProcessPool``.  Those units run once
+    more, each in a fresh pool of its own, at most ``jobs`` at a time, so a
+    unit that kills its worker again fails only itself and keeps the
+    error.  Any other exception of a future fails only its own unit."""
+    outcomes: list = [None] * len(work)
+
+    def collect(futures: dict) -> list[int]:
+        """Store the outcome of each unit's future; the units whose pool broke."""
+        broken = []
+        for u, future in futures.items():
+            try:
+                outcomes[u] = future.result()
+            except Exception as exc:
+                outcomes[u] = [(exc, None)] * len(work[u])
+                if isinstance(exc, BrokenProcessPool):
+                    broken.append(u)
+        return broken
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        broken = collect({u: pool.submit(_run_unit, members, out_dir)
+                          for u, members in enumerate(work)})
+    for first in range(0, len(broken), jobs):
+        with contextlib.ExitStack() as stack:
+            futures = {}
+            for u in broken[first : first + jobs]:
+                alone = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+                futures[u] = alone.submit(_run_unit, work[u], out_dir)
+            collect(futures)
+    return outcomes
+
+
 def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exception]:
     """Run a family of configs, optionally in parallel worker processes.
 
@@ -266,22 +303,17 @@ def run_many(configs, out_dir=None, jobs: int = 1) -> list[RunSummary | Exceptio
     then more steps, go to whichever of at most ``jobs`` workers is free.
     Every member's files are the ones :func:`run` writes.  Returns, in config
     order, each member's summary or the exception it raised: a failing member
-    does not stop the others, and a worker that dies fails only the units
-    not yet finished.  Positivity warnings are issued here, in config order.
+    does not stop the others, and a worker that dies fails only its own
+    unit: every unit its pool left unfinished runs once more, each in a
+    fresh pool of its own (:func:`_pooled`).  Positivity warnings are issued
+    here, in config order.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
     units = _units(configs, jobs)
     work = [[configs[i] for i in unit] for unit in units]
     if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-            futures = [pool.submit(_run_unit, members, out_dir) for members in work]
-            outcomes = []
-            for future, members in zip(futures, work):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # say, the pool broke: its worker died
-                    outcomes.append([(exc, None)] * len(members))
+        outcomes = _pooled(work, out_dir, jobs)
     else:
         outcomes = [_run_unit(members, out_dir) for members in work]
     results: list = [None] * len(configs)

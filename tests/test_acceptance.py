@@ -384,3 +384,41 @@ def test_criterion_8_photon_sector_consistency():
     ok = err < 1e-10
     report(ok, "criterion 8 (one/two-photon lower-block equivalence)", f"max deviation = {err:.2e}")
     assert ok
+
+
+# --------------------------------------------------------------------------
+# positivity and the rho21 conjugate term (ROADMAP open item 1)
+# --------------------------------------------------------------------------
+
+POSITIVITY_LABELS = ("fig3", "fig4_n3", "fig4_n4", "fig4_n5")
+
+
+def test_rho21_conjugate_term_breaks_positivity(figures):
+    # the default rho21_hc = true adds the X + X^dagger of a Hermitian
+    # target to rho21, which is not Hermitian; the reported state then
+    # dips well below zero at spacing 0 (measured -5.616e-2, -3.003e-2,
+    # -1.634e-2 and -1.002e-2)
+    worst = {}
+    for label in POSITIVITY_LABELS:
+        assert figures.config(label).rho21_hc
+        worst[label] = float(figures.traj(label).min_eigenvalue.min())
+    ok = all(value <= -5e-3 for value in worst.values())
+    report(ok, "positivity (rho21_hc = true: min eigenvalue <= -5e-3)",
+           ", ".join(f"{label} {value:.3e}" for label, value in worst.items()))
+    assert ok
+
+
+def test_without_the_conjugate_term_states_stay_positive(figures):
+    # with rho21_hc = false every reported state is positive to rounding
+    # (measured -1.166e-15 on fig3, -4.2e-17, -4.0e-17 and -3.3e-15 on
+    # fig4 at n = 3, 4 and 5)
+    worst = {}
+    for label in POSITIVITY_LABELS:
+        cfg = figures.config(label)
+        traj = integrate(HierarchyState.ground(cfg.n), cfg.chain_params(), cfg.gaussian_pulse(),
+                         cfg.drive_mode(), cfg.integrator_config(), rho21_hc=False)
+        worst[label] = float(traj.min_eigenvalue.min())
+    ok = all(value >= -1e-14 for value in worst.values())
+    report(ok, "positivity (rho21_hc = false: min eigenvalue >= -1e-14)",
+           ", ".join(f"{label} {value:.3e}" for label, value in worst.items()))
+    assert ok

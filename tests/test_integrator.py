@@ -682,7 +682,7 @@ def _sampled_rows(rhs, state0, config):
         if step % config.sample_every == 0:
             rows.append(x)
         if step < config.n_steps:
-            x = rk4_step(x, step * config.dt, config.dt, rhs, table and table.at(step))
+            x = rk4_step(x, step * config.dt, config.dt, rhs, table and table.run(step, 1))
     return np.stack(rows)
 
 
@@ -858,11 +858,11 @@ class TestTabulatedStep:
                 for step in range(60):
                     t = step * dt
                     want = rk4_step(x, t, dt, rhs)
-                    got = rk4_step(x, t, dt, rhs, table.at(step))
+                    got = rk4_step(x, t, dt, rhs, table.run(step, 1))
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
                     for j, (r, single) in enumerate(zip(alone, singles)):
                         row = x[j] if members > 1 else x
-                        mine = rk4_step(row, t, dt, r, single.at(step))
+                        mine = rk4_step(row, t, dt, r, single.run(step, 1))
                         assert mine.tobytes() == (got[j] if members > 1 else got).tobytes()
                     x = want
                 assert np.abs(x).max() > 1e-3
@@ -893,10 +893,10 @@ class TestTabulatedStep:
         for step in range(members[2][3].n_steps):
             if step == leaves:
                 table, kept = table.take([0, 2]), [0, 2]
-            maps = table.at(step)
+            maps = table.run(step, 1)[0]
             assert maps.shape == (len(kept),) + (alone[0].system.width,) * 2
             for row, j in enumerate(kept):
-                assert maps[row].tobytes() == singles[j].at(step).tobytes()
+                assert maps[row].tobytes() == singles[j].run(step, 1)[0].tobytes()
         outcomes = dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True))
         assert [o.p_excited.max() > 1e-3 for o in outcomes.values()] == [True] * 3
         for i, member in enumerate(members):
@@ -945,10 +945,47 @@ class TestTabulatedStep:
             x = rk4_step(x, step * config.dt, config.dt, rhs)
         assert traj.states[-1].tobytes() == rhs.blocks(x)[-1].tobytes()
 
+    def test_blow_up_mid_run_is_reported_at_its_own_step(self):
+        # rates of 20 at dt = 0.25 make the tabulated step unstable: the
+        # state overflows at step 82, inside the run from the map-block edge
+        # at step 64 to the next one at 96, before the first sample after
+        # t = 0 (step 100).  Alone and in a stack the error's text and time are those
+        # of a manual loop of one checked step at a time, and the stack's
+        # other members, driven around the sample at t = 25, keep
+        # integrate's trajectories bit for bit
+        dt, pulse, ground = 0.25, GaussianPulse(1.0, 0.5), HierarchyState.ground(2)
+        config = IntegratorConfig(dt=dt, t_end=50.0, sample_every=100)
+        unstable = ChainParams(n=2, gamma_r=20.0, gamma_l=20.0)
+        rhs = RhsEvaluator(unstable, pulse)
+        table, x = _tabulated_stack(rhs, dt), rhs.entries(ground.blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as manual:
+                for step in range(config.n_steps):
+                    x = rk4_step(x, step * dt, dt, rhs, table.run(step, 1))
+            assert step == 82 and step % table.span and step < config.sample_every
+            assert str(manual.value) == "non-finite state entries after step at t=20.5"
+            with pytest.raises(IntegrationError) as alone:
+                integrate(ground, unstable, pulse, DriveMode.TWO_PHOTON, config)
+            assert str(alone.value) == str(manual.value)
+            members = [(ground, ChainParams(n=2, gamma_r=r, gamma_l=r), GaussianPulse(24.0, 2.0),
+                        config) for r in (1.0, 0.3)]
+            members.insert(1, (ground, unstable, pulse, config))
+            outcomes = dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True))
+        assert type(outcomes[1]) is IntegrationError and str(outcomes[1]) == str(manual.value)
+        for i in (0, 2):
+            want = integrate(*members[i][:3], DriveMode.TWO_PHOTON, config, keep_states=True)
+            assert len(want) == 3 and want.p_excited.max() > 1e-3
+            for f in fields(Trajectory):
+                got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
+
     def test_first_step_is_checked_against_the_stages(self, monkeypatch):
         # the RHS is called on the first step alone, four times per stack,
-        # and every step goes through rk4_step; a map off by 1e-6 is refused
+        # and every step goes through rk4_step: the first alone, then runs
+        # to each sample (every 4 steps) or map-block edge (every 16 steps
+        # at W = 19), 11 runs for 40 steps; a map off by 1e-6 is refused
         calls = {"rhs": 0, "step": 0}
+        runs = []
         call, step = RhsEvaluator.__call__, integrator.rk4_step
 
         def counted_call(self, t, x):
@@ -957,6 +994,7 @@ class TestTabulatedStep:
 
         def counted_step(*args):
             calls["step"] += 1
+            runs.append(len(args[4]))
             return step(*args)
 
         monkeypatch.setattr(RhsEvaluator, "__call__", counted_call)
@@ -965,7 +1003,8 @@ class TestTabulatedStep:
         members = [(HierarchyState.ground(3), ChainParams(n=3, gamma_r=r, gamma_l=r),
                     GaussianPulse(1.0, 0.5), config) for r in (1.0, 0.5)]
         assert len(list(evolve(members, DriveMode.TWO_PHOTON))) == 2
-        assert calls == {"rhs": 4, "step": 40}
+        assert calls == {"rhs": 4, "step": 11}
+        assert sum(runs) == 40
         rk4_map = integrator._rk4_map
         monkeypatch.setattr(integrator, "_rk4_map", lambda *args: rk4_map(*args) * (1 + 1e-6))
         with pytest.raises(RuntimeError, match="first step of member 0 differs from its RHS"):

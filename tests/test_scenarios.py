@@ -324,6 +324,46 @@ class TestRunner:
         assert isinstance(lived, RunSummary) and lived.label == "lives"
         assert sorted(os.listdir(tmp_path)) == ["lives.csv", "lives.meta.json"]
 
+    def test_units_that_shared_a_dead_worker_run_again(self, tmp_path, monkeypatch):
+        # three single-member units on three workers.  "dies" kills its
+        # worker whenever it runs, the first time once "fast" has written its
+        # files; "slow" is unfinished when that breaks the pool.  "dies" and
+        # "slow" run once more, each in a pool of its own: "slow" finishes
+        # only after "dies" has killed its worker again, and keeps its files
+        finish, died, out = runner._finish, tmp_path / "died", tmp_path / "out"
+
+        def wait_until(ready):
+            deadline = time.monotonic() + 30.0
+            while not ready() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def deaths():
+            return len(died.read_text()) if died.exists() else 0
+
+        def dying(cfg, traj, out_dir):
+            if cfg.label == "dies":
+                if not deaths():
+                    wait_until((out / "fast.meta.json").exists)
+                    time.sleep(0.1)
+                with died.open("a") as handle:
+                    handle.write("x")
+                os._exit(1)
+            if cfg.label == "slow":
+                retry = deaths() > 0
+                wait_until(lambda: deaths() == 1 + retry)
+                time.sleep(0.3 if retry else 5.0)  # a broken pool stops its workers
+            return finish(cfg, traj, out_dir)
+
+        monkeypatch.setattr(runner, "_finish", dying)  # forked workers inherit it
+        configs = [replace(TINY, label=label, t_end=0.1) for label in ("dies", "slow", "fast")]
+        assert len(runner._units(configs, 3)) == 3
+        dies, slow, fast = run_many(configs, out_dir=str(out), jobs=3)
+        assert deaths() == 2 and isinstance(dies, BrokenProcessPool)
+        assert isinstance(slow, RunSummary) and slow.label == "slow"
+        assert isinstance(fast, RunSummary) and fast.label == "fast"
+        assert sorted(os.listdir(out)) == \
+            ["fast.csv", "fast.meta.json", "slow.csv", "slow.meta.json"]
+
     def test_summary_csv_layout(self, tmp_path):
         configs = [replace(TINY, label="a"), replace(TINY, label="b", t_end=0.5)]
         summaries = run_many(configs)
