@@ -88,11 +88,6 @@ class ExperimentConfig:
         return DriveMode(self.mode)
 
 
-_FLOAT_FIELDS = ("spacing", "tbar", "width", "dt", "t_end", "threshold")
-# fields holding one value per qubit, broadcast by ChainParams
-_PER_QUBIT_FIELDS = ("gamma_r", "gamma_l", "delta", "positions")
-
-
 def _checked(where: str, build):
     """``build()``, with its ValueError or TypeError raised as ConfigError."""
     try:
@@ -129,6 +124,14 @@ _SCHEMA = {
     "observables": {"threshold": float},
     "output": {"path": str, "label": str},
 }
+# the fields parsed as one number, and those holding one value per qubit,
+# broadcast by ChainParams, in the order of _SCHEMA
+_FLOAT_FIELDS = tuple(
+    k for keys in _SCHEMA.values() for k, parse in keys.items() if parse is float
+)
+_PER_QUBIT_FIELDS = tuple(
+    k for keys in _SCHEMA.values() for k, parse in keys.items() if parse is _parse_list
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import MAX_EXCITATIONS, MAX_QUBITS, excitation_bits, sector_basis
-from .pulse import GaussianPulse, envelopes
+from .pulse import GaussianPulse
 
 # Block order is the lower-triangular hierarchy enumeration; prefix slices
 # of this tuple are exactly the blocks each drive mode evolves, and the last
@@ -865,17 +865,6 @@ class RhsEvaluator:
         out._allocate()
         return out
 
-    def take(self, keep) -> "RhsEvaluator":
-        """The stacked evaluator of the members at indices ``keep``."""
-        out = type(self).__new__(type(self))
-        out.__dict__.update(
-            self.__dict__,
-            _pulses=[self._pulses[k] for k in keep],
-            _v=self._v[keep],
-        )
-        out._allocate()
-        return out
-
     def entries(self, blocks: np.ndarray) -> np.ndarray:
         """The entries vector of blocks on the sector basis (the evolved
         prefix of ``HierarchyState.blocks``, or all of them): the stored
@@ -988,7 +977,7 @@ class RhsEvaluator:
             if self.pulse is not None:
                 g = self.pulse.envelope(t)
             else:
-                g = envelopes(self._pulses, t)[:, None]
+                g = np.array([p.envelope(t) for p in self._pulses])[:, None]
             half = rows.shape[-1] // 2
             out = rows[..., half:]  # L1 x, row for row after L0 x
             out *= g

@@ -30,13 +30,16 @@ to n = 3) tabulates the stack of its C_ijk once, from the dense L0 and L1
 of its own evaluator.  Each step's own W x W map M = sum a^i b^j c^k C_ijk
 is formed a block of steps at a time, with one product of the block's
 envelope weights and the stack, and the step is the one product M x:
-about a tenth of the cost of the four RHS stages at W = 22.  Its first
-step is also taken through the four stages, and a map that disagrees with
-them is refused.  After it, the maps are applied a run at a time, from one
-event to the next (a sample, a map-block edge or the nearest member's
-n_steps), with one finiteness check per run.  Wider chains, and any whose
-map holds a non-finite entry, step through the four RHS stages one step
-at a time.  Every step goes through :func:`rk4_step`, alone or in a run.
+about a tenth of the cost of the four RHS stages at W = 22.  Each chain's
+map is checked where it is built: its first step of the chain's entries is
+also taken through the chain's four stages, and a map that disagrees with
+them is refused.  The maps are applied a run at a time, from one event to
+the next (a sample, a map-block edge or the nearest member's n_steps),
+with one finiteness check per run.  Wider chains, and any whose map holds
+a non-finite entry, step through the four RHS stages one step at a time.
+Every step goes through :func:`rk4_step`, alone or in a run; a run or
+step that fails is taken again member by member, one checked step at a
+time, so each member's error names the time of its own step.
 """
 
 from __future__ import annotations
@@ -145,7 +148,8 @@ class Trajectory:
 
 
 def rk4_step(
-    state: np.ndarray, t: float, dt: float, rhs: Callable, table: np.ndarray | None = None,
+    state: np.ndarray, t: float, dt: float, rhs: Callable | None,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 update of the state array (the entries vector of
     :class:`~wgqed.hierarchy.RhsEvaluator`, or any array ``rhs`` maps), or
@@ -153,13 +157,14 @@ def rk4_step(
 
     ``rhs(t, state)`` must return the derivative with the same shape; the
     step is its four stages.  With a ``table`` (:meth:`_Table.run`), the
-    steps are instead products, without a call of ``rhs``: a run of k
-    consecutive steps' own maps, (k, W, W) of the chain or (k, members, W,
-    W) of each member of a stack (:func:`_rk4_map`), applied to the state
-    in turn.  The result is checked for overflow once; non-finite entries
-    abort, naming ``t``, the time of the run's first step.  A non-finite
-    entry stays non-finite through every later product (inf times an exact
-    zero is NaN), so a run of k fails exactly when one of its steps would.
+    steps are instead products and ``rhs`` is unused (it may be None): a
+    run of k consecutive steps' own maps, (k, W, W) of the chain or (k,
+    members, W, W) of each member of a stack (:func:`_rk4_map`), applied to
+    the state in turn.  The result is checked for overflow once;
+    non-finite entries abort, naming ``t``, the time of the run's first
+    step.  A non-finite entry stays non-finite through every later product
+    (inf times an exact zero is NaN), so a run of k fails exactly when one
+    of its steps would.
     """
     if table is None:
         out = _stages(state, t, dt, rhs)
@@ -319,12 +324,9 @@ class _Table:
         self.steps = block.reshape(block.shape[:-1] + (self.width, self.width)).swapaxes(0, -3)
 
     def take(self, keep: list[int]) -> "_Table":
-        """The table of the members at indices ``keep``."""
-        out = _Table(self.maps[keep], [self.pulses[j] for j in keep], self.dt)
-        if self.weights is not None:
-            out.first, out.start = self.first, self.start
-            out.weights, out.steps = self.weights[keep], self.steps[:, keep]
-        return out
+        """A fresh table of the members at indices ``keep``; it forms its
+        blocks when first run, each member's maps the same as here."""
+        return _Table(self.maps[keep], [self.pulses[j] for j in keep], self.dt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,10 +481,10 @@ def evolve(
     the error it reports even when its state went non-finite later in that
     chunk.
     """
-    chains = [_Chain(i, *member, mode, rho21_hc, keep_states) for i, member in enumerate(members)]
-    shared = {(c.n, c.config.dt, c.config.sample_every) for c in chains}
+    shared = {(params.n, config.dt, config.sample_every) for _, params, _, config in members}
     if len(shared) > 1:
         raise ValueError(f"evolved members must share n, dt and sample_every, got {sorted(shared)}")
+    chains = [_Chain(i, *member, mode, rho21_hc, keep_states) for i, member in enumerate(members)]
     stacks: dict[tuple[int, bool], list[_Chain]] = {}
     for chain in chains:
         stacks.setdefault((id(chain.rhs.system), chain.map is None), []).append(chain)
@@ -492,8 +494,8 @@ def evolve(
 
 
 class _Chain:
-    """One member of an evolved stack: its evaluator, entries vector and
-    trajectory, and the error that ends it early, if any."""
+    """One member of an evolved stack: its evaluator, entries vector,
+    checked tabulated map and trajectory, and the error that ends it early."""
 
     def __init__(self, index, state0, params, pulse, config, mode, rho21_hc, keep_states):
         self.index, self.n, self.pulse, self.mode = index, params.n, pulse, mode
@@ -501,6 +503,8 @@ class _Chain:
         self.rhs = RhsEvaluator(params, pulse, mode, rho21_hc, state0)
         self.work = self.rhs.entries(state0.blocks)
         self.map = _tabulated(self.rhs, config.dt)
+        if self.map is not None:
+            self._check_map()
         n = params.n
         self.n_steps = config.n_steps
         self.error: IntegrationError | None = None
@@ -520,6 +524,25 @@ class _Chain:
         )
         # the published pulse curves use the first qubit's right-going rate
         self.gamma_ref = float(params.gamma_r[0])
+
+    def _check_map(self) -> None:
+        """Raise a RuntimeError when the tabulated first step of the chain's
+        entries differs from its four RHS stages by more than
+        ``_TABLE_CHECK`` times 1 + the largest |entry| of the stages'
+        result.  A tabulated first step that is not finite is not checked:
+        the stepping loop ends the member with its error."""
+        dt = self.config.dt
+        with np.errstate(all="ignore"):
+            got = _Table(self.map, [self.pulse], dt).run(0, 1)[0].dot(self.work)
+            if not np.isfinite(got).all():
+                return
+            want = _stages(self.work, 0.0, dt, self.rhs)
+            error = np.abs(got - want).max()
+            if not error <= _TABLE_CHECK * (1.0 + np.abs(want).max()):
+                raise RuntimeError(
+                    f"the tabulated first step of member {self.index} differs from its RHS "
+                    f"stages by {error:.3e}"
+                )
 
 
 class _Chunk:
@@ -633,34 +656,30 @@ def _sample(owners: list[_Chain], ks: list[int], ts: list[float], x: np.ndarray)
 def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | IntegrationError]]:
     """The stepping loop.  One chain steps its entries vector, so the
     evaluator sees exactly the single-chain shapes; several step a
-    (members, entries) stack through the stacked evaluator.  Tabulated
-    members (all of the stack or none) step through their maps, each
-    member's row with the same arithmetic as alone; the first step is also
-    taken through the four RHS stages, and a member whose two results
-    differ beyond ``_TABLE_CHECK`` raises a RuntimeError.  After it, the
-    maps are applied a run at a time, from one event to the next (a
-    sample, a map-block edge or the nearest member's n_steps), with one
-    finiteness check per run; a run that fails is replayed a step at a
-    time, so a step's error is reported as if every step were checked."""
+    (members, entries) stack.  Tabulated members (all of the stack or none)
+    apply their maps a run at a time, from one event to the next (a sample,
+    a map-block edge or the nearest member's n_steps), each member's row
+    with the same arithmetic as alone, with one finiteness check per run;
+    the others step through the stages of the evaluator the stack's members
+    form.  A run or step that fails is taken again by :func:`_replay`, so
+    each error is reported as if every step were checked."""
     stacked = len(chains) > 1
-    rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
     work = np.stack([c.work for c in chains]) if stacked else chains[0].work
-    table = None
-    if chains[0].map is not None:
+    dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
+    rhs = table = None
+    if chains[0].map is None:
+        rhs = RhsEvaluator.stack([c.rhs for c in chains]) if stacked else chains[0].rhs
+    else:
         maps = np.stack([c.map for c in chains]) if stacked else chains[0].map
-        table = _Table(maps, [c.pulse for c in chains], chains[0].config.dt)
+        table = _Table(maps, [c.pulse for c in chains], dt)
         for chain in chains:
             chain.map = None  # the table holds the maps
-    dt, sample_every = chains[0].config.dt, chains[0].config.sample_every
     chunk = _Chunk(chains[0])
     chunk.record(chains, 0, 0.0, work if stacked else work[None])
     # the members are rescanned only when one can leave: after a sample is
     # recorded (its chunk may find a breach), after a step error, and at the
-    # nearest member's n_steps.  Tabulated steps before ``single`` are taken
-    # one at a time: the first, which is checked against its stages, and
-    # those of a run that failed and is replayed.
+    # nearest member's n_steps
     step = scan = 0
-    single = 1
     while True:
         if step >= scan:
             if any(chain.error is not None or chain.n_steps <= step for chain in chains):
@@ -678,64 +697,48 @@ def _step_stack(chains: list[_Chain]) -> Iterator[tuple[int, Trajectory | Integr
                         yield chain.index, outcome
                 if not keep:
                     return
-                chains = [chains[j] for j in keep]
-                work, rhs = work[keep], rhs.take(keep)
-                table = table and table.take(keep)
+                chains, work = [chains[j] for j in keep], work[keep]
+                if table is None:
+                    rhs = RhsEvaluator.stack([c.rhs for c in chains])
+                else:
+                    table = table.take(keep)
             scan = min(chain.n_steps for chain in chains)
 
-        t = step * dt
-        start = work
-        k, tabulated = 1, None
+        k, run = 1, None
         if table is not None:
-            if step >= single:
-                # run to the next event: a sample, a map-block edge or the
-                # nearest member's n_steps
-                k = min(scan, step - step % sample_every + sample_every,
-                        step - step % table.span + table.span) - step
-            tabulated = table.run(step, k)
+            k = min(scan, step - step % sample_every + sample_every,
+                    step - step % table.span + table.span) - step
+            run = table.run(step, k)
         try:
-            work = rk4_step(work, t, dt, rhs, tabulated)
-        except IntegrationError as exc:
-            if k > 1:
-                # replay the run from its start one step at a time, so that
-                # the error, its time and the members it ends are a step's
-                single, work = step + k, start
-                continue
-            scan = step
-            if not stacked:
-                chains[0].error = exc
-                continue
-            # find the members that went non-finite: each steps alone on the
-            # same arithmetic, and the others keep that result
-            parts = []
-            for j, chain in enumerate(chains):
-                alone = None if tabulated is None else tabulated[:, j : j + 1]
-                try:
-                    parts.append(rk4_step(work[j : j + 1], t, dt, rhs.take([j]), alone))
-                except IntegrationError as member_exc:
-                    chain.error = member_exc
-                    parts.append(work[j : j + 1])
-            work = np.concatenate(parts)
-        if step == 0 and table is not None:
-            _check_table(chains, start, work, dt, rhs)
+            work = rk4_step(work, step * dt, dt, rhs, run)
+        except IntegrationError:
+            work, scan = _replay(chains, work, step, k, dt, rhs, run), step
         step += k
         if step % sample_every == 0:
             chunk.record(chains, step // sample_every, step * dt, work if stacked else work[None])
             scan = step
 
 
-def _check_table(chains: list[_Chain], x: np.ndarray, stepped: np.ndarray, dt: float,
-                 rhs: RhsEvaluator) -> None:
-    """Raise a RuntimeError when a live member's tabulated first step
-    ``stepped`` of ``x`` differs from its four RHS stages by more than
-    ``_TABLE_CHECK`` times 1 + the largest |entry| of the stages' result."""
-    with np.errstate(all="ignore"):
-        want = _stages(x, 0.0, dt, rhs).reshape(len(chains), -1)
-        got = stepped.reshape(len(chains), -1)
-        for j, chain in enumerate(chains):
-            error = np.abs(got[j] - want[j]).max()
-            if chain.error is None and not error <= _TABLE_CHECK * (1.0 + np.abs(want[j]).max()):
-                raise RuntimeError(
-                    f"the tabulated first step of member {chain.index} differs from its RHS "
-                    f"stages by {error:.3e}"
-                )
+def _replay(chains: list[_Chain], x: np.ndarray, step: int, k: int, dt: float,
+            rhs: RhsEvaluator | None, run: np.ndarray | None) -> np.ndarray:
+    """The ``k`` steps from ``step`` on of ``x``, one chain's entries or a
+    stack's, taken again member by member, one checked step at a time, with
+    the arithmetic the member has in the stack: its rows of the run's maps,
+    or its own evaluator stacked alone.  A member whose step fails ends with
+    that step's error and keeps its state from before it; the others get
+    the bytes the run would have given them."""
+    stacked = x.ndim > 1
+    rows = []
+    for j, chain in enumerate(chains):
+        row = x[j : j + 1] if stacked else x
+        alone = RhsEvaluator.stack([chain.rhs]) if stacked and rhs is not None else rhs
+        maps = run[:, j : j + 1] if stacked and run is not None else run
+        for s in range(k):
+            try:
+                row = rk4_step(row, (step + s) * dt, dt, alone,
+                               None if maps is None else maps[s : s + 1])
+            except IntegrationError as exc:
+                chain.error = exc
+                break
+        rows.append(row)
+    return np.concatenate(rows) if stacked else rows[0]

@@ -70,19 +70,12 @@ class GaussianPulse:
         return 2.0 * gamma_r * np.square(g) if np.ndim(g) else 2.0 * gamma_r * g * g
 
 
-def envelopes(pulses, t: float) -> np.ndarray:
-    """Every pulse's ``envelope(t)`` at one scalar time, bit for bit, with one
-    exp call.  Each exponent is formed in scalar arithmetic as ``envelope``
-    forms it: numpy squares an array by multiplication, a scalar by ``pow``,
-    and the two can differ in the last bit."""
-    exponents = [_exponent(t, p.tbar, p.width) for p in pulses]
-    return np.multiply([p.amplitude for p in pulses], np.exp(exponents))
-
-
 def drive_intensities(pulses, gammas, times) -> np.ndarray:
     """``pulses[r].drive_intensity(gammas[r], times[r])`` for every r, bit
-    for bit, with one exp call: each exponent is formed in scalar arithmetic
-    as ``envelope`` forms it (see :func:`envelopes`)."""
+    for bit, with one exp call.  Each exponent is formed in scalar
+    arithmetic as ``envelope`` forms it: numpy squares an array by
+    multiplication, a scalar by ``pow``, and the two can differ in the last
+    bit."""
     exponents = [_exponent(t, p.tbar, p.width) for p, t in zip(pulses, times)]
     g = np.multiply([p.amplitude for p in pulses], np.exp(exponents))
     return 2.0 * np.asarray(gammas, dtype=float) * g * g

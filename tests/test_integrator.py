@@ -290,6 +290,30 @@ class TestIntegrate:
             list(evolve([stack[0], (HierarchyState.ground(2), ChainParams(n=2), FAR_PULSE,
                                     IntegratorConfig(**config))], DriveMode.TWO_PHOTON))
 
+    def test_mixed_members_are_refused_before_anything_is_built(self, monkeypatch):
+        # members that differ in n, dt or sample_every are refused from
+        # their params and configs, before any evaluator or map is built
+        built = []
+        init = RhsEvaluator.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args[0].n)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RhsEvaluator, "__init__", counted_init)
+        config = IntegratorConfig(dt=0.5, t_end=2.0, sample_every=2)
+        base = (HierarchyState.ground(2), ChainParams(n=2), FAR_PULSE, config)
+        others = [
+            (HierarchyState.ground(3), ChainParams(n=3), FAR_PULSE, config),
+            base[:3] + (IntegratorConfig(dt=0.25, t_end=2.0, sample_every=2),),
+            base[:3] + (IntegratorConfig(dt=0.5, t_end=2.0, sample_every=4),),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="must share n, dt and sample_every, got"):
+                list(evolve([base, other], DriveMode.TWO_PHOTON))
+        assert built == []
+        assert len(list(evolve([base, base], DriveMode.TWO_PHOTON))) == 2 and built == [2, 2]
+
     def test_trace_breach_mid_stack_leaves_the_others_exact(self):
         # at dt = 0.5 rates of 5 make RK4 unstable, and the state grows about
         # 1e4-fold a step.  Its trace deviation, rounding on that state,
@@ -372,6 +396,32 @@ class TestIntegrate:
         assert str(alone.value) == "non-finite state entries after step at t=0.5"
         kept = integrate(*stack[1][:3], DriveMode.TWO_PHOTON, config)
         assert outcomes[1].p_excited.tobytes() == kept.p_excited.tobytes()
+
+    def test_failing_member_of_a_stage_stack_leaves_the_others_exact(self):
+        # three n = 4 chiral chains, 132 real entries each, step through the
+        # stages of one stacked evaluator: rates of 1e80 overflow by the
+        # second step, a shorter member leaves at t = 1.2, and each of the
+        # other two gets integrate's trajectory bit for bit
+        pulse = GaussianPulse(1.0, 0.5)
+        long, short = (IntegratorConfig(dt=0.05, t_end=t, sample_every=4) for t in (2.0, 1.2))
+        members = [(HierarchyState.ground(4), ChainParams(n=4, gamma_r=r, gamma_l=1.0), pulse, c)
+                   for r, c in ((1e80, long), (5.0, short), (2.0, long))]
+        alone = [RhsEvaluator(p, g) for _, p, g, _ in members]
+        assert len({id(r.system) for r in alone}) == 1 and alone[0].system.width == 132
+        with np.errstate(all="ignore"):
+            assert all(integrator._tabulated(r, 0.05) is None for r in alone)
+            with pytest.raises(IntegrationError) as failed:
+                integrate(*members[0][:3], DriveMode.TWO_PHOTON, long)
+            outcomes = dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True))
+        assert str(failed.value) == "non-finite state entries after step at t=0.05"
+        assert type(outcomes[0]) is IntegrationError and str(outcomes[0]) == str(failed.value)
+        for i in (1, 2):
+            want = integrate(*members[i][:3], DriveMode.TWO_PHOTON, members[i][3],
+                             keep_states=True)
+            assert want.p_excited.max() > 1e-3
+            for f in fields(Trajectory):
+                got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
 
     def test_one_and_two_photon_lower_blocks_agree(self):
         pulse = GaussianPulse(tbar=1.0, width=0.5)
@@ -979,11 +1029,43 @@ class TestTabulatedStep:
                 got, ref = getattr(outcomes[i], f.name), getattr(want, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
 
+    def test_two_overflows_in_one_run_report_their_own_steps(self):
+        # rates of 18 and 20 at dt = 0.25 make the tabulated step unstable:
+        # the states overflow at steps 86 and 82, both inside the run from
+        # the map-block edge at step 64 to the next one at 96, before the
+        # first sample after t = 0 (step 100).  In one stack each reports
+        # the text and time of its manual loop of one checked step at a
+        # time, and the third member keeps integrate's trajectory bit for bit
+        dt, pulse, ground = 0.25, GaussianPulse(1.0, 0.5), HierarchyState.ground(2)
+        config = IntegratorConfig(dt=dt, t_end=50.0, sample_every=100)
+        members = [(ground, ChainParams(n=2, gamma_r=r, gamma_l=r), g, config)
+                   for r, g in ((18.0, pulse), (0.3, GaussianPulse(24.0, 2.0)), (20.0, pulse))]
+        manual = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in (0, 2):
+                rhs = RhsEvaluator(members[i][1], pulse)
+                table, x = _tabulated_stack(rhs, dt), rhs.entries(ground.blocks)
+                with pytest.raises(IntegrationError) as error:
+                    for step in range(config.n_steps):
+                        x = rk4_step(x, step * dt, dt, rhs, table.run(step, 1))
+                assert step // table.span == 64 // table.span == 2 and table.span == 32
+                manual[i] = (step, str(error.value))
+            outcomes = dict(evolve(members, DriveMode.TWO_PHOTON, keep_states=True))
+        assert manual == {0: (86, "non-finite state entries after step at t=21.5"),
+                          2: (82, "non-finite state entries after step at t=20.5")}
+        for i, (_, message) in manual.items():
+            assert type(outcomes[i]) is IntegrationError and str(outcomes[i]) == message
+        want = integrate(*members[1][:3], DriveMode.TWO_PHOTON, config, keep_states=True)
+        assert len(want) == 3 and want.p_excited.max() > 1e-3
+        for f in fields(Trajectory):
+            got, ref = getattr(outcomes[1], f.name), getattr(want, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), f.name
+
     def test_first_step_is_checked_against_the_stages(self, monkeypatch):
-        # the RHS is called on the first step alone, four times per stack,
-        # and every step goes through rk4_step: the first alone, then runs
-        # to each sample (every 4 steps) or map-block edge (every 16 steps
-        # at W = 19), 11 runs for 40 steps; a map off by 1e-6 is refused
+        # the RHS is called only where each member's map is checked, four
+        # times per member, and every step goes through rk4_step in runs to
+        # each sample (every 4 steps) or map-block edge (every 16 steps at
+        # W = 19), 10 runs for 40 steps; a map off by 1e-6 is refused
         calls = {"rhs": 0, "step": 0}
         runs = []
         call, step = RhsEvaluator.__call__, integrator.rk4_step
@@ -1003,7 +1085,7 @@ class TestTabulatedStep:
         members = [(HierarchyState.ground(3), ChainParams(n=3, gamma_r=r, gamma_l=r),
                     GaussianPulse(1.0, 0.5), config) for r in (1.0, 0.5)]
         assert len(list(evolve(members, DriveMode.TWO_PHOTON))) == 2
-        assert calls == {"rhs": 4, "step": 11}
+        assert calls == {"rhs": 8, "step": 10}
         assert sum(runs) == 40
         rk4_map = integrator._rk4_map
         monkeypatch.setattr(integrator, "_rk4_map", lambda *args: rk4_map(*args) * (1 + 1e-6))

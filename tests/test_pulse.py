@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wgqed.presets import expand_preset
-from wgqed.pulse import NORMALIZATIONS, GaussianPulse, drive_intensities, envelopes
+from wgqed.pulse import NORMALIZATIONS, GaussianPulse, drive_intensities
 
 
 def test_verbatim_peak_value():
@@ -59,17 +59,6 @@ def test_verbatim_peak_scales_inversely_with_width():
     assert abs(a.envelope(0.0) - 2.0 * b.envelope(0.0)) < 1e-15
 
 
-def test_envelopes_are_each_envelope_bit_for_bit():
-    # the RK4 stage times of a dt = 1e-3 run up to t = 10, where numpy's
-    # array square and the scalar pow differ in the last bit at a few times
-    pulses = [GaussianPulse(5.0, w, norm) for w in (0.5, 1.5, 3.0) for norm in NORMALIZATIONS]
-    pulses.append(GaussianPulse(0.0, 0.5))  # underflows to exactly 0 from t = 19.3
-    for t in [k * 5e-4 for k in range(20000)] + [19.0, 19.5, 40.0]:
-        want = [p.envelope(t) for p in pulses]
-        assert envelopes(pulses, t).tobytes() == np.array(want).tobytes()
-    assert envelopes(pulses, 40.0)[-1] == 0.0 < envelopes(pulses, 19.0)[-1]
-
-
 def test_drive_intensities_are_each_drive_intensity_bit_for_bit():
     # every sample time of a dt = 1e-3, sample_every 10 run to t = 40 for
     # pulses of four widths, both normalizations and two rates, each row its
@@ -100,7 +89,6 @@ def test_scalar_envelope_is_the_array_path_bit_for_bit():
         for scalar in (t, np.float64(t)):
             got = pulse.envelope(scalar)
             assert type(got) is float and np.float64(got).tobytes() == want
-        assert envelopes([pulse], t).tobytes() == want
     assert [pulse.envelope(t) for t in underflowed] == [0.0] * 4
     assert pulse.envelope(60.0) > 0.0
 
